@@ -1,0 +1,294 @@
+"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+
+Elements are dense rational coefficient vectors of length phi(n) in the power
+basis 1, zeta, ..., zeta^(phi(n)-1), always reduced modulo the n-th cyclotomic
+polynomial.  Reduction is canonical, so equality is coefficient equality.
+Because the cyclotomic polynomial is irreducible over Q, every nonzero
+element has an inverse (extended Euclid against the modulus).
+
+The chain modules work in Q(zeta_2L) with zeta = exp(i pi / L) for odd L, so
+both cos(pi m / L) = (zeta^m + zeta^-m)/2 and the L-th roots of unity
+exp(2 pi i k / L) = zeta^(2k) are exact elements here.
+
+Numeric embeddings go through mpmath at an explicit binary precision; they
+are for validation and display only and never feed back into exact values.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+from math import gcd
+from typing import Iterable
+
+import mpmath
+
+from .polynomials import RationalPolynomial, xgcd
+from .rationals import format_rational, parse_rational
+
+MIN_EMBED_BITS = 64
+
+
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> RationalPolynomial:
+    """The n-th cyclotomic polynomial, by exact division of x^n - 1.
+
+    x^n - 1 factors as the product of the d-th cyclotomic polynomials over
+    all divisors d of n; dividing out the proper divisors' factors leaves
+    the n-th.  Division is exact at every step by construction.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    num = RationalPolynomial([-1] + [0] * (n - 1) + [1])
+    if n == 1:
+        return num
+    quot = num
+    for d in range(1, n):
+        if n % d == 0:
+            quot = quot.divide_exact(cyclotomic_polynomial(d))
+    return quot
+
+
+@functools.lru_cache(maxsize=None)
+def _field_data(order: int) -> tuple[RationalPolynomial, int]:
+    modulus = cyclotomic_polynomial(order)
+    return modulus, modulus.degree
+
+
+class CyclotomicNumber:
+    """An element of Q(zeta_order), reduced mod the cyclotomic polynomial."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: Iterable[Fraction | int] = ()):
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        modulus, dim = _field_data(order)
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) > dim:
+            _, rem = divmod(RationalPolynomial(cs), modulus)
+            cs = list(rem.coeffs)
+        cs += [Fraction(0)] * (dim - len(cs))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CyclotomicNumber is immutable")
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_rational(cls, value: Fraction | int, order: int) -> "CyclotomicNumber":
+        return cls(order, [Fraction(value)])
+
+    @classmethod
+    def zero(cls, order: int) -> "CyclotomicNumber":
+        return cls(order)
+
+    @classmethod
+    def one(cls, order: int) -> "CyclotomicNumber":
+        return cls(order, [1])
+
+    # -- structure ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def as_rational(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        return self.coeffs[0]
+
+    def conjugate(self) -> "CyclotomicNumber":
+        """Complex conjugation, the field map zeta -> zeta^-1."""
+        n = self.order
+        raw = [Fraction(0)] * n
+        for k, c in enumerate(self.coeffs):
+            raw[(n - k) % n] += c
+        return CyclotomicNumber(n, raw)
+
+    def is_real(self) -> bool:
+        return self == self.conjugate()
+
+    # -- ring operations ---------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, CyclotomicNumber):
+            if other.order != self.order:
+                raise ValueError(
+                    f"order mismatch: {self.order} vs {other.order}"
+                )
+            return other
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicNumber.from_rational(other, self.order)
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return CyclotomicNumber(
+            self.order, [a + b for a, b in zip(self.coeffs, rhs.coeffs)]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return CyclotomicNumber(
+            self.order, [a - b for a, b in zip(self.coeffs, rhs.coeffs)]
+        )
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        # Scalar products skip the convolution and the reduction entirely.
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicNumber(self.order, [c * other for c in self.coeffs])
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        a, b = self.coeffs, rhs.coeffs
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return CyclotomicNumber(self.order, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "CyclotomicNumber":
+        """Multiplicative inverse via extended Euclid against the modulus."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in cyclotomic field")
+        modulus, _ = _field_data(self.order)
+        g, s, _ = xgcd(RationalPolynomial(self.coeffs), modulus)
+        if g.degree != 0:
+            raise AssertionError("modulus not coprime to nonzero element")
+        return CyclotomicNumber(self.order, (s * (1 / g.coeffs[0])).coeffs)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero")
+            return self * (Fraction(1) / Fraction(other))
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self * rhs.inverse()
+
+    def __rtruediv__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = CyclotomicNumber.one(self.order)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- comparisons -------------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            return self.order == other.order and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self):
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                terms.append(str(c))
+            elif k == 1:
+                terms.append(f"{c}*zeta")
+            else:
+                terms.append(f"{c}*zeta^{k}")
+        body = " + ".join(terms) if terms else "0"
+        return f"CyclotomicNumber(order={self.order}: {body})"
+
+    # -- numeric embedding and serialization --------------------------------
+
+    def embed(self, precision_bits: int = 256) -> mpmath.mpc:
+        """Numeric value with zeta = exp(2 pi i / order), at the given precision."""
+        if precision_bits < MIN_EMBED_BITS:
+            raise ValueError(f"precision_bits must be >= {MIN_EMBED_BITS}")
+        with mpmath.workprec(precision_bits):
+            zeta = mpmath.expjpi(mpmath.mpf(2) / self.order)
+            acc = mpmath.mpc(0)
+            for c in reversed(self.coeffs):
+                acc = acc * zeta + mpmath.mpf(c.numerator) / c.denominator
+            return acc
+
+    def approx_str(self, precision_bits: int = 256) -> str:
+        digits = max(8, int(precision_bits * 0.3010299956639812) - 2)
+        value = self.embed(precision_bits)
+        with mpmath.workprec(precision_bits):
+            if self.is_real():
+                return mpmath.nstr(value.real, digits)
+            return mpmath.nstr(value, digits)
+
+    def to_dict(self, precision_bits: int = 256) -> dict:
+        return {
+            "order": self.order,
+            "coeffs": [format_rational(c) for c in self.coeffs],
+            "approx": self.approx_str(precision_bits),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CyclotomicNumber":
+        return cls(data["order"], [parse_rational(s) for s in data["coeffs"]])
+
+
+def zeta_power(exponent: int, L: int) -> CyclotomicNumber:
+    """exp(i pi exponent / L) as an element of Q(zeta_2L), L odd and >= 3."""
+    _require_odd(L)
+    n = 2 * L
+    e = exponent % n
+    return CyclotomicNumber(n, [0] * e + [1])
+
+
+def cyc_cos(m: int, L: int) -> CyclotomicNumber:
+    """cos(pi m / L) as an exact element of Q(zeta_2L)."""
+    return (zeta_power(m, L) + zeta_power(-m, L)) * Fraction(1, 2)
+
+
+def cyc_root_of_unity(k: int, L: int) -> CyclotomicNumber:
+    """exp(2 pi i k / L) as an exact element of Q(zeta_2L)."""
+    return zeta_power(2 * k, L)
+
+
+def _require_odd(L: int) -> None:
+    if L < 3 or L % 2 == 0:
+        raise ValueError(f"L must be odd and >= 3, got {L}")

@@ -1,0 +1,115 @@
+"""Exact solver for square rational linear systems.
+
+Rows are cleared to integers and eliminated with fraction-free (Bareiss)
+updates, so every intermediate entry is an integer and the single division
+per update is exact.  The pivot in each column is the nonzero candidate with
+the smallest bit size, which keeps intermediate growth down on the binomial
+systems this package produces.  Solutions are verified by substitution into
+the original system before being returned.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
+
+
+class SingularMatrixError(ValueError):
+    """Square system had no unique solution; carries the rank that was found."""
+
+    def __init__(self, rank: int, size: int):
+        super().__init__(f"singular system: rank {rank} < size {size}")
+        self.rank = rank
+        self.size = size
+
+
+def _integer_rows(
+    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> list[list[int]]:
+    rows = []
+    for row, b in zip(matrix, rhs):
+        fracs = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = lcm(*(f.denominator for f in fracs))
+        rows.append([int(f * scale) for f in fracs])
+    return rows
+
+
+def _echelon_rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank of an integer matrix by fraction-free elimination with column skips."""
+    rank = 0
+    prev = 1
+    col = 0
+    n = len(rows)
+    while rank < n and col < ncols:
+        pivot = None
+        for r in range(rank, n):
+            if rows[r][col]:
+                if pivot is None or abs(rows[r][col]).bit_length() < abs(
+                    rows[pivot][col]
+                ).bit_length():
+                    pivot = r
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, n):
+            for c in range(col + 1, len(rows[r])):
+                rows[r][c] = (rows[r][c] * rows[rank][col] - rows[r][col] * rows[rank][c]) // prev
+            rows[r][col] = 0
+        prev = rows[rank][col]
+        rank += 1
+        col += 1
+    return rank
+
+
+def solve_linear_system(
+    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> list[Fraction]:
+    """Solve A x = b exactly for square A.
+
+    Raises SingularMatrixError (with the rank found) when the system has no
+    unique solution, and ValueError on shape mismatches.
+    """
+    n = len(matrix)
+    if n == 0:
+        return []
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    if len(rhs) != n:
+        raise ValueError("right-hand side length must match matrix size")
+
+    rows = _integer_rows(matrix, rhs)
+    prev = 1
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if rows[r][col]:
+                if pivot is None or abs(rows[r][col]).bit_length() < abs(
+                    rows[pivot][col]
+                ).bit_length():
+                    pivot = r
+        if pivot is None:
+            spare = [row[:] for row in rows]
+            raise SingularMatrixError(_echelon_rank(spare, n), n)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, n):
+            for c in range(col + 1, n + 1):
+                rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
+            rows[r][col] = 0
+        prev = rows[col][col]
+
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = Fraction(rows[r][n])
+        for c in range(r + 1, n):
+            acc -= rows[r][c] * x[c]
+        x[r] = acc / rows[r][r]
+
+    for row, b in zip(matrix, rhs):
+        acc = Fraction(0)
+        for a, xv in zip(row, x):
+            acc += Fraction(a) * xv
+        if acc != Fraction(b):
+            raise AssertionError("back-substitution check failed")
+    return x

@@ -1,0 +1,319 @@
+"""Ground-sector Baxter Q polynomials for the odd-L chain, built two ways.
+
+Conventions.  A chain is (L, N) with L odd >= 3 and N >= 1: spin s =
+(L-2)/2, M = 2N+1 sites, and p = N(L-2) + (L-3)/2 Bethe roots.  The Q
+polynomial is monic of degree p with Q(0) = 1 and is stored through its
+signed elementary symmetric coefficients e_0..e_p:
+
+    Q(z) = prod_j (z - z_j) = sum_k (-1)^k e_k z^(p-k),  e_0 = 1.
+
+Route one (closed form) assembles an explicit degree L*N + (L-1)/2 numerator
+from binomial-weighted rational products and divides it by (z-1)^(2N+1);
+the division must terminate with a zero remainder, which doubles as a
+transcription check.  Route two (linear system) imposes the vanishing of a
+binomial convolution of the e_k at every admissible index and solves the
+resulting square rational system exactly.  The two routes must agree
+coefficient by coefficient.
+
+The functional three-term identity satisfied by Q (verify_tq_identity) is
+checked as an exact polynomial identity over Q(zeta_2L), never numerically.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import comb
+
+from .cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity, zeta_power
+from .linalg import solve_linear_system
+from .polynomials import RationalPolynomial
+from .rationals import format_rational
+from .report import CheckResult
+
+MIN_REPORT_BITS = 64
+
+
+@dataclass(frozen=True)
+class ChainParams:
+    """Chain size data: L fixes the spin, N fixes the length M = 2N+1."""
+
+    L: int
+    N: int
+
+    def __post_init__(self):
+        if self.L < 3 or self.L % 2 == 0:
+            raise ValueError(f"L must be odd and >= 3, got {self.L}")
+        if self.N < 1:
+            raise ValueError(f"N must be >= 1, got {self.N}")
+
+    @property
+    def M(self) -> int:
+        return 2 * self.N + 1
+
+    @property
+    def p(self) -> int:
+        return self.N * (self.L - 2) + (self.L - 3) // 2
+
+    @property
+    def spin(self) -> Fraction:
+        return Fraction(self.L - 2, 2)
+
+    @property
+    def field_order(self) -> int:
+        return 2 * self.L
+
+    @property
+    def eta_label(self) -> str:
+        """Fixed anisotropy tag for this L (eta = -(L-1) pi i / L)."""
+        return f"-{self.L - 1}*pi*i/{self.L}"
+
+
+@dataclass(frozen=True)
+class QPolynomial:
+    """Q through its signed coefficients e_0..e_p; see module docstring.
+
+    Structural properties (e_0 = 1, the palindrome, Q(0) = 1) are checked by
+    verify_structure, not enforced here: negative controls need to be able
+    to construct broken instances.
+    """
+
+    params: ChainParams
+    e: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.e) != self.params.p + 1:
+            raise ValueError(
+                f"need {self.params.p + 1} coefficients, got {len(self.e)}"
+            )
+
+    def coefficients(self) -> list[Fraction]:
+        """Plain ascending power-basis coefficients of Q."""
+        p = self.params.p
+        return [(-1) ** (p - i) * self.e[p - i] for i in range(p + 1)]
+
+    def with_coefficient_bump(self, k: int, delta: Fraction | int) -> "QPolynomial":
+        """Copy with e_k shifted by delta; negative-control hook."""
+        if not 0 <= k <= self.params.p:
+            raise ValueError(f"index {k} out of range 0..{self.params.p}")
+        bumped = list(self.e)
+        bumped[k] += Fraction(delta)
+        return replace(self, e=tuple(bumped))
+
+
+def q_closed_form(params: ChainParams) -> QPolynomial:
+    """Build Q from the explicit numerator divided by (z-1)^(2N+1).
+
+    The numerator couples monomial pairs with rational product weights; each
+    weight's denominator factors are nonzero by construction (asserted).
+    The division must be exact, and the quotient must be monic of degree p
+    with e_0 = 1; any violation aborts the build.
+    """
+    L, N = params.L, params.N
+    half = (L - 1) // 2
+    if N % 2 == 0:
+        first_top, second_top = N // 2, N // 2 - 1
+    else:
+        first_top = second_top = (N - 1) // 2
+
+    terms: list[tuple[int, Fraction]] = []
+    for k in range(first_top + 1):
+        weight = Fraction((-1) ** k * comb(N, k))
+        for j in range(N + 1):
+            den = half - L * k + L * j
+            assert den != 0
+            weight *= Fraction(half + L * j, den)
+        terms.append((L * N + half - L * k, weight))
+        terms.append((L * k, -weight))
+    for k in range(second_top + 1):
+        weight = Fraction((-1) ** k * comb(N, k))
+        for j in range(N + 1):
+            den = -half - L * k + L * j
+            assert den != 0
+            weight *= Fraction(half + L * j, den)
+        terms.append((L * N - L * k, weight))
+        terms.append((L * k + half, -weight))
+
+    top = L * N + half
+    numerator_coeffs = [Fraction(0)] * (top + 1)
+    for power, coeff in terms:
+        numerator_coeffs[power] += coeff
+    numerator = RationalPolynomial(numerator_coeffs)
+
+    root_factor = RationalPolynomial([-1, 1]) ** params.M
+    quotient = numerator.divide_exact(root_factor)
+
+    p = params.p
+    if quotient.degree != p:
+        raise AssertionError(f"quotient degree {quotient.degree}, expected {p}")
+    e = tuple((-1) ** k * quotient.coefficient(p - k) for k in range(p + 1))
+    if e[0] != 1:
+        raise AssertionError("quotient is not monic")
+    return QPolynomial(params, e)
+
+
+def admissible_indices(params: ChainParams) -> list[int]:
+    """Indices where the binomial convolution of the e_k must vanish.
+
+    Runs over 0..L*N+(L-1)/2 minus the 2(N+1) excluded values L*k and
+    L*k + (L-1)/2 for k = 0..N.  The count always equals p, which makes the
+    linear system square; this is asserted.
+    """
+    L, N = params.L, params.N
+    half = (L - 1) // 2
+    excluded = {L * k for k in range(N + 1)} | {L * k + half for k in range(N + 1)}
+    ells = [ell for ell in range(L * N + half + 1) if ell not in excluded]
+    if len(ells) != params.p:
+        raise AssertionError(
+            f"admissible index count {len(ells)} != p = {params.p}"
+        )
+    return ells
+
+
+def q_linear_system(params: ChainParams) -> QPolynomial:
+    """Build Q by solving the vanishing conditions exactly.
+
+    Each admissible index ell gives sum_j C(2N+1, ell-j) e_j = 0 with j
+    clamped to max(0, ell-2N-1)..min(p, ell).  With e_0 = 1 moved to the
+    right-hand side this is a square rational system for e_1..e_p.
+    """
+    M, p = params.M, params.p
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for ell in admissible_indices(params):
+        row = [Fraction(0)] * p
+        lo, hi = max(0, ell - M), min(p, ell)
+        for j in range(lo, hi + 1):
+            if j == 0:
+                continue
+            row[j - 1] = Fraction(comb(M, ell - j))
+        rows.append(row)
+        rhs.append(Fraction(-comb(M, ell)) if lo == 0 else Fraction(0))
+
+    tail = solve_linear_system(rows, rhs)
+    return QPolynomial(params, (Fraction(1), *tail))
+
+
+def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:
+    """Build Q by the requested route; "both" builds twice and must agree."""
+    if method == "closed-form":
+        return q_closed_form(params)
+    if method == "linear-system":
+        return q_linear_system(params)
+    if method == "both":
+        qa = q_closed_form(params)
+        qb = q_linear_system(params)
+        if qa.e != qb.e:
+            raise AssertionError(
+                f"construction routes disagree at L={params.L} N={params.N}"
+            )
+        return qa
+    raise ValueError(f"unknown method {method!r}")
+
+
+def q_eval(q: QPolynomial, z):
+    """Evaluate Q at z by Horner; z may be rational or cyclotomic."""
+    coeffs = q.coefficients()
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def verify_structure(q: QPolynomial) -> CheckResult:
+    """Exact structural checks: e_0, the palindrome e_k = (-1)^p e_(p-k), Q(0) = 1."""
+    p = q.params.p
+    problems = []
+    if q.e[0] != 1:
+        problems.append(f"e_0 = {format_rational(q.e[0])}")
+    sign = (-1) ** p
+    for k in range(p + 1):
+        if q.e[k] != sign * q.e[p - k]:
+            problems.append(f"palindrome fails at k={k}")
+            break
+    if q.e[p] != sign:
+        problems.append(f"e_p = {format_rational(q.e[p])}")
+    value_at_zero = q_eval(q, Fraction(0))
+    if value_at_zero != 1:
+        problems.append(f"Q(0) = {format_rational(value_at_zero)}")
+    return CheckResult(
+        name="structure",
+        params={"L": q.params.L, "N": q.params.N},
+        passed=not problems,
+        residual="0" if not problems else "1",
+        detail="; ".join(problems),
+    )
+
+
+def _cyclo_convolve(a: list[CyclotomicNumber], b: list[CyclotomicNumber], order: int):
+    out = [CyclotomicNumber.zero(order)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def verify_tq_identity(q: QPolynomial) -> CheckResult:
+    """Exact three-term functional identity for Q over Q(zeta_2L).
+
+    With omega = exp(2 pi i / L) and h = (L-1)/2, the combination
+
+        -2 cos(h pi / L) (z-1)^M Q(z)
+        + zeta^-h (z - omega)^M Q_omega(z)
+        + zeta^h (z - omega^-1)^M Q_(omega^-1)(z)
+
+    must vanish identically, where Q_c(z) = prod_j (z - c z_j) expands as
+    sum_k (-1)^k c^k e_k z^(p-k) directly from the coefficients (the roots
+    themselves are never needed).  The check is coefficient-by-coefficient
+    equality to zero in the field; there is no tolerance.
+    """
+    params = q.params
+    L, M, p = params.L, params.M, params.p
+    order = params.field_order
+    half = (L - 1) // 2
+
+    one = CyclotomicNumber.one(order)
+    omega = cyc_root_of_unity(1, L)
+    omega_bar = cyc_root_of_unity(-1, L)
+    prefactors = [
+        CyclotomicNumber.from_rational(-2, order) * cyc_cos(half, L),
+        zeta_power(-half, L),
+        zeta_power(half, L),
+    ]
+    shifts = [one, omega, omega_bar]
+
+    total = [CyclotomicNumber.zero(order)] * (M + p + 1)
+    for prefactor, shift in zip(prefactors, shifts):
+        shift_powers = [one]
+        for _ in range(max(M, p)):
+            shift_powers.append(shift_powers[-1] * shift)
+        # (z - shift)^M, ascending
+        binomial_part = [
+            Fraction(comb(M, i)) * (-1) ** (M - i) * shift_powers[M - i]
+            for i in range(M + 1)
+        ]
+        # prod_j (z - shift * z_j), ascending
+        shifted_q = [CyclotomicNumber.zero(order)] * (p + 1)
+        for k in range(p + 1):
+            shifted_q[p - k] = Fraction((-1) ** k) * q.e[k] * shift_powers[k]
+        product = _cyclo_convolve(binomial_part, shifted_q, order)
+        for i, c in enumerate(product):
+            total[i] = total[i] + prefactor * c
+
+    bad = [(i, c) for i, c in enumerate(total) if not c.is_zero()]
+    if not bad:
+        return CheckResult(
+            name="tq",
+            params={"L": L, "N": params.N},
+            passed=True,
+        )
+    degree, witness = bad[0]
+    return CheckResult(
+        name="tq",
+        params={"L": L, "N": params.N},
+        passed=False,
+        residual=str(witness.to_dict(MIN_REPORT_BITS)["coeffs"]),
+        detail=f"{len(bad)} nonzero coefficients, first at degree {degree}",
+    )

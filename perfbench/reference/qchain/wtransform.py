@@ -1,0 +1,133 @@
+"""Symmetric functions of the transformed Bethe roots, exactly.
+
+The physical variables w_j are the images of the Q roots z_j under the
+Moebius map w = (z a - 1)/(z - a) with a = exp(-2 pi i / L).  Expanding the
+characteristic polynomial of the w_j against Q's coefficients turns every
+elementary symmetric function E_alpha of the w_j into an exact element of
+Q(zeta_2L), with a common denominator Q(a); no root is ever computed.
+
+Two independent expressions are kept for the first symmetric function E_1
+(the root sum):  the production path uses real cosine sums for numerator and
+denominator (the unimodular prefactors cancel in the ratio), and the general
+double-sum form (w_elementary) serves as a cross-check path.  The root sum
+must come out fixed under conjugation; a complex value would falsify the
+statements this package verifies and raises FalsificationError.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+
+from .cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity
+from .qoperator import ChainParams, QPolynomial, q_eval
+from .report import CheckResult, FalsificationError
+
+
+@dataclass(frozen=True)
+class WSymmetrics:
+    """E_1 of the w variables with its exact cosine-sum numerator/denominator."""
+
+    params: ChainParams
+    E1: CyclotomicNumber
+    numerator: CyclotomicNumber
+    denominator: CyclotomicNumber
+    E_alpha: tuple | None = None
+
+
+def w_sum(q: QPolynomial) -> WSymmetrics:
+    """Sum of the w variables as an exact field element.
+
+    numerator   = 2 sum_(k<p) (-1)^k (p-k) cos(pi (2k+2-p)/L) e_k
+    denominator =   sum_(k<=p) (-1)^k cos(pi (p-2k)/L) e_k
+
+    The denominator equals Q(exp(-2 pi i / L)) up to a unimodular prefactor,
+    so it vanishing would mean Q has a root at the Moebius pole; that is
+    fatal and raises ZeroDivisionError.
+    """
+    params = q.params
+    L, p = params.L, params.p
+
+    numerator = CyclotomicNumber.zero(params.field_order)
+    for k in range(p):
+        scalar = Fraction((-1) ** k * (p - k)) * q.e[k]
+        if scalar:
+            numerator = numerator + cyc_cos(2 * k + 2 - p, L) * scalar
+    numerator = numerator * 2
+
+    denominator = CyclotomicNumber.zero(params.field_order)
+    for k in range(p + 1):
+        scalar = Fraction((-1) ** k) * q.e[k]
+        if scalar:
+            denominator = denominator + cyc_cos(p - 2 * k, L) * scalar
+
+    if denominator.is_zero():
+        raise ZeroDivisionError(
+            f"root-sum denominator vanished at L={L} N={params.N}: "
+            "Q has a root at the Moebius pole"
+        )
+    e1 = numerator / denominator
+    if not e1.is_real():
+        raise FalsificationError(
+            f"root sum is not conjugation-fixed at L={L} N={params.N}"
+        )
+    return WSymmetrics(params=params, E1=e1, numerator=numerator, denominator=denominator)
+
+
+def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
+    """E_alpha of the w variables from the general double-sum expansion.
+
+    E_alpha = Q(a)^-1 sum_k sum_j (-1)^k a^(k+p-alpha-2j)
+              C(p-k, p-alpha-j) C(k, j) e_k,   a = exp(-2 pi i / L),
+
+    with j running over max(0, k-alpha)..min(k, p-alpha).  E_0 comes out as
+    exactly 1, which is a built-in consistency check of the expansion.
+    """
+    params = q.params
+    L, p = params.L, params.p
+    if not 0 <= alpha <= p:
+        raise ValueError(f"alpha must be in 0..{p}, got {alpha}")
+    order = params.field_order
+
+    # a^m = zeta^(-2m); table over the residues mod 2L
+    a_powers = [cyc_root_of_unity(-m, L) for m in range(L)]
+
+    def a_power(m: int) -> CyclotomicNumber:
+        return a_powers[m % L]
+
+    acc = CyclotomicNumber.zero(order)
+    for k in range(p + 1):
+        if q.e[k] == 0:
+            continue
+        for j in range(max(0, k - alpha), min(k, p - alpha) + 1):
+            scalar = (
+                Fraction((-1) ** k * comb(p - k, p - alpha - j) * comb(k, j)) * q.e[k]
+            )
+            acc = acc + a_power(k + p - alpha - 2 * j) * scalar
+
+    denominator = q_eval(q, cyc_root_of_unity(-1, L))
+    if isinstance(denominator, Fraction):
+        denominator = CyclotomicNumber.from_rational(denominator, order)
+    if denominator.is_zero():
+        raise ZeroDivisionError(
+            f"Q vanishes at the Moebius pole for L={L} N={params.N}"
+        )
+    return acc / denominator
+
+
+def verify_inverse_sum(q: QPolynomial) -> CheckResult:
+    """Exact identity E_(p-1) = E_1 * E_p (sum of w equals sum of 1/w)."""
+    params = q.params
+    e1 = w_sum(q).E1
+    e_top = w_elementary(q, params.p)
+    e_second = w_elementary(q, params.p - 1)
+    difference = e_second - e1 * e_top
+    passed = difference.is_zero()
+    return CheckResult(
+        name="inverse-sum",
+        params={"L": params.L, "N": params.N},
+        passed=passed,
+        residual="0" if passed else str(difference.to_dict()["coeffs"]),
+        detail="" if passed else "sum of w and sum of 1/w disagree",
+    )
