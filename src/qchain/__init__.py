@@ -42,7 +42,6 @@ from .report import CheckResult, FalsificationError, VerificationReport
 from .roots import (
     ConvergenceError,
     RootSet,
-    bae_residual,
     bae_residuals_by_form,
     find_roots,
     inversion_closure_gap,
@@ -69,7 +68,6 @@ __all__ = [
     "WSummary",
     "WSymmetrics",
     "admissible_indices",
-    "bae_residual",
     "bae_residuals_by_form",
     "build_q",
     "closed_form_root_sum",

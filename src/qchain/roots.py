@@ -8,6 +8,14 @@ root with Newton steps at well above the requested precision, so the
 reported residuals measure the polynomial and the Bethe equations honestly
 rather than the evaluation noise.
 
+The search and the polish run on plain Python integers: a complex number
+is a pair of ints scaled by 2^F (F = the search or polish precision in
+bits), which is several times faster than mpmath's mpc at these sizes.
+Everything that is reported is measured in mpmath instead: the polynomial
+residual (mpmath.polyval on the exact coefficients at the polish
+precision), the Moebius images, the Bethe-equation residuals, the root
+product, the inversion closure and the root sum.
+
 The Bethe equations are evaluated in both variables: the z-form directly on
 the roots of Q, and the w-form on their Moebius images, with the anisotropy
 entering through explicit exp/sinh calls rather than pre-simplified
@@ -46,31 +54,37 @@ class RootSet:
     z_roots: tuple
     w_roots: tuple
     max_poly_residual: mpmath.mpf
-    max_bae_residual: mpmath.mpf | None = None
     sweeps: int = 0
 
 
-def _mpc_coeffs(q: QPolynomial) -> list[mpmath.mpc]:
-    out = []
-    for c in q.coefficients():
-        out.append(mpmath.mpc(mpmath.mpf(c.numerator) / c.denominator))
-    return out
+def _fixed(x: Fraction, bits: int) -> int:
+    """x scaled by 2^bits and rounded down to an integer."""
+    return (x.numerator << bits) // x.denominator
 
 
-def _horner(coeffs, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
+def _horner(monic: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, int, int]:
+    """Q(z) and Q'(z) in fixed point at 2^-bits: (Re Q, Im Q, Re Q', Im Q').
+
+    The coefficients are real, ascending, and scaled like z = zr + i zi.
+    Each complex product takes three integer products (Gauss's trick); the
+    imaginary part (a + b)(c + d) - ac - bd is exact, so the result is the
+    same as with four.
+    """
+    zs = zr + zi
+    ar, ai = monic[-1], 0
+    dr = di = 0
+    for c in reversed(monic[:-1]):
+        t1, t2 = dr * zr, di * zi
+        dr, di = ((t1 - t2) >> bits) + ar, (((dr + di) * zs - t1 - t2) >> bits) + ai
+        t1, t2 = ar * zr, ai * zi
+        ar, ai = ((t1 - t2) >> bits) + c, ((ar + ai) * zs - t1 - t2) >> bits
+    return ar, ai, dr, di
 
 
-def _horner_with_derivative(coeffs, z):
-    acc = coeffs[-1]
-    der = mpmath.mpc(0)
-    for c in reversed(coeffs[:-1]):
-        der = der * z + acc
-        acc = acc * z + c
-    return acc, der
+def _divide(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
+    """x / y in fixed point at 2^-bits; y must be nonzero."""
+    norm = yr * yr + yi * yi
+    return ((xr * yr + xi * yi) << bits) // norm, ((xi * yr - xr * yi) << bits) // norm
 
 
 def z_to_w(z, L: int):
@@ -100,81 +114,113 @@ def find_roots(
     if precision_bits < MIN_ROOT_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_ROOT_BITS}")
     p = q.params.p
+    coeffs = q.coefficients()
+    lead = coeffs[-1]
+    if lead == 0:
+        raise ValueError("leading coefficient vanished")
+    monic = [c / lead for c in coeffs]
 
     search_bits = 128 + 2 * p
     with mpmath.workprec(search_bits):
-        coeffs = _mpc_coeffs(q)
-        lead = coeffs[-1]
-        if lead == 0:
-            raise ValueError("leading coefficient vanished")
-        monic = [c / lead for c in coeffs]
-
-        cauchy = 1 + max(abs(c) for c in monic[:-1])
+        bound = 1 + max(abs(c) for c in monic[:-1])
+        cauchy = mpmath.mpf(bound.numerator) / bound.denominator
         radius = cauchy ** (mpmath.mpf(1) / p)
         rng = random.Random(seed)
         offset = rng.random() * 2 * mpmath.pi / p
-        roots = [
+        seeds = [
             radius * mpmath.exp(1j * (2 * mpmath.pi * k / p + offset))
             for k in range(p)
         ]
-
-        # The achievable correction size is limited by evaluation noise,
-        # which scales with the coefficients; corrections only need to land
-        # the roots inside their Newton basins for the polish phase.
+        real = [int(mpmath.ldexp(z.real, search_bits)) for z in seeds]
+        imag = [int(mpmath.ldexp(z.imag, search_bits)) for z in seeds]
         noise_bits = max(0, int(mpmath.log(cauchy, 2)) + 1)
-        target = mpmath.mpf(2) ** -(search_bits - 24 - noise_bits - p.bit_length())
-        stall_floor = mpmath.mpf(2) ** -48
-        sweeps = 0
-        worst = mpmath.mpf(1)
-        previous = mpmath.inf
-        stalled = 0
-        for sweeps in range(1, MAX_SWEEPS + 1):
-            worst = mpmath.mpf(0)
-            for i in range(p):
-                value, derivative = _horner_with_derivative(monic, roots[i])
-                if value == 0:
-                    continue
-                if derivative == 0:
-                    roots[i] += mpmath.mpf(2) ** -(search_bits // 3)
-                    worst = max(worst, mpmath.mpf(1))
-                    continue
-                newton = value / derivative
-                repulsion = mpmath.mpc(0)
-                for j in range(p):
-                    if j != i:
-                        repulsion += 1 / (roots[i] - roots[j])
-                denom = 1 - newton * repulsion
-                step = newton if denom == 0 else newton / denom
-                roots[i] -= step
-                worst = max(worst, abs(step) / max(1, abs(roots[i])))
-            if worst < target:
+
+    # Fixed point at 2^-F, F = search_bits.  The achievable correction size
+    # is limited by evaluation noise, which scales with the coefficients;
+    # corrections only need to land the roots inside their Newton basins
+    # for the polish phase.  Each fixed-point product rounds by at most
+    # 2^-F, so a Horner pass over p + 1 terms of size up to 2^noise_bits
+    # errs far below the target: at the target the steps still sit
+    # 24 + noise_bits + bitlen(p) bits above 2^-F, so F fractional bits are
+    # enough.  Step sizes are compared squared, as exact fractions
+    # |step|^2 / max(1, |z|^2).
+    F = search_bits
+    one = 1 << F
+    cube = 1 << 3 * F
+    fixed = [_fixed(c, F) for c in monic]
+    target = Fraction(2) ** -(2 * (F - 24 - noise_bits - p.bit_length()))
+    stall_floor = Fraction(2) ** -96
+    worst = Fraction(1)
+    previous = None
+    stalled = 0
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        top, bottom = 0, 1
+        for i in range(p):
+            zr, zi = real[i], imag[i]
+            vr, vi, dr, di = _horner(fixed, zr, zi, F)
+            if vr == vi == 0:
+                continue
+            if dr == di == 0:
+                real[i] += 1 << (F - F // 3)
+                if top < bottom:
+                    top, bottom = 1, 1
+                continue
+            nr, ni = _divide(vr, vi, dr, di, F)
+            # sum of 1/(z_i - z_j), kept at 2^-2F until the final shift
+            rr = ri = 0
+            for j in range(p):
+                if j != i:
+                    xr, xi = zr - real[j], zi - imag[j]
+                    k = cube // (xr * xr + xi * xi)
+                    rr += xr * k
+                    ri -= xi * k
+            rr >>= F
+            ri >>= F
+            mr = one - ((nr * rr - ni * ri) >> F)
+            mi = -((nr * ri + ni * rr) >> F)
+            sr, si = (nr, ni) if mr == mi == 0 else _divide(nr, ni, mr, mi, F)
+            zr -= sr
+            zi -= si
+            real[i], imag[i] = zr, zi
+            size = sr * sr + si * si
+            scale = max(one * one, zr * zr + zi * zi)
+            if size * bottom > top * scale:
+                top, bottom = size, scale
+        worst = Fraction(top, bottom)
+        if worst < target:
+            break
+        if worst < stall_floor and previous is not None and 4 * worst > previous:
+            stalled += 1
+            if stalled >= 3:
                 break
-            if worst < stall_floor and worst * 2 > previous:
-                stalled += 1
-                if stalled >= 3:
-                    break
-            else:
-                stalled = 0
-            previous = worst
         else:
-            raise ConvergenceError(MAX_SWEEPS, mpmath.nstr(worst, 5))
+            stalled = 0
+        previous = worst
+    else:
+        with mpmath.workprec(53):
+            worst_step = mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
+            raise ConvergenceError(MAX_SWEEPS, mpmath.nstr(worst_step, 5))
 
     polish_bits = 2 * precision_bits + 128 + 2 * p
+    shift = polish_bits - F
+    fixed = [_fixed(c, polish_bits) for c in monic]
     with mpmath.workprec(polish_bits):
-        coeffs = _mpc_coeffs(q)
-        lead = coeffs[-1]
-        monic = [c / lead for c in coeffs]
+        exact = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
         polished = []
         worst_residual = mpmath.mpf(0)
-        for z in roots:
-            z = mpmath.mpc(z)
+        for zr, zi in zip(real, imag):
+            zr <<= shift
+            zi <<= shift
             for _ in range(4):
-                value, derivative = _horner_with_derivative(monic, z)
-                if value == 0 or derivative == 0:
+                vr, vi, dr, di = _horner(fixed, zr, zi, polish_bits)
+                if vr == vi == 0 or dr == di == 0:
                     break
-                z -= value / derivative
+                sr, si = _divide(vr, vi, dr, di, polish_bits)
+                zr -= sr
+                zi -= si
+            z = mpmath.mpc(mpmath.ldexp(zr, -polish_bits), mpmath.ldexp(zi, -polish_bits))
             polished.append(z)
-            worst_residual = max(worst_residual, abs(_horner(coeffs, z)))
+            worst_residual = max(worst_residual, abs(mpmath.polyval(exact, z)))
         w_images = tuple(z_to_w(z, q.params.L) for z in polished)
 
     return RootSet(
@@ -187,8 +233,8 @@ def find_roots(
     )
 
 
-def bae_residual(rs: RootSet) -> mpmath.mpf:
-    """Worst Bethe-equation residual over all roots, max of both forms.
+def bae_residuals_by_form(rs: RootSet) -> dict:
+    """Worst Bethe-equation residual over all roots, for each form.
 
     z-form, per root j (blank product for p = 1):
 
@@ -202,15 +248,10 @@ def bae_residual(rs: RootSet) -> mpmath.mpf:
                 (sh w_j w_k - sp w_k + sm w_j + sh)
 
     where sh, sp, sm are sinh of eta, (2s+1) eta, (2s-1) eta.  Coincident
-    roots are rejected before either form is evaluated.
+    roots are rejected before either form is evaluated.  Each product is
+    taken as one numerator over one denominator, so there is one division
+    per root.  The worst residual of a root set is the max of the two.
     """
-    forms = bae_residuals_by_form(rs)
-    worst = max(forms["z"], forms["w"])
-    rs.max_bae_residual = worst
-    return worst
-
-
-def bae_residuals_by_form(rs: RootSet) -> dict:
     params = rs.params
     L, M, p = params.L, params.M, params.p
     work = rs.precision_bits + 128 + 2 * p
@@ -226,29 +267,35 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
         eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
         big_a = mpmath.exp((L - 2) * eta)  # 2s = L - 2
         big_b = mpmath.exp(2 * eta)
+        zb = [v * big_b for v in z]
         res_z = mpmath.mpf(0)
         for j in range(p):
             lhs = ((z[j] * big_a - 1) / (z[j] - big_a)) ** M
-            rhs = mpmath.mpc(1)
+            num = den = mpmath.mpc(1)
             for k in range(p):
                 if k != j:
-                    rhs *= (z[j] * big_b - z[k]) / (z[j] - z[k] * big_b)
-            res_z = max(res_z, abs(lhs - rhs))
+                    num *= zb[j] - z[k]
+                    den *= z[j] - zb[k]
+            res_z = max(res_z, abs(lhs - num / den))
 
         sh = mpmath.sinh(eta)
         sp = mpmath.sinh((L - 1) * eta)  # (2s+1) eta
         sm = mpmath.sinh((L - 3) * eta)  # (2s-1) eta
         sign = (-1) ** (p - 1)
+        w_sh = [sh * v for v in w]
+        w_sp = [sp * v for v in w]
+        w_sm = [sm * v for v in w]
         res_w = mpmath.mpf(0)
         for j in range(p):
             lhs = w[j] ** M
-            rhs = mpmath.mpc(sign)
+            num = mpmath.mpc(sign)
+            den = mpmath.mpc(1)
             for k in range(p):
                 if k != j:
-                    rhs *= (sh * w[j] * w[k] - sp * w[j] + sm * w[k] + sh) / (
-                        sh * w[j] * w[k] - sp * w[k] + sm * w[j] + sh
-                    )
-            res_w = max(res_w, abs(lhs - rhs))
+                    pair = w_sh[j] * w[k] + sh
+                    num *= pair - w_sp[j] + w_sm[k]
+                    den *= pair - w_sp[k] + w_sm[j]
+            res_w = max(res_w, abs(lhs - num / den))
     return {"z": res_z, "w": res_w}
 
 

@@ -9,10 +9,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import qchain.roots
+from qchain.cli import main
 from qchain.qoperator import ChainParams, build_q
 from qchain.roots import (
+    ConvergenceError,
     RootSet,
-    bae_residual,
     bae_residuals_by_form,
     find_roots,
     inversion_closure_gap,
@@ -95,8 +97,8 @@ def test_moebius_pole_rejected():
 def test_bae_residuals_on_grid():
     for L, N in ((3, 2), (5, 1), (5, 2), (7, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
-        assert bae_residual(rs) < mpmath.mpf(2) ** -216
         by_form = bae_residuals_by_form(rs)
+        assert max(by_form.values()) < mpmath.mpf(2) ** -216
         assert by_form["z"] < mpmath.mpf(2) ** -216
         assert by_form["w"] < mpmath.mpf(2) ** -216
 
@@ -112,7 +114,7 @@ def test_bae_rejects_perturbed_roots():
             w_roots=[z_to_w(r, 3) for r in shifted],
             max_poly_residual=rs.max_poly_residual,
         )
-    assert bae_residual(bad) > mpmath.mpf(2) ** -64
+    assert max(bae_residuals_by_form(bad).values()) > mpmath.mpf(2) ** -64
 
 
 def test_bae_rejects_wrong_polynomial():
@@ -120,7 +122,7 @@ def test_bae_rejects_wrong_polynomial():
     rs = find_roots(q, precision_bits=256)
     # roots of the bumped polynomial satisfy it, but not the pair equations
     assert rs.max_poly_residual < mpmath.mpf(2) ** -232
-    assert bae_residual(rs) > mpmath.mpf(2) ** -64
+    assert max(bae_residuals_by_form(rs).values()) > mpmath.mpf(2) ** -64
 
 
 def test_product_and_inversion_closure():
@@ -149,3 +151,34 @@ def test_large_grid_point_converges():
     rs = find_roots(q, precision_bits=192)
     assert len(rs.z_roots) == 40
     assert rs.max_poly_residual < mpmath.mpf(2) ** -168
+
+
+def test_roots_match_independent_polyroots():
+    # mpmath.polyroots is a separate Durand-Kerner code on the same exact
+    # coefficients; the two root multisets must agree far below 2^-150.
+    for L, N in ((3, 4), (5, 3), (7, 2), (9, 2), (11, 1)):
+        q = build_q(ChainParams(L, N))
+        rs = find_roots(q, precision_bits=256)
+        with mpmath.workprec(256):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(q.coefficients())]
+            oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)
+            assert len(oracle) == len(rs.z_roots) == q.params.p
+            remaining = list(oracle)
+            for z in rs.z_roots:
+                nearest = min(remaining, key=lambda y: abs(z - y))
+                assert abs(z - nearest) < mpmath.mpf(2) ** -150, (L, N)
+                remaining.remove(nearest)
+
+
+def test_sweep_cap_raises_convergence_error(monkeypatch, capsys):
+    monkeypatch.setattr(qchain.roots, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as caught:
+        find_roots(build_q(ChainParams(11, 4)), precision_bits=256)
+    assert caught.value.sweeps == 1
+
+    # the CLI reports it as a failed check with a witness, not a crash
+    code = main(["verify", "--L", "11", "--N-max", "4", "--checks", "roots"])
+    out = capsys.readouterr().out
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("FAIL roots ")]
+    assert failures and all("ConvergenceError" in line for line in failures)
