@@ -25,14 +25,13 @@ from .energy import (
     verify_no_finite_size_correction,
 )
 from .linalg import SingularMatrixError, solve_linear_system
-from .polynomials import InexactDivisionError, RationalPolynomial, divide_exact
+from .polynomials import InexactDivisionError, RationalPolynomial
 from .qoperator import (
     ChainParams,
     QPolynomial,
     admissible_indices,
     build_q,
     q_closed_form,
-    q_eval,
     q_linear_system,
     verify_structure,
     verify_tq_identity,
@@ -75,7 +74,6 @@ __all__ = [
     "cyc_cos",
     "cyc_root_of_unity",
     "cyclotomic_polynomial",
-    "divide_exact",
     "energy",
     "euler_phi",
     "extract_A",
@@ -86,7 +84,6 @@ __all__ = [
     "numeric_cross_check",
     "parse_rational",
     "q_closed_form",
-    "q_eval",
     "q_linear_system",
     "root_product_gap",
     "solve_linear_system",

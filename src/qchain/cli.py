@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from . import __version__
 from .energy import (
+    CLOSED_FORM_SUMS,
+    WSummary,
     crosscheck_closed_forms,
-    energy,
     extract_A,
     groundstate_summary,
     verify_linearity,
@@ -30,6 +31,7 @@ from .energy import (
 )
 from .qoperator import (
     ChainParams,
+    QPolynomial,
     q_closed_form,
     q_linear_system,
     build_q,
@@ -46,7 +48,7 @@ from .roots import (
     numeric_cross_check,
     root_product_gap,
 )
-from .wtransform import verify_inverse_sum, w_sum
+from .wtransform import verify_inverse_sum
 
 import mpmath
 
@@ -56,6 +58,10 @@ DEFAULT_PRECISION = 256
 PRECISION_ENV = "QCHAIN_PRECISION_BITS"
 
 CHECK_TOKENS = ("structure", "tq", "linearity", "finite-size", "closed-forms", "roots")
+# Checks of one L read from its gathered summaries, which need N = 1, 2.
+PER_L_CHECKS = ("linearity", "finite-size", "closed-forms")
+# Checks that need the root sum E1 of a point (structure for inverse-sum).
+SUMMARY_CHECKS = ("structure", "roots") + PER_L_CHECKS
 CHECK_ALIASES = {"section4": "closed-forms"}
 ENTRY_ORDER = {
     name: index
@@ -142,8 +148,10 @@ class RunConfig:
             tamper=tamper,
         )
 
-    def grid(self) -> list[tuple[int, int]]:
-        return [(L, N) for L in self.L_values for N in range(1, self.N_max + 1)]
+    def grid(self, with_pair: bool) -> list[tuple[int, int]]:
+        """The (L, N) points; with_pair adds N = 2 (needed to fit A) when N-max is 1."""
+        top = max(self.N_max, 2) if with_pair else self.N_max
+        return [(L, N) for L in self.L_values for N in range(1, top + 1)]
 
     def meta(self) -> dict:
         return {
@@ -195,41 +203,51 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 # compute
 
 
-def _compute_record(task: tuple) -> dict:
-    L, N, method, precision = task
-    summary = groundstate_summary(L, N, method)
+def _run_tasks(worker, tasks: list, jobs: int) -> list:
+    """worker over tasks in order, in a process pool when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, tasks))
+    return [worker(t) for t in tasks]
+
+
+def _summarize_point(task: tuple) -> tuple[QPolynomial, WSummary]:
+    """Build Q of one grid point once, by the selected route(s), and summarize it."""
+    L, N, method = task
     q = build_q(ChainParams(L, N), method)
-    return {
-        "L": L,
-        "N": N,
-        "M": summary.params.M,
-        "p": summary.params.p,
-        "e": [format_rational(c) for c in q.e],
-        "E1": summary.E1.to_dict(precision),
-        "energy": summary.energy.to_dict(precision),
-        "energy_per_site": summary.energy_per_site.to_dict(precision),
-    }
+    return q, groundstate_summary(q)
+
+
+def _gather(config: RunConfig) -> dict[int, list[tuple[QPolynomial, WSummary]]]:
+    """Q and summary of every grid point, per L ordered by N, N = 2 always included."""
+    tasks = [(L, N, config.method) for L, N in config.grid(with_pair=True)]
+    points: dict[int, list] = {L: [] for L in config.L_values}
+    for q, summary in _run_tasks(_summarize_point, tasks, config.jobs):
+        points[q.params.L].append((q, summary))
+    return points
 
 
 def cmd_compute(config: RunConfig) -> int:
-    tasks = [(L, N, config.method, config.precision_bits) for L, N in config.grid()]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_compute_record, tasks))
-    else:
-        records = [_compute_record(t) for t in tasks]
-    records.sort(key=lambda r: (r["L"], r["N"]))
-
-    constants = {}
-    for L in config.L_values:
-        constant = extract_A(L, config.method)
-        constants[L] = {
-            "A": constant.A.to_dict(config.precision_bits),
-            "slope": constant.slope.to_dict(config.precision_bits),
-        }
-    for record in records:
-        record["A"] = constants[record["L"]]["A"]
-        record["slope"] = constants[record["L"]]["slope"]
+    bits = config.precision_bits
+    records = []
+    for L, points in sorted(_gather(config).items()):
+        constant = extract_A([summary for _, summary in points])
+        A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
+        for q, summary in points[: config.N_max]:
+            records.append(
+                {
+                    "L": L,
+                    "N": q.params.N,
+                    "M": summary.params.M,
+                    "p": summary.params.p,
+                    "e": [format_rational(c) for c in q.e],
+                    "E1": summary.E1.to_dict(bits),
+                    "energy": summary.energy.to_dict(bits),
+                    "energy_per_site": summary.energy_per_site.to_dict(bits),
+                    "A": A,
+                    "slope": slope,
+                }
+            )
 
     payload = {"meta": config.meta(), "runs": records}
     if config.output_format == "json":
@@ -278,7 +296,16 @@ def _finding(name: str, params: dict, exc: Exception) -> CheckResult:
     )
 
 
-def _verify_point(task: tuple) -> list[dict]:
+def _unwrap(found: WSummary | Exception) -> WSummary:
+    """A point's summary, or its w_sum failure raised again for the check that needs it."""
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def _verify_point(task: tuple) -> tuple[list[CheckResult], WSummary | Exception | None]:
+    """Point checks and summary of one grid point from one build of Q; the summary
+    is made only if a selected check needs it, and a w_sum failure stands in for it."""
     L, N, method, precision, checks, tamper = task
     where = {"L": L, "N": N}
     entries: list[CheckResult] = []
@@ -299,10 +326,17 @@ def _verify_point(task: tuple) -> list[dict]:
     if tamper is not None:
         q = q.with_coefficient_bump(tamper[0], tamper[1])
 
+    summary = None
+    if any(check in checks for check in SUMMARY_CHECKS):
+        try:
+            summary = groundstate_summary(q)
+        except FINDING_ERRORS as exc:
+            summary = exc
+
     if "structure" in checks:
         entries.append(verify_structure(q))
         try:
-            entries.append(verify_inverse_sum(q))
+            entries.append(verify_inverse_sum(q, _unwrap(summary).E1))
         except FINDING_ERRORS as exc:
             entries.append(_finding("inverse-sum", where, exc))
 
@@ -310,12 +344,12 @@ def _verify_point(task: tuple) -> list[dict]:
         entries.append(verify_tq_identity(q))
 
     if "roots" in checks:
-        entries.extend(_root_entries(q, precision))
+        entries.extend(_root_entries(q, precision, summary))
 
-    return [e.to_dict() for e in entries]
+    return entries, summary
 
 
-def _root_entries(q, precision: int) -> list[CheckResult]:
+def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
     where = {"L": q.params.L, "N": q.params.N}
     entries: list[CheckResult] = []
     try:
@@ -361,7 +395,7 @@ def _root_entries(q, precision: int) -> list[CheckResult]:
                 detail=f"z-form {mpmath.nstr(forms['z'], 5)}, w-form {mpmath.nstr(forms['w'], 5)}",
             )
         )
-        entries.append(numeric_cross_check(rs, w_sum(q)))
+        entries.append(numeric_cross_check(rs, _unwrap(summary).E1))
     except FINDING_ERRORS as exc:
         entries.append(_finding("roots", where, exc))
     return entries
@@ -369,48 +403,41 @@ def _root_entries(q, precision: int) -> list[CheckResult]:
 
 def cmd_verify(config: RunConfig) -> int:
     report = VerificationReport()
+    per_L = tuple(check for check in PER_L_CHECKS if check in config.checks)
+    points = config.grid(with_pair=bool(per_L))
+    # A point past N-max is only there to fix A: it runs the per-L needs alone.
     tasks = [
-        (L, N, config.method, config.precision_bits, config.checks, config.tamper)
-        for L, N in config.grid()
+        (
+            L,
+            N,
+            config.method,
+            config.precision_bits,
+            config.checks if N <= config.N_max else per_L,
+            config.tamper,
+        )
+        for L, N in points
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            batches = list(pool.map(_verify_point, tasks))
-    else:
-        batches = [_verify_point(t) for t in tasks]
-    for batch in batches:
-        for raw in batch:
-            report.add(
-                CheckResult(
-                    name=raw["check"],
-                    params=raw["params"],
-                    passed=raw["pass"],
-                    residual=raw["residual"],
-                    detail=raw["detail"],
-                )
-            )
+    summaries: dict[int, list] = {L: [] for L in config.L_values}
+    for (L, N), (entries, summary) in zip(points, _run_tasks(_verify_point, tasks, config.jobs)):
+        if N <= config.N_max:
+            report.extend(entries)
+        summaries[L].append(summary)
 
-    per_L_method = config.method if config.method != "both" else "closed-form"
-    for L in config.L_values:
-        if "linearity" in config.checks:
+    for L, found in summaries.items():
+        for check in per_L:
+            if check == "closed-forms" and L not in CLOSED_FORM_SUMS:
+                continue
+            needed = found[:2] if check == "closed-forms" else found
             try:
-                report.extend(verify_linearity(L, config.N_max, per_L_method))
+                ready = [_unwrap(s) for s in needed]
+                if check == "linearity":
+                    report.extend(verify_linearity(ready, config.N_max))
+                elif check == "finite-size":
+                    report.extend(verify_no_finite_size_correction(ready, config.N_max))
+                else:
+                    report.extend(crosscheck_closed_forms(ready, config.precision_bits))
             except FINDING_ERRORS as exc:
-                report.add(_finding("linearity", {"L": L}, exc))
-        if "finite-size" in config.checks:
-            try:
-                report.extend(
-                    verify_no_finite_size_correction(L, config.N_max, per_L_method)
-                )
-            except FINDING_ERRORS as exc:
-                report.add(_finding("finite-size", {"L": L}, exc))
-        if "closed-forms" in config.checks:
-            try:
-                report.extend(
-                    crosscheck_closed_forms(L, config.precision_bits, per_L_method)
-                )
-            except FINDING_ERRORS as exc:
-                report.add(_finding("closed-forms", {"L": L}, exc))
+                report.add(_finding(check, {"L": L}, exc))
 
     report.entries.sort(
         key=lambda e: (
@@ -439,21 +466,20 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_table(config: RunConfig) -> int:
+    bits = config.precision_bits
     rows = []
-    for L in config.L_values:
-        constant = extract_A(L, config.method)
-        a_text = constant.A.approx_str(config.precision_bits)[:16]
-        for N in range(1, config.N_max + 1):
-            summary = groundstate_summary(L, N, config.method)
+    for L, points in _gather(config).items():
+        a_text = extract_A([summary for _, summary in points]).A.approx_str(bits)[:16]
+        for _, summary in points[: config.N_max]:
             rows.append(
                 (
                     L,
-                    N,
+                    summary.params.N,
                     summary.params.M,
                     summary.params.p,
-                    summary.E1.approx_str(config.precision_bits)[:16],
-                    summary.energy.approx_str(config.precision_bits)[:16],
-                    summary.energy_per_site.approx_str(config.precision_bits)[:16],
+                    summary.E1.approx_str(bits)[:16],
+                    summary.energy.approx_str(bits)[:16],
+                    summary.energy_per_site.approx_str(bits)[:16],
                     a_text,
                 )
             )
@@ -519,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify, with_checks=True)
-    p_verify.add_argument("--format", choices=("json",), default="json")
 
     p_table = sub.add_parser("table", help="print a human-readable summary table")
     common(p_table, with_checks=False)

@@ -81,6 +81,10 @@ class CyclotomicNumber:
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
 
+    def __reduce__(self):
+        # Pickle's default slot restore would go through __setattr__ above.
+        return (CyclotomicNumber, (self.order, self.coeffs))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -18,18 +18,23 @@ the energy per site is independent of N:
 Both are checked as exact field identities, never numerically.  A numeric
 cross-check against independently published trigonometric closed forms for
 L = 7, 9, 11 runs at high precision through mpmath.
+
+Nothing here builds Q.  groundstate_summary turns one built Q into its
+WSummary (one w_sum per grid point).  The per-L functions below (extract_A,
+verify_linearity, verify_no_finite_size_correction, crosscheck_closed_forms)
+take one L's summaries ordered by N from N = 1, always including N = 2;
+N_max limits the N reported.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 
 from .cyclotomic import CyclotomicNumber, cyc_cos
-from .qoperator import ChainParams, build_q
+from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult, FalsificationError
 from .wtransform import WSymmetrics, w_sum
 
@@ -68,22 +73,21 @@ def energy(ws: WSymmetrics) -> WSummary:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def groundstate_summary(L: int, N: int, method: str = "closed-form") -> WSummary:
-    """Build Q, transform, and summarize one grid point (cached)."""
-    q = build_q(ChainParams(L, N), method)
+def groundstate_summary(q: QPolynomial) -> WSummary:
+    """Root sum and energies of one built Q (the one w_sum of its grid point)."""
     return energy(w_sum(q))
 
 
-def extract_A(L: int, method: str = "closed-form") -> SpinConstant:
+def extract_A(summaries: Sequence[WSummary]) -> SpinConstant:
     """Fit A from N = 1, 2 only and assert the slope identity exactly.
 
     slope = E_1(2) - E_1(1) and A = E_1(1) - slope.  The fit is only
     accepted if slope = 2A + cos(2 pi / L) holds exactly; a violation
     refutes the affine form and raises FalsificationError.
     """
-    first = groundstate_summary(L, 1, method).E1
-    second = groundstate_summary(L, 2, method).E1
+    L = summaries[0].params.L
+    first = summaries[0].E1
+    second = summaries[1].E1
     slope = second - first
     A = first - slope
     expected_slope = A * 2 + cyc_cos(2, L)
@@ -97,25 +101,21 @@ def extract_A(L: int, method: str = "closed-form") -> SpinConstant:
     return SpinConstant(L=L, A=A, slope=slope)
 
 
-def verify_linearity(L: int, N_max: int, method: str = "closed-form") -> list[CheckResult]:
+def _fit_failure(name: str, L: int, exc: FalsificationError) -> CheckResult:
+    return CheckResult(name=name, params={"L": L}, passed=False, residual="1", detail=str(exc))
+
+
+def verify_linearity(summaries: Sequence[WSummary], N_max: int) -> list[CheckResult]:
     """E_1(N) = A + slope * N exactly for N = 1..N_max, with A from N = 1, 2."""
+    L = summaries[0].params.L
     try:
-        constant = extract_A(L, method)
+        constant = extract_A(summaries)
     except FalsificationError as exc:
-        return [
-            CheckResult(
-                name="linearity",
-                params={"L": L},
-                passed=False,
-                residual="1",
-                detail=str(exc),
-            )
-        ]
+        return [_fit_failure("linearity", L, exc)]
     entries = []
-    for N in range(1, N_max + 1):
-        lhs = groundstate_summary(L, N, method).E1
-        rhs = constant.A + constant.slope * N
-        difference = lhs - rhs
+    for summary in summaries[:N_max]:
+        N = summary.params.N
+        difference = summary.E1 - (constant.A + constant.slope * N)
         entries.append(
             CheckResult(
                 name="linearity",
@@ -128,32 +128,24 @@ def verify_linearity(L: int, N_max: int, method: str = "closed-form") -> list[Ch
 
 
 def verify_no_finite_size_correction(
-    L: int, N_max: int, method: str = "closed-form"
+    summaries: Sequence[WSummary], N_max: int
 ) -> list[CheckResult]:
     """Energy per site equals (L-3) cos(2 pi / L) - 2A exactly for every N."""
+    L = summaries[0].params.L
     try:
-        constant = extract_A(L, method)
+        constant = extract_A(summaries)
     except FalsificationError as exc:
-        return [
-            CheckResult(
-                name="finite-size",
-                params={"L": L},
-                passed=False,
-                residual="1",
-                detail=str(exc),
-            )
-        ]
+        return [_fit_failure("finite-size", L, exc)]
     density = cyc_cos(2, L) * (L - 3) - constant.A * 2
     entries = []
-    for N in range(1, N_max + 1):
-        summary = groundstate_summary(L, N, method)
+    for summary in summaries[:N_max]:
         total_diff = summary.energy - density * summary.params.M
         site_diff = summary.energy_per_site - density
         passed = total_diff.is_zero() and site_diff.is_zero()
         entries.append(
             CheckResult(
                 name="finite-size",
-                params={"L": L, "N": N},
+                params={"L": L, "N": summary.params.N},
                 passed=passed,
                 residual="0" if passed else str(total_diff.to_dict()["coeffs"]),
                 detail="" if passed else "per-site energy drifts with N",
@@ -261,7 +253,7 @@ def closed_form_root_sum(L: int, N: int, precision_bits: int = 256) -> mpmath.mp
 
 
 def crosscheck_closed_forms(
-    L: int, precision_bits: int = 256, method: str = "closed-form"
+    summaries: Sequence[WSummary], precision_bits: int = 256
 ) -> list[CheckResult]:
     """Numeric agreement of the exact root sum with the published closed forms.
 
@@ -269,13 +261,14 @@ def crosscheck_closed_forms(
     and requires agreement within 2^-(precision_bits - 76), i.e. 2^-180 when
     evaluated at 256 bits.
     """
+    L = summaries[0].params.L
     if L not in CLOSED_FORM_SUMS:
         return []
     entries = []
     tolerance = mpmath.mpf(2) ** -(precision_bits - 76)
-    for N in (1, 2):
+    for N, summary in ((1, summaries[0]), (2, summaries[1])):
         reference = closed_form_root_sum(L, N, precision_bits)
-        mine = groundstate_summary(L, N, method).E1.embed(precision_bits)
+        mine = summary.E1.embed(precision_bits)
         with mpmath.workprec(precision_bits):
             gap = abs(mine - reference)
         entries.append(

@@ -35,8 +35,12 @@ def _integer_rows(
     return rows
 
 
-def _echelon_rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free elimination with column skips."""
+def _eliminate(rows: list[list[int]], ncols: int) -> int:
+    """Fraction-free elimination of the first ncols columns in place; returns the rank.
+
+    A column with no nonzero candidate is skipped, so on a full-rank square
+    system the pivots sit on the diagonal and the rows are upper triangular.
+    """
     rank = 0
     prev = 1
     col = 0
@@ -80,24 +84,9 @@ def solve_linear_system(
         raise ValueError("right-hand side length must match matrix size")
 
     rows = _integer_rows(matrix, rhs)
-    prev = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col]:
-                if pivot is None or abs(rows[r][col]).bit_length() < abs(
-                    rows[pivot][col]
-                ).bit_length():
-                    pivot = r
-        if pivot is None:
-            spare = [row[:] for row in rows]
-            raise SingularMatrixError(_echelon_rank(spare, n), n)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n + 1):
-                rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
-            rows[r][col] = 0
-        prev = rows[col][col]
+    rank = _eliminate(rows, n)
+    if rank < n:
+        raise SingularMatrixError(rank, n)
 
     x = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):

@@ -2,16 +2,16 @@
 
 Coefficients are stored ascending by power with trailing zeros trimmed, so
 equal polynomials have identical coefficient tuples.  Division is exact long
-division: callers that require a zero remainder use :func:`divide_exact`,
-which raises ``InexactDivisionError`` otherwise.  That error doubles as a
-transcription check wherever a quotient is known on structural grounds to be
-a polynomial.
+division: callers that require a zero remainder use
+:meth:`RationalPolynomial.divide_exact`, which raises
+``InexactDivisionError`` otherwise.  That error doubles as a transcription
+check wherever a quotient is known on structural grounds to be a polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class InexactDivisionError(ArithmeticError):
@@ -125,7 +125,11 @@ class RationalPolynomial:
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; works for any coefficient-compatible x."""
+        """Evaluate by Horner's rule; x may be rational or cyclotomic.
+
+        This is the one exact evaluation routine: Q(0) in the structure check
+        and Q at the Moebius pole in w_elementary both go through it.
+        """
         if not self.coeffs:
             return Fraction(0)
         acc = self.coeffs[-1]
@@ -169,13 +173,6 @@ class RationalPolynomial:
         return NotImplemented
 
 
-def divide_exact(
-    numerator: RationalPolynomial, denominator: RationalPolynomial
-) -> RationalPolynomial:
-    """Module-level alias for RationalPolynomial.divide_exact."""
-    return numerator.divide_exact(denominator)
-
-
 def xgcd(
     a: RationalPolynomial, b: RationalPolynomial
 ) -> tuple[RationalPolynomial, RationalPolynomial, RationalPolynomial]:
@@ -190,15 +187,3 @@ def xgcd(
         t0, t1 = t1, t0 - q * t1
     return r0, s0, t0
 
-
-def poly_from_sparse(terms: Sequence[tuple[int, Fraction | int]]) -> RationalPolynomial:
-    """Build a polynomial from (power, coefficient) pairs, summing duplicates."""
-    if not terms:
-        return RationalPolynomial()
-    top = max(power for power, _ in terms)
-    cs = [Fraction(0)] * (top + 1)
-    for power, coeff in terms:
-        if power < 0:
-            raise ValueError("negative power")
-        cs[power] += Fraction(coeff)
-    return RationalPolynomial(cs)

@@ -211,15 +211,6 @@ def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:
     raise ValueError(f"unknown method {method!r}")
 
 
-def q_eval(q: QPolynomial, z):
-    """Evaluate Q at z by Horner; z may be rational or cyclotomic."""
-    coeffs = q.coefficients()
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
-
-
 def verify_structure(q: QPolynomial) -> CheckResult:
     """Exact structural checks: e_0, the palindrome e_k = (-1)^p e_(p-k), Q(0) = 1."""
     p = q.params.p
@@ -233,7 +224,7 @@ def verify_structure(q: QPolynomial) -> CheckResult:
             break
     if q.e[p] != sign:
         problems.append(f"e_p = {format_rational(q.e[p])}")
-    value_at_zero = q_eval(q, Fraction(0))
+    value_at_zero = RationalPolynomial(q.coefficients())(Fraction(0))
     if value_at_zero != 1:
         problems.append(f"Q(0) = {format_rational(value_at_zero)}")
     return CheckResult(

@@ -31,9 +31,9 @@ from fractions import Fraction
 
 import mpmath
 
+from .cyclotomic import CyclotomicNumber
 from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult
-from .wtransform import WSymmetrics
 
 MIN_ROOT_BITS = 128
 MAX_SWEEPS = 200
@@ -318,13 +318,13 @@ def inversion_closure_gap(rs: RootSet) -> mpmath.mpf:
         return worst
 
 
-def numeric_cross_check(rs: RootSet, ws: WSymmetrics) -> CheckResult:
-    """Sum of the Moebius images against the exact root sum, both directions."""
+def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> CheckResult:
+    """Sum of the Moebius images against the exact root sum e1, both directions."""
     precision = rs.precision_bits
     with mpmath.workprec(precision + 64):
         forward = mpmath.fsum(rs.w_roots, absolute=False)
         backward = mpmath.fsum([1 / w for w in rs.w_roots], absolute=False)
-        target = ws.E1.embed(precision + 64)
+        target = e1.embed(precision + 64)
         gap = max(abs(forward - target), abs(backward - target))
         tolerance = mpmath.mpf(2) ** -(precision - 40)
     return CheckResult(

@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import comb
 
 from .cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity
-from .qoperator import ChainParams, QPolynomial, q_eval
+from .polynomials import RationalPolynomial
+from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult, FalsificationError
 
 
@@ -33,7 +34,6 @@ class WSymmetrics:
     E1: CyclotomicNumber
     numerator: CyclotomicNumber
     denominator: CyclotomicNumber
-    E_alpha: tuple | None = None
 
 
 def w_sum(q: QPolynomial) -> WSymmetrics:
@@ -106,7 +106,7 @@ def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
             )
             acc = acc + a_power(k + p - alpha - 2 * j) * scalar
 
-    denominator = q_eval(q, cyc_root_of_unity(-1, L))
+    denominator = RationalPolynomial(q.coefficients())(cyc_root_of_unity(-1, L))
     if isinstance(denominator, Fraction):
         denominator = CyclotomicNumber.from_rational(denominator, order)
     if denominator.is_zero():
@@ -116,10 +116,12 @@ def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
     return acc / denominator
 
 
-def verify_inverse_sum(q: QPolynomial) -> CheckResult:
-    """Exact identity E_(p-1) = E_1 * E_p (sum of w equals sum of 1/w)."""
+def verify_inverse_sum(q: QPolynomial, e1: CyclotomicNumber) -> CheckResult:
+    """Exact identity E_(p-1) = E_1 * E_p (sum of w equals sum of 1/w).
+
+    e1 is the root sum of this q, as w_sum computed it.
+    """
     params = q.params
-    e1 = w_sum(q).E1
     e_top = w_elementary(q, params.p)
     e_second = w_elementary(q, params.p - 1)
     difference = e_second - e1 * e_top

@@ -61,7 +61,7 @@ def test_criterion_1_spin_half_exact_values(capsys):
     start = time.perf_counter()
     failures = []
     for N in range(1, 7):
-        summary = groundstate_summary(3, N)
+        summary = groundstate_summary(cached_q(3, N))
         if summary.E1 != F(1, 2) + F(N, 2):
             failures.append(f"root sum off at N={N}")
         if summary.energy != -(2 * N + 1):
@@ -81,7 +81,7 @@ def test_criterion_2_spin_three_half_exact_values(capsys):
     density = (sqrt5 + 3) / -2
     failures = []
     for N in range(1, 6):
-        summary = groundstate_summary(5, N)
+        summary = groundstate_summary(cached_q(5, N))
         if summary.E1 != intercept + slope * N:
             failures.append(f"root sum off at N={N}")
         if summary.energy != density * (2 * N + 1):
@@ -139,9 +139,10 @@ def test_criterion_5_structural_identities(capsys):
             structure = verify_structure(q)
             if not structure.passed:
                 failures.append(structure.line())
-            if not w_sum(q).E1.is_real():
+            e1 = w_sum(q).E1
+            if not e1.is_real():
                 failures.append(f"root sum not real at L={L} N={N}")
-            inverse = verify_inverse_sum(q)
+            inverse = verify_inverse_sum(q, e1)
             if not inverse.passed:
                 failures.append(inverse.line())
     elapsed = time.perf_counter() - start
@@ -159,14 +160,14 @@ def test_criterion_6_no_finite_size_correction(capsys):
     start = time.perf_counter()
     failures = []
     for L in GRID_L:
-        constant = extract_A(L)  # raises if the N=1,2 fit violates the slope law
-        for N in GRID_N:
-            summary = groundstate_summary(L, N)
+        summaries = [groundstate_summary(cached_q(L, N)) for N in GRID_N]
+        constant = extract_A(summaries)  # raises if the N=1,2 fit violates the slope law
+        for N, summary in zip(GRID_N, summaries):
             if summary.E1 != constant.A + constant.slope * N:
                 failures.append(f"extrapolation misses at L={L} N={N}")
-        entries = verify_no_finite_size_correction(L, max(GRID_N))
+        entries = verify_no_finite_size_correction(summaries, max(GRID_N))
         failures.extend(e.line() for e in entries if not e.passed)
-        e1_values = [groundstate_summary(L, N).E1 for N in range(1, 5)]
+        e1_values = [summary.E1 for summary in summaries]
         diffs = {tuple((e1_values[i + 1] - e1_values[i]).coeffs) for i in range(3)}
         if len(diffs) != 1:
             failures.append(f"first differences not constant at L={L}")
@@ -185,7 +186,8 @@ def test_criterion_7_published_trig_forms(capsys):
     start = time.perf_counter()
     failures = []
     for L in (7, 9, 11):
-        for entry in crosscheck_closed_forms(L, precision_bits=256):
+        summaries = [groundstate_summary(cached_q(L, N)) for N in (1, 2)]
+        for entry in crosscheck_closed_forms(summaries, precision_bits=256):
             if not entry.passed:
                 failures.append(entry.line())
     elapsed = time.perf_counter() - start

@@ -1,12 +1,16 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from qchain.cli import main
+from qchain.qoperator import q_closed_form, q_linear_system
+from qchain.wtransform import w_sum
 from qchain.cyclotomic import CyclotomicNumber
 from qchain.rationals import parse_rational
 
@@ -223,20 +227,79 @@ def test_verify_bad_tamper_argument(capsys):
 
 
 def test_verify_jobs_match_serial(capsys):
-    args = [
-        "verify",
-        "--L",
-        "3,5",
-        "--N-max",
-        "2",
-        "--precision-bits",
-        "192",
-        "--checks",
-        "structure,tq",
-    ]
+    # all checks, so the per-L ones read summaries pickled back from workers
+    args = ["verify", "--L", "3,7", "--N-max", "2", "--precision-bits", "192"]
     code_a, out_a, _ = run(args, capsys)
     code_b, out_b, _ = run(args + ["--jobs", "2"], capsys)
     assert (code_a, out_a) == (code_b, out_b)
+    assert "PASS closed-forms L=7 N=2" in out_a
+
+
+def _count_calls(monkeypatch, functions):
+    """Count calls per (function, L, N), wrapping every qchain reference to each."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qchain"]
+    for original in functions:
+
+        def counted(first, *args, _fn=original, **kwargs):
+            params = getattr(first, "params", first)
+            counts[_fn.__name__, params.L, params.N] += 1
+            return _fn(first, *args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--L", "3,5", "--N-max", "2", "--precision-bits", "192"],
+        ["compute", "--L", "3,5", "--N-max", "2", "--method", "both"],
+    ],
+)
+def test_each_point_built_and_summed_once(argv, monkeypatch, capsys):
+    functions = (q_closed_form, q_linear_system, w_sum)
+    counts = _count_calls(monkeypatch, functions)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    expected = {
+        (fn.__name__, L, N): 1 for fn in functions for L in (3, 5) for N in (1, 2)
+    }
+    assert dict(counts) == expected
+
+
+def test_per_L_checks_need_N2_even_at_N_max_1(capsys):
+    code, out, _ = run(
+        ["verify", "--L", "7", "--N-max", "1", "--checks", "linearity,finite-size,closed-forms"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS cross-method L=7 N=1",
+        "PASS linearity L=7 N=1",
+        "PASS finite-size L=7 N=1",
+        "PASS closed-forms L=7 N=1",
+        "PASS closed-forms L=7 N=2",
+        "all 5 checks passed",
+    ]
+    code, out, _ = run(["compute", "--L", "3", "--N-max", "1"], capsys)
+    assert code == 0
+    (record,) = json.loads(out)["runs"]
+    assert CyclotomicNumber.from_dict(record["A"]) == Fraction(1, 2)
+    assert CyclotomicNumber.from_dict(record["slope"]) == Fraction(1, 2)
+
+
+def test_verify_tamper_reaches_per_L_checks(capsys):
+    code, out, _ = run(
+        ["verify", "--L", "5", "--N-max", "2", "--precision-bits", "192", "--tamper", "1:1/3"],
+        capsys,
+    )
+    assert code == 1
+    assert "FAIL linearity L=5" in out
+    assert "PASS linearity" not in out
 
 
 # -- table -------------------------------------------------------------------

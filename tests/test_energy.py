@@ -1,17 +1,18 @@
 """Energy extraction and the size-independence of the per-site value."""
 
+import pickle
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from conftest import summaries_for, summary_at
 from qchain.cyclotomic import cyc_cos
 from qchain.energy import (
     closed_form_root_sum,
     crosscheck_closed_forms,
     energy,
     extract_A,
-    groundstate_summary,
     verify_linearity,
     verify_no_finite_size_correction,
 )
@@ -27,23 +28,23 @@ def _sqrt5():
 
 def test_energy_anchors_small_chains():
     # L = 3: energy is exactly -M for every N
-    assert groundstate_summary(3, 1).energy == -3
-    assert groundstate_summary(3, 2).energy == -5
-    assert groundstate_summary(3, 4).energy == -9
-    assert groundstate_summary(3, 2).energy_per_site == -1
+    assert summary_at(3, 1).energy == -3
+    assert summary_at(3, 2).energy == -5
+    assert summary_at(3, 4).energy == -9
+    assert summary_at(3, 2).energy_per_site == -1
 
 
 def test_energy_anchor_golden_chain():
-    total = groundstate_summary(5, 1).energy
+    total = summary_at(5, 1).energy
     assert total * 2 == (_sqrt5() + 3) * -3
-    per_site = groundstate_summary(5, 1).energy_per_site
+    per_site = summary_at(5, 1).energy_per_site
     assert per_site * 2 == -(_sqrt5() + 3)
 
 
 def test_root_sum_anchor_L3_affine():
     # E_1(3, N) = 1/2 + N/2 exactly
     for N in range(1, 7):
-        assert groundstate_summary(3, N).E1 == F(1, 2) + F(N, 2)
+        assert summary_at(3, N).E1 == F(1, 2) + F(N, 2)
 
 
 def test_energy_is_real_or_falsified():
@@ -54,10 +55,10 @@ def test_energy_is_real_or_falsified():
 
 
 def test_extract_A_small_cases():
-    c3 = extract_A(3)
+    c3 = extract_A(summaries_for(3))
     assert c3.A == F(1, 2)
     assert c3.slope == F(1, 2)
-    c5 = extract_A(5)
+    c5 = extract_A(summaries_for(5))
     assert c5.A * 2 == _sqrt5() + 1
     assert c5.slope == c5.A * 2 + cyc_cos(2, 5)
 
@@ -67,7 +68,7 @@ def test_extract_A_small_cases():
     [(7, "2.87046940558"), (9, "4.06417777248"), (11, "5.20626766416")],
 )
 def test_extract_A_numeric_values(L, expected):
-    got = extract_A(L).A.embed(192).real
+    got = extract_A(summaries_for(L)).A.embed(192).real
     with mpmath.workprec(192):
         assert abs(got - mpmath.mpf(expected)) < mpmath.mpf("1e-10")
 
@@ -76,14 +77,14 @@ def test_A_agrees_with_published_N0_limit():
     # extrapolating the closed-form root sum back to N = 0 must land on A
     with mpmath.workprec(256):
         for L in (7, 9, 11):
-            a_exact = extract_A(L).A.embed(256).real
+            a_exact = extract_A(summaries_for(L)).A.embed(256).real
             a_closed = closed_form_root_sum(L, 0, 256)
             assert abs(a_exact - a_closed) < mpmath.mpf(2) ** -180
 
 
 @pytest.mark.parametrize("L, N_max", [(3, 6), (5, 5), (7, 4), (9, 3)])
 def test_linearity_of_root_sum(L, N_max):
-    entries = verify_linearity(L, N_max)
+    entries = verify_linearity(summaries_for(L, N_max), N_max)
     assert len(entries) == N_max
     for entry in entries:
         assert entry.passed, entry.line()
@@ -92,7 +93,7 @@ def test_linearity_of_root_sum(L, N_max):
 
 @pytest.mark.parametrize("L, N_max", [(3, 6), (5, 5), (7, 4), (9, 3), (11, 2)])
 def test_per_site_energy_is_size_independent(L, N_max):
-    entries = verify_no_finite_size_correction(L, N_max)
+    entries = verify_no_finite_size_correction(summaries_for(L, N_max), N_max)
     assert len(entries) == N_max
     for entry in entries:
         assert entry.passed, entry.line()
@@ -100,28 +101,30 @@ def test_per_site_energy_is_size_independent(L, N_max):
 
 def test_per_site_density_values():
     # (L - 3) cos(2 pi / L) - 2 A, spot values
-    assert verify_no_finite_size_correction(3, 2)[0].passed
-    assert groundstate_summary(3, 5).energy_per_site == -1
-    per_site5 = groundstate_summary(5, 3).energy_per_site
+    assert verify_no_finite_size_correction(summaries_for(3, 2), 2)[0].passed
+    assert summary_at(3, 5).energy_per_site == -1
+    per_site5 = summary_at(5, 3).energy_per_site
     assert per_site5 * 2 == -(_sqrt5() + 3)
-    density7 = cyc_cos(2, 7) * 4 - extract_A(7).A * 2
-    assert groundstate_summary(7, 3).energy_per_site == density7
+    density7 = cyc_cos(2, 7) * 4 - extract_A(summaries_for(7)).A * 2
+    assert summary_at(7, 3).energy_per_site == density7
 
 
-def test_summary_cache_returns_identical_object():
-    assert groundstate_summary(5, 2) is groundstate_summary(5, 2)
+def test_summary_pickle_round_trip():
+    # worker processes send summaries back to the parent by pickle
+    summary = summary_at(5, 2)
+    assert pickle.loads(pickle.dumps(summary)) == summary
 
 
 def test_first_differences_are_constant():
     for L in (3, 5, 7):
-        values = [groundstate_summary(L, N).E1 for N in range(1, 5)]
+        values = [summary_at(L, N).E1 for N in range(1, 5)]
         diffs = [values[i + 1] - values[i] for i in range(3)]
         assert diffs[0] == diffs[1] == diffs[2]
 
 
 @pytest.mark.parametrize("L", [7, 9, 11])
 def test_published_closed_forms_match(L):
-    entries = crosscheck_closed_forms(L, precision_bits=256)
+    entries = crosscheck_closed_forms(summaries_for(L), precision_bits=256)
     assert entries, "no comparisons ran"
     for entry in entries:
         assert entry.passed, entry.line()
@@ -131,7 +134,7 @@ def test_closed_form_tolerance_is_strict():
     # the comparison must fail if the table is off by ~1e-50
     with mpmath.workprec(256):
         good = closed_form_root_sum(7, 1, 256)
-        exact = groundstate_summary(7, 1).E1.embed(256).real
+        exact = summary_at(7, 1).E1.embed(256).real
         assert abs(good - exact) < mpmath.mpf(2) ** -180
         assert abs((good + mpmath.mpf("1e-50")) - exact) > mpmath.mpf(2) ** -180
 

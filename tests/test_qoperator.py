@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import q_at
 from qchain.cyclotomic import cyc_root_of_unity, zeta_power
 from qchain.qoperator import (
     ChainParams,
@@ -16,7 +17,6 @@ from qchain.qoperator import (
     admissible_indices,
     build_q,
     q_closed_form,
-    q_eval,
     q_linear_system,
     verify_structure,
     verify_tq_identity,
@@ -104,12 +104,12 @@ def test_coefficients_are_palindromic_up_to_sign():
 
 def test_eval_at_plain_points():
     q31 = build_q(ChainParams(3, 1))
-    assert q_eval(q31, F(0)) == 1
-    assert q_eval(q31, F(-1)) == 0  # z = -1 is the lone root
+    assert q_at(q31, F(0)) == 1
+    assert q_at(q31, F(-1)) == 0  # z = -1 is the lone root
     q32 = build_q(ChainParams(3, 2))
-    assert q_eval(q32, F(0)) == 1
-    assert q_eval(q32, F(1)) == F(21, 5)
-    assert q_eval(q32, F(-1)) == F(-1, 5)
+    assert q_at(q32, F(0)) == 1
+    assert q_at(q32, F(1)) == F(21, 5)
+    assert q_at(q32, F(-1)) == F(-1, 5)
 
 
 def test_eval_at_root_of_unity_prefactor():
@@ -117,7 +117,7 @@ def test_eval_at_root_of_unity_prefactor():
     # cosine-weighted coefficient sum; checked against the (3,2) chain where
     # that sum is 6/5.
     q32 = build_q(ChainParams(3, 2))
-    value = q_eval(q32, cyc_root_of_unity(-1, 3))
+    value = q_at(q32, cyc_root_of_unity(-1, 3))
     assert value == zeta_power(-2, 3) * F(6, 5)
 
 
@@ -138,7 +138,7 @@ def test_structure_check_fails_on_broken_palindrome():
 def test_constant_term_is_one():
     for L, N in ((3, 3), (5, 2), (11, 1)):
         q = build_q(ChainParams(L, N))
-        assert q_eval(q, F(0)) == 1
+        assert q_at(q, F(0)) == 1
 
 
 @pytest.mark.parametrize("key", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import q_at
 from qchain.cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity, zeta_power
-from qchain.qoperator import ChainParams, build_q, q_eval
+from qchain.qoperator import ChainParams, build_q
 from qchain.report import FalsificationError
 from qchain.wtransform import verify_inverse_sum, w_elementary, w_sum
 
@@ -53,7 +54,7 @@ def test_denominator_is_q_at_pole_up_to_phase():
     for L, N in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
         q = build_q(ChainParams(L, N))
         ws = w_sum(q)
-        value = q_eval(q, cyc_root_of_unity(-1, L))
+        value = q_at(q, cyc_root_of_unity(-1, L))
         if isinstance(value, Fraction):
             value = CyclotomicNumber.from_rational(value, 2 * L)
         assert value == zeta_power(-q.params.p, L) * ws.denominator
@@ -93,7 +94,8 @@ def test_elementary_alpha_range_checked():
 
 @pytest.mark.parametrize("key", [(3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
 def test_inverse_sum_identity(key):
-    result = verify_inverse_sum(build_q(ChainParams(*key)))
+    q = build_q(ChainParams(*key))
+    result = verify_inverse_sum(q, w_sum(q).E1)
     assert result.passed, result.detail
     assert result.residual == "0"
 
@@ -103,7 +105,7 @@ def test_broken_coefficients_are_caught():
     # identity; both escalate rather than pass silently
     q = build_q(ChainParams(5, 1)).with_coefficient_bump(1, F(1, 3))
     try:
-        result = verify_inverse_sum(q)
+        result = verify_inverse_sum(q, w_sum(q).E1)
     except FalsificationError:
         return
     assert not result.passed
