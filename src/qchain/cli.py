@@ -395,9 +395,12 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
                 detail=f"z-form {mpmath.nstr(forms['z'], 5)}, w-form {mpmath.nstr(forms['w'], 5)}",
             )
         )
+    except FINDING_ERRORS as exc:
+        return [*entries, _finding("roots", where, exc)]
+    try:
         entries.append(numeric_cross_check(rs, _unwrap(summary).E1))
     except FINDING_ERRORS as exc:
-        entries.append(_finding("roots", where, exc))
+        entries.append(_finding("root-sum", where, exc))
     return entries
 
 

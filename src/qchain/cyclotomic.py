@@ -6,6 +6,11 @@ polynomial.  Reduction is canonical, so equality is coefficient equality.
 Because the cyclotomic polynomial is irreducible over Q, every nonzero
 element has an inverse (extended Euclid against the modulus).
 
+Reduction goes through one cached power table per order: zeta^k for k < n as
+integer rows (the modulus is monic with integer coefficients).  Field sums
+collect multiples of zeta^m in buckets indexed by m mod n and are reduced
+once per output coefficient (CyclotomicNumber.from_buckets).
+
 The chain modules work in Q(zeta_2L) with zeta = exp(i pi / L) for odd L, so
 both cos(pi m / L) = (zeta^m + zeta^-m)/2 and the L-th roots of unity
 exp(2 pi i k / L) = zeta^(2k) are exact elements here.
@@ -56,9 +61,28 @@ def cyclotomic_polynomial(n: int) -> RationalPolynomial:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_data(order: int) -> tuple[RationalPolynomial, int]:
+def _field_data(order: int) -> tuple[RationalPolynomial, int, tuple]:
+    """The modulus, its degree, and rows zeta^k (k < order) as (index, int) pairs."""
     modulus = cyclotomic_polynomial(order)
-    return modulus, modulus.degree
+    dim = modulus.degree
+    low = [-int(c) for c in modulus.coeffs[:dim]]  # zeta^dim = sum_i low[i] zeta^i
+    rows, row = [], [1] + [0] * (dim - 1)
+    for _ in range(order):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        top, row = row[-1], [0] + row[:-1]
+        row = [r + top * c for r, c in zip(row, low)]
+    return modulus, dim, tuple(rows)
+
+
+def _reduce(order: int, coeffs: list) -> list:
+    """Power-basis coordinates of sum_m coeffs[m] zeta^m; integers stay integers."""
+    _, dim, table = _field_data(order)
+    out = [0] * dim
+    for m, c in enumerate(coeffs):
+        if c:
+            for j, t in table[m % order]:
+                out[j] += c * t
+    return out
 
 
 class CyclotomicNumber:
@@ -69,12 +93,11 @@ class CyclotomicNumber:
     def __init__(self, order: int, coeffs: Iterable[Fraction | int] = ()):
         if order < 1:
             raise ValueError("order must be >= 1")
-        modulus, dim = _field_data(order)
-        cs = [Fraction(c) for c in coeffs]
+        _, dim, _ = _field_data(order)
+        cs = list(coeffs)
         if len(cs) > dim:
-            _, rem = divmod(RationalPolynomial(cs), modulus)
-            cs = list(rem.coeffs)
-        cs += [Fraction(0)] * (dim - len(cs))
+            cs = _reduce(order, cs)
+        cs = [Fraction(c) for c in cs] + [Fraction(0)] * (dim - len(cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -90,6 +113,11 @@ class CyclotomicNumber:
     @classmethod
     def from_rational(cls, value: Fraction | int, order: int) -> "CyclotomicNumber":
         return cls(order, [Fraction(value)])
+
+    @classmethod
+    def from_buckets(cls, order: int, buckets, denominator=1) -> "CyclotomicNumber":
+        """sum_m buckets[m] zeta^m / denominator; integer buckets reduce in integers."""
+        return cls(order, [Fraction(c, denominator) for c in _reduce(order, buckets)])
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
@@ -182,7 +210,7 @@ class CyclotomicNumber:
         """Multiplicative inverse via extended Euclid against the modulus."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        modulus, _ = _field_data(self.order)
+        modulus = _field_data(self.order)[0]
         g, s, _ = xgcd(RationalPolynomial(self.coeffs), modulus)
         if g.degree != 0:
             raise AssertionError("modulus not coprime to nonzero element")

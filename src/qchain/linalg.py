@@ -11,8 +11,9 @@ the original system before being returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from .rationals import integer_scaled
 
 
 class SingularMatrixError(ValueError):
@@ -22,17 +23,6 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular system: rank {rank} < size {size}")
         self.rank = rank
         self.size = size
-
-
-def _integer_rows(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[list[int]]:
-    rows = []
-    for row, b in zip(matrix, rhs):
-        fracs = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = lcm(*(f.denominator for f in fracs))
-        rows.append([int(f * scale) for f in fracs])
-    return rows
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> int:
@@ -83,7 +73,7 @@ def solve_linear_system(
     if len(rhs) != n:
         raise ValueError("right-hand side length must match matrix size")
 
-    rows = _integer_rows(matrix, rhs)
+    rows = [integer_scaled([*row, b])[1] for row, b in zip(matrix, rhs)]
     rank = _eliminate(rows, n)
     if rank < n:
         raise SingularMatrixError(rank, n)

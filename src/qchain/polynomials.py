@@ -127,8 +127,7 @@ class RationalPolynomial:
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be rational or cyclotomic.
 
-        This is the one exact evaluation routine: Q(0) in the structure check
-        and Q at the Moebius pole in w_elementary both go through it.
+        This is the one exact evaluation routine (Q(0) in the structure check).
         """
         if not self.coeffs:
             return Fraction(0)

@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity, zeta_power
+from .cyclotomic import CyclotomicNumber
 from .linalg import solve_linear_system
 from .polynomials import RationalPolynomial
-from .rationals import format_rational
+from .rationals import format_rational, integer_scaled
 from .report import CheckResult
 
 MIN_REPORT_BITS = 64
@@ -236,20 +236,10 @@ def verify_structure(q: QPolynomial) -> CheckResult:
     )
 
 
-def _cyclo_convolve(a: list[CyclotomicNumber], b: list[CyclotomicNumber], order: int):
-    out = [CyclotomicNumber.zero(order)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def verify_tq_identity(q: QPolynomial) -> CheckResult:
     """Exact three-term functional identity for Q over Q(zeta_2L).
 
-    With omega = exp(2 pi i / L) and h = (L-1)/2, the combination
+    With omega = exp(2 pi i / L) = zeta^2 and h = (L-1)/2, the combination
 
         -2 cos(h pi / L) (z-1)^M Q(z)
         + zeta^-h (z - omega)^M Q_omega(z)
@@ -257,53 +247,39 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
 
     must vanish identically, where Q_c(z) = prod_j (z - c z_j) expands as
     sum_k (-1)^k c^k e_k z^(p-k) directly from the coefficients (the roots
-    themselves are never needed).  The check is coefficient-by-coefficient
-    equality to zero in the field; there is no tolerance.
+    themselves are never needed).  With the e_k scaled to integers and
+    -2 cos(h pi / L) = -zeta^h - zeta^-h, each coefficient of z^i is summed
+    in integer buckets by zeta exponent and reduced once.  The check is
+    coefficient-by-coefficient equality to zero; there is no tolerance.
     """
     params = q.params
     L, M, p = params.L, params.M, params.p
-    order = params.field_order
-    half = (L - 1) // 2
+    order, half = params.field_order, (L - 1) // 2
+    scale, scaled = integer_scaled(q.e)
+    # (sign, zeta exponent of the prefactor term, zeta exponent of the shift)
+    terms = [(-1, half, 0), (-1, -half, 0), (1, -half, 2), (1, half, -2)]
 
-    one = CyclotomicNumber.one(order)
-    omega = cyc_root_of_unity(1, L)
-    omega_bar = cyc_root_of_unity(-1, L)
-    prefactors = [
-        CyclotomicNumber.from_rational(-2, order) * cyc_cos(half, L),
-        zeta_power(-half, L),
-        zeta_power(half, L),
-    ]
-    shifts = [one, omega, omega_bar]
+    bad = []
+    for i in range(M + p + 1):
+        # z^a of (z - c)^M times z^(p-k) of Q_c: C(M, a) (-c)^(M-a+k) e_k
+        buckets = [0] * order
+        for k in range(max(0, p - i), min(p, M + p - i) + 1):
+            a = i - p + k
+            power = M - a + k
+            weight = (-1) ** power * comb(M, a) * scaled[k]
+            for sign, exponent, step in terms:
+                buckets[(exponent + step * power) % order] += sign * weight
+        coefficient = CyclotomicNumber.from_buckets(order, buckets)
+        if not coefficient.is_zero():
+            bad.append((i, coefficient))
 
-    total = [CyclotomicNumber.zero(order)] * (M + p + 1)
-    for prefactor, shift in zip(prefactors, shifts):
-        shift_powers = [one]
-        for _ in range(max(M, p)):
-            shift_powers.append(shift_powers[-1] * shift)
-        # (z - shift)^M, ascending
-        binomial_part = [
-            Fraction(comb(M, i)) * (-1) ** (M - i) * shift_powers[M - i]
-            for i in range(M + 1)
-        ]
-        # prod_j (z - shift * z_j), ascending
-        shifted_q = [CyclotomicNumber.zero(order)] * (p + 1)
-        for k in range(p + 1):
-            shifted_q[p - k] = Fraction((-1) ** k) * q.e[k] * shift_powers[k]
-        product = _cyclo_convolve(binomial_part, shifted_q, order)
-        for i, c in enumerate(product):
-            total[i] = total[i] + prefactor * c
-
-    bad = [(i, c) for i, c in enumerate(total) if not c.is_zero()]
+    where = {"L": L, "N": params.N}
     if not bad:
-        return CheckResult(
-            name="tq",
-            params={"L": L, "N": params.N},
-            passed=True,
-        )
-    degree, witness = bad[0]
+        return CheckResult(name="tq", params=where, passed=True)
+    degree, witness = bad[0][0], bad[0][1] / scale
     return CheckResult(
         name="tq",
-        params={"L": L, "N": params.N},
+        params=where,
         passed=False,
         residual=str(witness.to_dict(MIN_REPORT_BITS)["coeffs"]),
         detail=f"{len(bad)} nonzero coefficients, first at degree {degree}",

@@ -17,12 +17,11 @@ statements this package verifies and raises FalsificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity
-from .polynomials import RationalPolynomial
+from .cyclotomic import CyclotomicNumber
 from .qoperator import ChainParams, QPolynomial
+from .rationals import integer_scaled
 from .report import CheckResult, FalsificationError
 
 
@@ -42,25 +41,24 @@ def w_sum(q: QPolynomial) -> WSymmetrics:
     numerator   = 2 sum_(k<p) (-1)^k (p-k) cos(pi (2k+2-p)/L) e_k
     denominator =   sum_(k<=p) (-1)^k cos(pi (p-2k)/L) e_k
 
-    The denominator equals Q(exp(-2 pi i / L)) up to a unimodular prefactor,
-    so it vanishing would mean Q has a root at the Moebius pole; that is
-    fatal and raises ZeroDivisionError.
+    With 2 cos(pi m / L) = zeta^m + zeta^-m and the e_k scaled to integers,
+    each sum is collected in integer buckets by zeta exponent and reduced
+    once.  The denominator equals Q(exp(-2 pi i / L)) up to a unimodular
+    prefactor, so it vanishing would mean Q has a root at the Moebius pole;
+    that is fatal and raises ZeroDivisionError.
     """
     params = q.params
-    L, p = params.L, params.p
+    L, p, order = params.L, params.p, params.field_order
+    scale, scaled = integer_scaled(q.e)
 
-    numerator = CyclotomicNumber.zero(params.field_order)
-    for k in range(p):
-        scalar = Fraction((-1) ** k * (p - k)) * q.e[k]
-        if scalar:
-            numerator = numerator + cyc_cos(2 * k + 2 - p, L) * scalar
-    numerator = numerator * 2
-
-    denominator = CyclotomicNumber.zero(params.field_order)
+    top, bottom = [0] * order, [0] * order
     for k in range(p + 1):
-        scalar = Fraction((-1) ** k) * q.e[k]
-        if scalar:
-            denominator = denominator + cyc_cos(p - 2 * k, L) * scalar
+        weight = (-1) ** k * scaled[k]
+        for sign in (1, -1):
+            bottom[sign * (p - 2 * k) % order] += weight
+            top[sign * (2 * k + 2 - p) % order] += (p - k) * weight
+    numerator = CyclotomicNumber.from_buckets(order, top, scale)
+    denominator = CyclotomicNumber.from_buckets(order, bottom, 2 * scale)
 
     if denominator.is_zero():
         raise ZeroDivisionError(
@@ -81,39 +79,31 @@ def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
     E_alpha = Q(a)^-1 sum_k sum_j (-1)^k a^(k+p-alpha-2j)
               C(p-k, p-alpha-j) C(k, j) e_k,   a = exp(-2 pi i / L),
 
-    with j running over max(0, k-alpha)..min(k, p-alpha).  E_0 comes out as
-    exactly 1, which is a built-in consistency check of the expansion.
+    with j running over max(0, k-alpha)..min(k, p-alpha).  Since a^m =
+    zeta^(-2m), the double sum and Q(a) are each collected in integer
+    buckets by zeta exponent and reduced once.  E_0 comes out as exactly 1,
+    which is a built-in consistency check of the expansion.
     """
     params = q.params
-    L, p = params.L, params.p
+    L, p, order = params.L, params.p, params.field_order
     if not 0 <= alpha <= p:
         raise ValueError(f"alpha must be in 0..{p}, got {alpha}")
-    order = params.field_order
+    scale, scaled = integer_scaled(q.e)
 
-    # a^m = zeta^(-2m); table over the residues mod 2L
-    a_powers = [cyc_root_of_unity(-m, L) for m in range(L)]
-
-    def a_power(m: int) -> CyclotomicNumber:
-        return a_powers[m % L]
-
-    acc = CyclotomicNumber.zero(order)
+    acc, at_pole = [0] * order, [0] * order
     for k in range(p + 1):
-        if q.e[k] == 0:
-            continue
+        # Q(a) = sum_k (-1)^k e_k a^(p-k)
+        at_pole[-2 * (p - k) % order] += (-1) ** k * scaled[k]
         for j in range(max(0, k - alpha), min(k, p - alpha) + 1):
-            scalar = (
-                Fraction((-1) ** k * comb(p - k, p - alpha - j) * comb(k, j)) * q.e[k]
-            )
-            acc = acc + a_power(k + p - alpha - 2 * j) * scalar
+            weight = comb(p - k, p - alpha - j) * comb(k, j) * scaled[k]
+            acc[-2 * (k + p - alpha - 2 * j) % order] += (-1) ** k * weight
 
-    denominator = RationalPolynomial(q.coefficients())(cyc_root_of_unity(-1, L))
-    if isinstance(denominator, Fraction):
-        denominator = CyclotomicNumber.from_rational(denominator, order)
+    denominator = CyclotomicNumber.from_buckets(order, at_pole, scale)
     if denominator.is_zero():
         raise ZeroDivisionError(
             f"Q vanishes at the Moebius pole for L={L} N={params.N}"
         )
-    return acc / denominator
+    return CyclotomicNumber.from_buckets(order, acc, scale) / denominator
 
 
 def verify_inverse_sum(q: QPolynomial, e1: CyclotomicNumber) -> CheckResult:

@@ -205,6 +205,22 @@ def test_verify_tamper_breaks_bae(capsys):
     assert "FAIL bae" in out
 
 
+def test_root_sum_failure_is_reported_as_root_sum(capsys):
+    # e_1 -> e_1 + 2 puts the (3,1) root on the Moebius pole: w_sum fails,
+    # while the root search itself succeeds
+    code, out, _ = run(
+        ["verify", "--L", "3", "--N-max", "1", "--tamper", "1:2", "--checks", "roots"],
+        capsys,
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.split()[1] == "roots"] == [
+        "PASS roots L=3 N=1"
+    ]
+    (root_sum,) = [line for line in lines if " root-sum " in line]
+    assert root_sum.startswith("FAIL root-sum L=3 N=1 [ZeroDivisionError: ")
+
+
 def test_verify_check_selection_and_alias(capsys):
     code, out, _ = run(
         ["verify", "--L", "7", "--N-max", "2", "--checks", "section4"], capsys

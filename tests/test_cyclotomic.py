@@ -11,6 +11,8 @@ from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchain.cyclotomic import (
     CyclotomicNumber,
@@ -174,6 +176,41 @@ def test_period_and_parity_reductions():
         for m in (-3, 1, 4):
             assert cyc_cos(m, L) == cyc_cos(-m, L)
             assert cyc_cos(m + 2 * L, L) == cyc_cos(m, L)
+
+
+# -- reduction through the power table -----------------------------------------
+
+ODD_L = st.integers(1, 15).map(lambda h: 2 * h + 1)  # 3..31
+RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_table_reduction_matches_division_remainder(data):
+    # the oracle is the long-division reduction the table replaced
+    L = data.draw(ODD_L)
+    size = data.draw(st.integers(0, 2 * L))
+    coeffs = data.draw(st.lists(RATIONALS, min_size=size, max_size=size))
+    modulus = cyclotomic_polynomial(2 * L)
+    _, rem = divmod(RationalPolynomial(coeffs), modulus)
+    expected = list(rem.coeffs) + [0] * (modulus.degree - len(rem.coeffs))
+    assert CyclotomicNumber(2 * L, coeffs).coeffs == tuple(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bucket_constructor_matches_field_sums(data):
+    L = data.draw(ODD_L)
+    buckets = data.draw(
+        st.lists(st.integers(-(10**9), 10**9), min_size=2 * L, max_size=2 * L)
+    )
+    denominator = data.draw(st.integers(1, 10**6))
+    expected = CyclotomicNumber.zero(2 * L)
+    for k, c in enumerate(buckets):
+        expected = expected + zeta_power(k, L) * c
+    assert CyclotomicNumber.from_buckets(2 * L, buckets, denominator) == (
+        expected / denominator
+    )
 
 
 def test_invalid_L_rejected():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import q_at
+from conftest import q_at, tq_oracle
 from qchain.cyclotomic import cyc_root_of_unity, zeta_power
 from qchain.qoperator import (
     ChainParams,
@@ -155,6 +155,23 @@ def test_tq_identity_rejects_any_bump(delta):
         result = verify_tq_identity(q.with_coefficient_bump(k, delta))
         assert not result.passed
         assert result.residual != "0"
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
+def test_tq_matches_field_arithmetic_oracle(L):
+    # the default grid: untouched Q, and one bump per point at a k that
+    # moves with N; passed, residual and detail must match the oracle's
+    for N in range(1, 5):
+        q = build_q(ChainParams(L, N))
+        k = 1 + (L * N) % q.params.p
+        for candidate in (q, q.with_coefficient_bump(k, F(1, 3))):
+            fast, slow = verify_tq_identity(candidate), tq_oracle(candidate)
+            assert (fast.passed, fast.residual, fast.detail) == (
+                slow.passed,
+                slow.residual,
+                slow.detail,
+            )
+        assert fast.passed is False
 
 
 def test_bump_helper_is_pure():

@@ -72,7 +72,7 @@ def test_elementary_zeroth_is_one():
 
 
 def test_elementary_first_agrees_with_cosine_sums():
-    for L, N in ((3, 2), (5, 1), (7, 1)):
+    for L, N in ((3, 2), (5, 1), (7, 1), (21, 1), (21, 2)):
         q = build_q(ChainParams(L, N))
         assert w_elementary(q, 1) == w_sum(q).E1
 
