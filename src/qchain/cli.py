@@ -135,6 +135,13 @@ class RunConfig:
                 raise ValueError(f"bad --tamper value {raw_tamper!r}, expected K:NUM/DEN")
             if tamper[1] == 0:
                 raise ValueError("--tamper delta must be nonzero")
+            # every grid point is bumped, and p is smallest at N = 1 and the smallest L
+            L_min = min(L_values)
+            p_min = ChainParams(L_min, 1).p
+            if not 0 <= tamper[0] <= p_min:
+                raise ValueError(
+                    f"--tamper index {tamper[0]} out of range 0..{p_min} (p at L={L_min} N=1)"
+                )
 
         return cls(
             L_values=L_values,
@@ -204,9 +211,13 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
-    """worker over tasks in order, in a process pool when jobs > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """worker over tasks in order, in a process pool when jobs > 1.
+
+    The pool may start all its workers at once, so it gets no more than tasks.
+    """
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks))
     return [worker(t) for t in tasks]
 

@@ -4,7 +4,8 @@ Elements are dense rational coefficient vectors of length phi(n) in the power
 basis 1, zeta, ..., zeta^(phi(n)-1), always reduced modulo the n-th cyclotomic
 polynomial.  Reduction is canonical, so equality is coefficient equality.
 Because the cyclotomic polynomial is irreducible over Q, every nonzero
-element has an inverse (extended Euclid against the modulus).
+element has an inverse, solved from its integer multiplication matrix by
+linalg.solve_linear_system.
 
 Reduction goes through one cached power table per order: zeta^k for k < n as
 integer rows (the modulus is monic with integer coefficients).  Field sums
@@ -28,8 +29,9 @@ from typing import Iterable
 
 import mpmath
 
-from .polynomials import RationalPolynomial, xgcd
-from .rationals import format_rational, parse_rational
+from .linalg import SingularMatrixError, solve_linear_system
+from .polynomials import RationalPolynomial
+from .rationals import format_rational, integer_scaled, parse_rational
 
 MIN_EMBED_BITS = 64
 
@@ -61,8 +63,8 @@ def cyclotomic_polynomial(n: int) -> RationalPolynomial:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_data(order: int) -> tuple[RationalPolynomial, int, tuple]:
-    """The modulus, its degree, and rows zeta^k (k < order) as (index, int) pairs."""
+def _field_data(order: int) -> tuple[int, tuple]:
+    """The modulus degree, and rows zeta^k (k < order) as (index, int) pairs."""
     modulus = cyclotomic_polynomial(order)
     dim = modulus.degree
     low = [-int(c) for c in modulus.coeffs[:dim]]  # zeta^dim = sum_i low[i] zeta^i
@@ -71,12 +73,12 @@ def _field_data(order: int) -> tuple[RationalPolynomial, int, tuple]:
         rows.append(tuple((j, c) for j, c in enumerate(row) if c))
         top, row = row[-1], [0] + row[:-1]
         row = [r + top * c for r, c in zip(row, low)]
-    return modulus, dim, tuple(rows)
+    return dim, tuple(rows)
 
 
 def _reduce(order: int, coeffs: list) -> list:
     """Power-basis coordinates of sum_m coeffs[m] zeta^m; integers stay integers."""
-    _, dim, table = _field_data(order)
+    dim, table = _field_data(order)
     out = [0] * dim
     for m, c in enumerate(coeffs):
         if c:
@@ -93,7 +95,7 @@ class CyclotomicNumber:
     def __init__(self, order: int, coeffs: Iterable[Fraction | int] = ()):
         if order < 1:
             raise ValueError("order must be >= 1")
-        _, dim, _ = _field_data(order)
+        dim, _ = _field_data(order)
         cs = list(coeffs)
         if len(cs) > dim:
             cs = _reduce(order, cs)
@@ -207,14 +209,17 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via extended Euclid against the modulus."""
+        """Solve (scale * self) y = scale; column j is scale * self * zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        modulus = _field_data(self.order)[0]
-        g, s, _ = xgcd(RationalPolynomial(self.coeffs), modulus)
-        if g.degree != 0:
+        dim = len(self.coeffs)
+        scale, ints = integer_scaled(self.coeffs)
+        columns = [_reduce(self.order, [0] * j + ints) for j in range(dim)]
+        try:
+            y = solve_linear_system(list(zip(*columns)), [scale] + [0] * (dim - 1))
+        except SingularMatrixError:
             raise AssertionError("modulus not coprime to nonzero element")
-        return CyclotomicNumber(self.order, (s * (1 / g.coeffs[0])).coeffs)
+        return CyclotomicNumber(self.order, y)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

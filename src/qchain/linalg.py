@@ -4,8 +4,9 @@ Rows are cleared to integers and eliminated with fraction-free (Bareiss)
 updates, so every intermediate entry is an integer and the single division
 per update is exact.  The pivot in each column is the nonzero candidate with
 the smallest bit size, which keeps intermediate growth down on the binomial
-systems this package produces.  Solutions are verified by substitution into
-the original system before being returned.
+systems this package produces.  With d the last pivot, back-substitution
+computes y = d x in integers and checks sum a y = d b on the integer rows
+before returning y / d.  Q's linear system and field inversion share it.
 """
 
 from __future__ import annotations
@@ -74,21 +75,21 @@ def solve_linear_system(
         raise ValueError("right-hand side length must match matrix size")
 
     rows = [integer_scaled([*row, b])[1] for row, b in zip(matrix, rhs)]
-    rank = _eliminate(rows, n)
+    upper = [row[:] for row in rows]
+    rank = _eliminate(upper, n)
     if rank < n:
         raise SingularMatrixError(rank, n)
 
-    x = [Fraction(0)] * n
+    # y = d x is an integer vector (Cramer's rule), so each division is exact.
+    d = upper[-1][n - 1]
+    y = [0] * n
     for r in range(n - 1, -1, -1):
-        acc = Fraction(rows[r][n])
+        acc = d * upper[r][n]
         for c in range(r + 1, n):
-            acc -= rows[r][c] * x[c]
-        x[r] = acc / rows[r][r]
+            acc -= upper[r][c] * y[c]
+        y[r] = acc // upper[r][r]
 
-    for row, b in zip(matrix, rhs):
-        acc = Fraction(0)
-        for a, xv in zip(row, x):
-            acc += Fraction(a) * xv
-        if acc != Fraction(b):
+    for row in rows:
+        if sum(a * v for a, v in zip(row, y)) != d * row[n]:
             raise AssertionError("back-substitution check failed")
-    return x
+    return [Fraction(v, d) for v in y]

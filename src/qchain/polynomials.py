@@ -171,18 +171,3 @@ class RationalPolynomial:
             return RationalPolynomial([value])
         return NotImplemented
 
-
-def xgcd(
-    a: RationalPolynomial, b: RationalPolynomial
-) -> tuple[RationalPolynomial, RationalPolynomial, RationalPolynomial]:
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = RationalPolynomial.one(), RationalPolynomial.zero()
-    t0, t1 = RationalPolynomial.zero(), RationalPolynomial.one()
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-

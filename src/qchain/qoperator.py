@@ -175,20 +175,20 @@ def q_linear_system(params: ChainParams) -> QPolynomial:
 
     Each admissible index ell gives sum_j C(2N+1, ell-j) e_j = 0 with j
     clamped to max(0, ell-2N-1)..min(p, ell).  With e_0 = 1 moved to the
-    right-hand side this is a square rational system for e_1..e_p.
+    right-hand side this is a square integer system for e_1..e_p.
     """
     M, p = params.M, params.p
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for ell in admissible_indices(params):
-        row = [Fraction(0)] * p
+        row = [0] * p
         lo, hi = max(0, ell - M), min(p, ell)
         for j in range(lo, hi + 1):
             if j == 0:
                 continue
-            row[j - 1] = Fraction(comb(M, ell - j))
+            row[j - 1] = comb(M, ell - j)
         rows.append(row)
-        rhs.append(Fraction(-comb(M, ell)) if lo == 0 else Fraction(0))
+        rhs.append(-comb(M, ell) if lo == 0 else 0)
 
     tail = solve_linear_system(rows, rhs)
     return QPolynomial(params, (Fraction(1), *tail))

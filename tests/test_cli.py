@@ -111,6 +111,29 @@ def test_bad_env_precision(monkeypatch, capsys):
     assert "QCHAIN_PRECISION_BITS" in err
 
 
+def test_jobs_capped_at_task_count(monkeypatch, capsys):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("qchain.cli.ProcessPoolExecutor", SerialPool)
+    argv = ["--L", "3", "--N-max", "2", "--jobs", "64"]
+    assert run(["verify", *argv, "--checks", "structure"], capsys)[0] == 0
+    assert run(["compute", *argv], capsys)[0] == 0
+    assert started == [2, 2]
+
+
 def test_jobs_do_not_change_output(tmp_path, capsys):
     serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"
@@ -240,6 +263,13 @@ def test_verify_bad_tamper_argument(capsys):
     code, _, err = run(["verify", "--L", "3", "--tamper", "nonsense"], capsys)
     assert code == 2
     assert "tamper" in err
+    # an index outside 0..p of the smallest point (p = 1 at L = 3, N = 1)
+    # is a bad configuration, not an internal error
+    for bad in ("99:1", "-1:1", "2:1/3"):
+        argv = ["verify", "--L", "3,5", "--N-max", "2", f"--tamper={bad}"]
+        code, _, err = run(argv, capsys)
+        assert code == 2, err
+        assert err.startswith("error: --tamper index") and "0..1" in err
 
 
 def test_verify_jobs_match_serial(capsys):

@@ -21,11 +21,18 @@ def test_one_by_one():
 
 
 def test_rational_entries():
-    A = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
-    b = [Fraction(1), Fraction(2)]
-    x = solve_linear_system(A, b)
-    for row, rhs in zip(A, b):
-        assert sum(a * v for a, v in zip(row, x)) == rhs
+    systems = [
+        (
+            [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]],
+            [Fraction(1), Fraction(2)],
+        ),
+        # rows swap for the pivot, and the last pivot (d in y = d x) is -1
+        ([[0, 1], [-1, 0]], [Fraction(3, 4), Fraction(-2, 5)]),
+    ]
+    for A, b in systems:
+        x = solve_linear_system(A, b)
+        for row, rhs in zip(A, b):
+            assert sum(a * v for a, v in zip(row, x)) == rhs
 
 
 def test_random_systems_are_solved_exactly():

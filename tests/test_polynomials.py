@@ -4,11 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qchain.polynomials import (
-    InexactDivisionError,
-    RationalPolynomial,
-    xgcd,
-)
+from qchain.polynomials import InexactDivisionError, RationalPolynomial
 
 P = RationalPolynomial
 
@@ -64,15 +60,3 @@ def test_evaluation_horner():
     poly = P([-1, 0, 1])
     assert poly(Fraction(3)) == 8
     assert poly(Fraction(1, 2)) == Fraction(-3, 4)
-
-
-def test_xgcd_bezout():
-    a = P([-1, 0, 1])  # (z-1)(z+1)
-    b = P([-1, 1])
-    g, s, t = xgcd(a, b)
-    assert s * a + t * b == g
-    # gcd is z - 1 up to a scalar
-    assert g.degree == 1
-    ratio = g.coeffs[1] / 1
-    assert g == P([-ratio, ratio])
-
