@@ -7,9 +7,7 @@ __version__ = "0.1.0"
 from .cyclotomic import (
     CyclotomicNumber,
     cyc_cos,
-    cyc_root_of_unity,
     cyclotomic_polynomial,
-    euler_phi,
     zeta_power,
 )
 from .energy import (
@@ -25,7 +23,6 @@ from .energy import (
     verify_no_finite_size_correction,
 )
 from .linalg import SingularMatrixError, solve_linear_system
-from .polynomials import InexactDivisionError, RationalPolynomial
 from .qoperator import (
     ChainParams,
     QPolynomial,
@@ -57,9 +54,7 @@ __all__ = [
     "ConvergenceError",
     "CyclotomicNumber",
     "FalsificationError",
-    "InexactDivisionError",
     "QPolynomial",
-    "RationalPolynomial",
     "RootSet",
     "SingularMatrixError",
     "SpinConstant",
@@ -72,10 +67,8 @@ __all__ = [
     "closed_form_root_sum",
     "crosscheck_closed_forms",
     "cyc_cos",
-    "cyc_root_of_unity",
     "cyclotomic_polynomial",
     "energy",
-    "euler_phi",
     "extract_A",
     "find_roots",
     "format_rational",

@@ -265,8 +265,7 @@ def cmd_compute(config: RunConfig) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = _records_to_csv(records, config.precision_bits)
-    _write_output(text, config.output_path)
-    return 0
+    return _write_output(text, config.output_path)
 
 
 def _records_to_csv(records: list[dict], precision_bits: int) -> str:
@@ -365,7 +364,9 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     entries: list[CheckResult] = []
     try:
         rs = find_roots(q, precision)
-        max_coeff = max(abs(float(c)) for c in q.e)
+        top = max(abs(c) for c in q.e)
+        with mpmath.workprec(max(53, top.numerator.bit_length())):
+            max_coeff = mpmath.mpf(top.numerator) / top.denominator
         poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
         loose_tol = mpmath.mpf(2) ** -(precision - 40)
         entries.append(
@@ -471,7 +472,8 @@ def cmd_verify(config: RunConfig) -> int:
 
     if config.output_path:
         text = json.dumps(report.to_dict(config.meta()), indent=2) + "\n"
-        _write_output(text, config.output_path)
+        if _write_output(text, config.output_path):
+            return 2
     return 1 if failures else 0
 
 
@@ -507,16 +509,21 @@ def cmd_table(config: RunConfig) -> int:
     ]
     for r in rows:
         lines.append("  ".join(str(v).ljust(widths[i]) for i, v in enumerate(r)))
-    _write_output("\n".join(lines) + "\n", config.output_path)
-    return 0
+    return _write_output("\n".join(lines) + "\n", config.output_path)
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(text: str, path: str | None) -> int:
+    """Write to path (stdout for none or "-"); exit code 2 if the path is unwritable."""
     if path and path != "-":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are dense rational coefficient vectors of length phi(n) in the power
-basis 1, zeta, ..., zeta^(phi(n)-1), always reduced modulo the n-th cyclotomic
-polynomial.  Reduction is canonical, so equality is coefficient equality.
-Because the cyclotomic polynomial is irreducible over Q, every nonzero
-element has an inverse, solved from its integer multiplication matrix by
-linalg.solve_linear_system.
+An element is stored as integer coordinates over one positive denominator,
+sum_i nums[i] zeta^i / den in the power basis 1, zeta, ..., zeta^(phi(n)-1),
+always reduced modulo the n-th cyclotomic polynomial and divided by the gcd
+of den and the nums (H. Cohen, A Course in Computational Algebraic Number
+Theory, 1993, section 4.2).  The form is canonical, so equality is tuple
+equality.  Sums cross-multiply the denominators, products convolve the
+integer coordinates; no Fraction is made by the arithmetic.  Because the
+cyclotomic polynomial is irreducible over Q, every nonzero element has an
+inverse, solved from its integer multiplication matrix by
+linalg.solve_integer_system.
 
 Reduction goes through one cached power table per order: zeta^k for k < n as
 integer rows (the modulus is monic with integer coefficients).  Field sums
 collect multiples of zeta^m in buckets indexed by m mod n and are reduced
-once per output coefficient (CyclotomicNumber.from_buckets).
+once: CyclotomicNumber(n, buckets, denominator) is sum_m buckets[m] zeta^m /
+denominator.
 
 The chain modules work in Q(zeta_2L) with zeta = exp(i pi / L) for odd L, so
 both cos(pi m / L) = (zeta^m + zeta^-m)/2 and the L-th roots of unity
@@ -29,45 +34,35 @@ from typing import Iterable
 
 import mpmath
 
-from .linalg import SingularMatrixError, solve_linear_system
-from .polynomials import RationalPolynomial
-from .rationals import format_rational, integer_scaled, parse_rational
+from .linalg import SingularMatrixError, solve_integer_system
+from .rationals import divide_monic, format_rational, integer_scaled, parse_rational
 
 MIN_EMBED_BITS = 64
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> RationalPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1.
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of the n-th cyclotomic polynomial.
 
     x^n - 1 factors as the product of the d-th cyclotomic polynomials over
     all divisors d of n; dividing out the proper divisors' factors leaves
-    the n-th.  Division is exact at every step by construction.
+    the n-th.  Each factor is monic, and division is exact by construction.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    num = RationalPolynomial([-1] + [0] * (n - 1) + [1])
-    if n == 1:
-        return num
-    quot = num
+    quot = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            quot = quot.divide_exact(cyclotomic_polynomial(d))
-    return quot
+            quot = divide_monic(quot, cyclotomic_polynomial(d))
+    return tuple(quot)
 
 
 @functools.lru_cache(maxsize=None)
 def _field_data(order: int) -> tuple[int, tuple]:
     """The modulus degree, and rows zeta^k (k < order) as (index, int) pairs."""
     modulus = cyclotomic_polynomial(order)
-    dim = modulus.degree
-    low = [-int(c) for c in modulus.coeffs[:dim]]  # zeta^dim = sum_i low[i] zeta^i
+    dim = len(modulus) - 1
+    low = [-c for c in modulus[:dim]]  # zeta^dim = sum_i low[i] zeta^i
     rows, row = [], [1] + [0] * (dim - 1)
     for _ in range(order):
         rows.append(tuple((j, c) for j, c in enumerate(row) if c))
@@ -76,8 +71,8 @@ def _field_data(order: int) -> tuple[int, tuple]:
     return dim, tuple(rows)
 
 
-def _reduce(order: int, coeffs: list) -> list:
-    """Power-basis coordinates of sum_m coeffs[m] zeta^m; integers stay integers."""
+def _reduce(order: int, coeffs: list[int]) -> list[int]:
+    """Power-basis coordinates of sum_m coeffs[m] zeta^m, in integers."""
     dim, table = _field_data(order)
     out = [0] * dim
     for m, c in enumerate(coeffs):
@@ -88,38 +83,45 @@ def _reduce(order: int, coeffs: list) -> list:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_order), reduced mod the cyclotomic polynomial."""
+    """sum_i nums[i] zeta^i / den in Q(zeta_order), in lowest terms.
 
-    __slots__ = ("order", "coeffs")
+    Built from sum_m coeffs[m] zeta^m / denominator, with coeffs ints or
+    Fractions of any length (powers past the basis go through the table).
+    """
 
-    def __init__(self, order: int, coeffs: Iterable[Fraction | int] = ()):
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, coeffs: Iterable[Fraction | int] = (), denominator: int = 1):
         if order < 1:
             raise ValueError("order must be >= 1")
         dim, _ = _field_data(order)
-        cs = list(coeffs)
-        if len(cs) > dim:
-            cs = _reduce(order, cs)
-        cs = [Fraction(c) for c in cs] + [Fraction(0)] * (dim - len(cs))
+        scale, nums = integer_scaled(coeffs)
+        nums = _reduce(order, nums) if len(nums) > dim else nums + [0] * (dim - len(nums))
+        den = scale * denominator
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "nums", tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
 
     def __reduce__(self):
         # Pickle's default slot restore would go through __setattr__ above.
-        return (CyclotomicNumber, (self.order, self.coeffs))
+        return (CyclotomicNumber, (self.order, self.nums, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as reduced Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Fraction | int, order: int) -> "CyclotomicNumber":
-        return cls(order, [Fraction(value)])
-
-    @classmethod
-    def from_buckets(cls, order: int, buckets, denominator=1) -> "CyclotomicNumber":
-        """sum_m buckets[m] zeta^m / denominator; integer buckets reduce in integers."""
-        return cls(order, [Fraction(c, denominator) for c in _reduce(order, buckets)])
+        return cls(order, [value])
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
@@ -132,23 +134,23 @@ class CyclotomicNumber:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, the field map zeta -> zeta^-1."""
         n = self.order
-        raw = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
+        raw = [0] * n
+        for k, c in enumerate(self.nums):
             raw[(n - k) % n] += c
-        return CyclotomicNumber(n, raw)
+        return CyclotomicNumber(n, raw, self.den)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -166,26 +168,29 @@ class CyclotomicNumber:
             return CyclotomicNumber.from_rational(other, self.order)
         return None
 
+    def _combine(self, rhs: "CyclotomicNumber", sign: int) -> "CyclotomicNumber":
+        """self + sign * rhs over the product of the denominators."""
+        a, b = self.den, sign * rhs.den
+        return CyclotomicNumber(
+            self.order, [x * b + y * a for x, y in zip(self.nums, rhs.nums)], a * b
+        )
+
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order, [a + b for a, b in zip(self.coeffs, rhs.coeffs)]
-        )
+        return self._combine(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return CyclotomicNumber(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order, [a - b for a, b in zip(self.coeffs, rhs.coeffs)]
-        )
+        return self._combine(rhs, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -193,39 +198,42 @@ class CyclotomicNumber:
     def __mul__(self, other):
         # Scalar products skip the convolution and the reduction entirely.
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.order, [c * other for c in self.coeffs])
+            return CyclotomicNumber(
+                self.order, [c * other.numerator for c in self.nums], self.den * other.denominator
+            )
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self.coeffs, rhs.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self.nums, rhs.nums
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return CyclotomicNumber(self.order, out)
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return CyclotomicNumber(self.order, out, self.den * rhs.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Solve (scale * self) y = scale; column j is scale * self * zeta^j."""
+        """Solve (nums) y = den e_0 in integers; column j is nums * zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        dim = len(self.coeffs)
-        scale, ints = integer_scaled(self.coeffs)
-        columns = [_reduce(self.order, [0] * j + ints) for j in range(dim)]
+        dim = len(self.nums)
+        columns = [_reduce(self.order, [0] * j + list(self.nums)) for j in range(dim)]
+        rhs = [self.den] + [0] * (dim - 1)
         try:
-            y = solve_linear_system(list(zip(*columns)), [scale] + [0] * (dim - 1))
+            d, y = solve_integer_system([[*row, b] for row, b in zip(zip(*columns), rhs)])
         except SingularMatrixError:
             raise AssertionError("modulus not coprime to nonzero element")
-        return CyclotomicNumber(self.order, y)
+        return CyclotomicNumber(self.order, y, d)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return CyclotomicNumber(
+                self.order, [c * other.denominator for c in self.nums], self.den * other.numerator
+            )
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -253,13 +261,17 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.is_rational()
+                and self.nums[0] == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
         terms = []
@@ -318,12 +330,7 @@ def zeta_power(exponent: int, L: int) -> CyclotomicNumber:
 
 def cyc_cos(m: int, L: int) -> CyclotomicNumber:
     """cos(pi m / L) as an exact element of Q(zeta_2L)."""
-    return (zeta_power(m, L) + zeta_power(-m, L)) * Fraction(1, 2)
-
-
-def cyc_root_of_unity(k: int, L: int) -> CyclotomicNumber:
-    """exp(2 pi i k / L) as an exact element of Q(zeta_2L)."""
-    return zeta_power(2 * k, L)
+    return (zeta_power(m, L) + zeta_power(-m, L)) / 2
 
 
 def _require_odd(L: int) -> None:

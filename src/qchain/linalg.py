@@ -6,7 +6,8 @@ per update is exact.  The pivot in each column is the nonzero candidate with
 the smallest bit size, which keeps intermediate growth down on the binomial
 systems this package produces.  With d the last pivot, back-substitution
 computes y = d x in integers and checks sum a y = d b on the integer rows
-before returning y / d.  Q's linear system and field inversion share it.
+before returning y / d.  Q's linear system and field inversion share it;
+inversion calls the integer core solve_integer_system and keeps y and d.
 """
 
 from __future__ import annotations
@@ -73,14 +74,23 @@ def solve_linear_system(
         raise ValueError("matrix must be square")
     if len(rhs) != n:
         raise ValueError("right-hand side length must match matrix size")
+    d, y = solve_integer_system([integer_scaled([*row, b])[1] for row, b in zip(matrix, rhs)])
+    return [Fraction(v, d) for v in y]
 
-    rows = [integer_scaled([*row, b])[1] for row, b in zip(matrix, rhs)]
+
+def solve_integer_system(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """Solve the n x (n+1) augmented integer rows [A | b]; returns d and y = d x.
+
+    d is the last pivot, y is an integer vector (Cramer's rule), so each
+    division of the back-substitution is exact.  Raises SingularMatrixError
+    when A is singular.
+    """
+    n = len(rows)
     upper = [row[:] for row in rows]
     rank = _eliminate(upper, n)
     if rank < n:
         raise SingularMatrixError(rank, n)
 
-    # y = d x is an integer vector (Cramer's rule), so each division is exact.
     d = upper[-1][n - 1]
     y = [0] * n
     for r in range(n - 1, -1, -1):
@@ -92,4 +102,4 @@ def solve_linear_system(
     for row in rows:
         if sum(a * v for a, v in zip(row, y)) != d * row[n]:
             raise AssertionError("back-substitution check failed")
-    return [Fraction(v, d) for v in y]
+    return d, y

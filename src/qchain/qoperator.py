@@ -8,11 +8,11 @@ signed elementary symmetric coefficients e_0..e_p:
     Q(z) = prod_j (z - z_j) = sum_k (-1)^k e_k z^(p-k),  e_0 = 1.
 
 Route one (closed form) assembles an explicit degree L*N + (L-1)/2 numerator
-from binomial-weighted rational products and divides it by (z-1)^(2N+1);
-the division must terminate with a zero remainder, which doubles as a
-transcription check.  Route two (linear system) imposes the vanishing of a
-binomial convolution of the e_k at every admissible index and solves the
-resulting square rational system exactly.  The two routes must agree
+from binomial-weighted rational products, scales it to integers and divides
+it by (z-1)^(2N+1) in integer long division; a nonzero remainder doubles as
+a transcription check.  Route two (linear system) imposes the vanishing of
+a binomial convolution of the e_k at every admissible index and solves the
+resulting square integer system exactly.  The two routes must agree
 coefficient by coefficient.
 
 The functional three-term identity satisfied by Q (verify_tq_identity) is
@@ -27,8 +27,7 @@ from math import comb
 
 from .cyclotomic import CyclotomicNumber
 from .linalg import solve_linear_system
-from .polynomials import RationalPolynomial
-from .rationals import format_rational, integer_scaled
+from .rationals import divide_monic, format_rational, integer_scaled
 from .report import CheckResult
 
 MIN_REPORT_BITS = 64
@@ -106,8 +105,10 @@ def q_closed_form(params: ChainParams) -> QPolynomial:
 
     The numerator couples monomial pairs with rational product weights; each
     weight's denominator factors are nonzero by construction (asserted).
-    The division must be exact, and the quotient must be monic of degree p
-    with e_0 = 1; any violation aborts the build.
+    Scaled to integers over its common denominator, the numerator is divided
+    by the binomial coefficients of (z-1)^M in integers.  The division must
+    be exact, and the quotient must be monic of degree p with e_0 = 1; any
+    violation aborts the build.
     """
     L, N = params.L, params.N
     half = (L - 1) // 2
@@ -138,15 +139,17 @@ def q_closed_form(params: ChainParams) -> QPolynomial:
     numerator_coeffs = [Fraction(0)] * (top + 1)
     for power, coeff in terms:
         numerator_coeffs[power] += coeff
-    numerator = RationalPolynomial(numerator_coeffs)
+    scale, numerator = integer_scaled(numerator_coeffs)
 
-    root_factor = RationalPolynomial([-1, 1]) ** params.M
-    quotient = numerator.divide_exact(root_factor)
+    M = params.M
+    root_factor = [(-1) ** (M - i) * comb(M, i) for i in range(M + 1)]  # (z-1)^M
+    quotient = divide_monic(numerator, root_factor)
 
     p = params.p
-    if quotient.degree != p:
-        raise AssertionError(f"quotient degree {quotient.degree}, expected {p}")
-    e = tuple((-1) ** k * quotient.coefficient(p - k) for k in range(p + 1))
+    degree = max((i for i, c in enumerate(quotient) if c), default=-1)
+    if degree != p:
+        raise AssertionError(f"quotient degree {degree}, expected {p}")
+    e = tuple(Fraction((-1) ** k * quotient[p - k], scale) for k in range(p + 1))
     if e[0] != 1:
         raise AssertionError("quotient is not monic")
     return QPolynomial(params, e)
@@ -224,7 +227,7 @@ def verify_structure(q: QPolynomial) -> CheckResult:
             break
     if q.e[p] != sign:
         problems.append(f"e_p = {format_rational(q.e[p])}")
-    value_at_zero = RationalPolynomial(q.coefficients())(Fraction(0))
+    value_at_zero = q.coefficients()[0]
     if value_at_zero != 1:
         problems.append(f"Q(0) = {format_rational(value_at_zero)}")
     return CheckResult(
@@ -269,7 +272,7 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
             weight = (-1) ** power * comb(M, a) * scaled[k]
             for sign, exponent, step in terms:
                 buckets[(exponent + step * power) % order] += sign * weight
-        coefficient = CyclotomicNumber.from_buckets(order, buckets)
+        coefficient = CyclotomicNumber(order, buckets)
         if not coefficient.is_zero():
             bad.append((i, coefficient))
 

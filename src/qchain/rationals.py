@@ -1,9 +1,11 @@
-"""Exact rational helpers shared across the package.
+"""Exact rational and integer helpers shared across the package.
 
-Rationals are plain ``fractions.Fraction`` values everywhere: they are always
-in lowest terms with a positive denominator, and all arithmetic is exact.
-The helpers here pin down the one serialization format used by reports and
-the CLI: the base-10 string "numerator/denominator".
+Rationals are plain ``fractions.Fraction`` values at the edges (Q's
+coefficients, parsed input, reported strings); the exact work inside runs on
+integers over a common denominator.  The helpers here pin down the one
+serialization format used by reports and the CLI, the base-10 string
+"numerator/denominator", the scaling of rationals to integers, and the one
+exact division of integer polynomials.
 """
 
 from __future__ import annotations
@@ -21,9 +23,32 @@ def format_rational(value: Fraction | int) -> str:
 
 def integer_scaled(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
     """The least common denominator D of the values, and the integers D * v."""
-    fracs = [Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in fracs))
-    return scale, [f.numerator * (scale // f.denominator) for f in fracs]
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def divide_monic(num: Iterable[int], divisor: Iterable[int]) -> list[int]:
+    """Exact quotient of integer polynomials, coefficients ascending by power.
+
+    The divisor must be monic, so every step stays in the integers.  A
+    nonzero remainder raises ArithmeticError: callers divide where the
+    quotient is known on structural grounds to be a polynomial, and the
+    remainder check doubles as a transcription check.
+    """
+    rem, divisor = list(num), list(divisor)
+    if not divisor or divisor[-1] != 1:
+        raise ValueError(f"divisor {divisor} is not monic")
+    dn = len(divisor) - 1
+    quot = [0] * max(0, len(rem) - dn)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + dn]
+        if q:
+            for j in range(dn):
+                rem[i + j] -= q * divisor[j]
+    if any(rem[:dn]):
+        raise ArithmeticError(f"inexact division: nonzero remainder {rem[:dn]}")
+    return quot
 
 
 def parse_rational(text: str) -> Fraction:

@@ -57,8 +57,8 @@ def w_sum(q: QPolynomial) -> WSymmetrics:
         for sign in (1, -1):
             bottom[sign * (p - 2 * k) % order] += weight
             top[sign * (2 * k + 2 - p) % order] += (p - k) * weight
-    numerator = CyclotomicNumber.from_buckets(order, top, scale)
-    denominator = CyclotomicNumber.from_buckets(order, bottom, 2 * scale)
+    numerator = CyclotomicNumber(order, top, scale)
+    denominator = CyclotomicNumber(order, bottom, 2 * scale)
 
     if denominator.is_zero():
         raise ZeroDivisionError(
@@ -98,12 +98,12 @@ def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
             weight = comb(p - k, p - alpha - j) * comb(k, j) * scaled[k]
             acc[-2 * (k + p - alpha - 2 * j) % order] += (-1) ** k * weight
 
-    denominator = CyclotomicNumber.from_buckets(order, at_pole, scale)
+    denominator = CyclotomicNumber(order, at_pole, scale)
     if denominator.is_zero():
         raise ZeroDivisionError(
             f"Q vanishes at the Moebius pole for L={L} N={params.N}"
         )
-    return CyclotomicNumber.from_buckets(order, acc, scale) / denominator
+    return CyclotomicNumber(order, acc, scale) / denominator
 
 
 def verify_inverse_sum(q: QPolynomial, e1: CyclotomicNumber) -> CheckResult:

@@ -3,9 +3,8 @@
 from fractions import Fraction
 from math import comb
 
-from qchain.cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity, zeta_power
+from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
-from qchain.polynomials import RationalPolynomial
 from qchain.qoperator import MIN_REPORT_BITS, ChainParams, build_q
 from qchain.report import CheckResult
 
@@ -21,8 +20,12 @@ def summaries_for(L, N_max=2):
 
 
 def q_at(q, z):
-    """Q evaluated at z through RationalPolynomial's Horner routine."""
-    return RationalPolynomial(q.coefficients())(z)
+    """Q evaluated at z (rational or cyclotomic) by Horner's rule."""
+    coeffs = q.coefficients()
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
 
 
 def _cyclo_convolve(a, b, order):
@@ -49,8 +52,8 @@ def tq_oracle(q):
     half = (L - 1) // 2
 
     one = CyclotomicNumber.one(order)
-    omega = cyc_root_of_unity(1, L)
-    omega_bar = cyc_root_of_unity(-1, L)
+    omega = zeta_power(2, L)
+    omega_bar = zeta_power(-2, L)
     prefactors = [
         CyclotomicNumber.from_rational(-2, order) * cyc_cos(half, L),
         zeta_power(-half, L),

@@ -244,6 +244,37 @@ def test_root_sum_failure_is_reported_as_root_sum(capsys):
     assert root_sum.startswith("FAIL root-sum L=3 N=1 [ZeroDivisionError: ")
 
 
+def test_huge_tamper_delta_is_a_finding(capsys):
+    # a 400-digit bump overflows a float; the roots checks must still report
+    delta = "1" + "0" * 400
+    code, out, err = run(
+        ["verify", "--L", "3", "--N-max", "1", "--tamper", f"1:{delta}", "--checks", "roots"],
+        capsys,
+    )
+    assert code == 1, err
+    assert "internal error" not in err
+    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
+    assert {"root-product", "root-inversion", "root-sum"} <= failed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--L", "3", "--N-max", "1"],
+        ["verify", "--L", "3", "--N-max", "1", "--checks", "structure"],
+    ],
+)
+def test_unwritable_output_is_a_configuration_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run([*argv, "--output", str(target)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write --output {target}: ")
+    assert "internal error" not in err
+    if argv[0] == "verify":
+        assert "PASS structure L=3 N=1" in out  # the check lines still come first
+    assert not target.parent.exists()
+
+
 def test_verify_check_selection_and_alias(capsys):
     code, out, _ = run(
         ["verify", "--L", "7", "--N-max", "2", "--checks", "section4"], capsys

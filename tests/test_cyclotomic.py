@@ -14,15 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchain.cyclotomic import (
-    CyclotomicNumber,
-    cyc_cos,
-    cyc_root_of_unity,
-    cyclotomic_polynomial,
-    euler_phi,
-    zeta_power,
-)
-from qchain.polynomials import RationalPolynomial
+from qchain.cyclotomic import CyclotomicNumber, cyc_cos, cyclotomic_polynomial, zeta_power
 from qchain.rationals import format_rational, parse_rational
 
 # n -> ascending coefficients, frozen from the standard table
@@ -43,39 +35,44 @@ KNOWN_CYCLOTOMICS = {
 }
 
 
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_cyclotomic_polynomials_match_table():
     for n, coeffs in KNOWN_CYCLOTOMICS.items():
-        assert cyclotomic_polynomial(n).coeffs == tuple(Fraction(c) for c in coeffs), n
-
-
-def test_cyclotomic_divides_xn_minus_one():
-    for n in range(1, 41):
-        xn = RationalPolynomial([-1] + [0] * (n - 1) + [1])
-        quotient = xn.divide_exact(cyclotomic_polynomial(n))
-        assert quotient * cyclotomic_polynomial(n) == xn
+        assert cyclotomic_polynomial(n) == coeffs, n
 
 
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 41):
-        degree_expected = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-        assert cyclotomic_polynomial(n).degree == degree_expected
-        assert euler_phi(n) == degree_expected
+        assert len(cyclotomic_polynomial(n)) - 1 == _totient(n)
 
 
 def test_divisor_product_reassembles():
-    for n in (6, 10, 12, 30):
-        product = RationalPolynomial.one()
+    # x^n - 1 is the product of the d-th cyclotomic polynomials over d | n,
+    # so each of them divides it exactly
+    for n in range(1, 41):
+        product = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                product = product * cyclotomic_polynomial(d)
-        assert product == RationalPolynomial([-1] + [0] * (n - 1) + [1])
+                product = _convolve(product, cyclotomic_polynomial(d))
+        assert product == [-1] + [0] * (n - 1) + [1], n
 
 
 # -- field elements ---------------------------------------------------------
 
 
 def _random_element(rng, order):
-    dim = euler_phi(order)
+    dim = _totient(order)
     return CyclotomicNumber(
         order, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
     )
@@ -106,6 +103,26 @@ def test_inverse_round_trip():
             assert (a / a) == 1
 
 
+def test_field_arithmetic_makes_no_fraction(monkeypatch):
+    # the arithmetic runs on integer coordinates; Fractions appear only on demand
+    rng = random.Random(23)
+    a, b = _random_element(rng, 22), _random_element(rng, 22)
+    third = Fraction(1, 3)
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    results = [a + b, a - b, -a, a * b, a * 3, a * third, a / 7, a / third, a / b]
+    results += [a.inverse(), a.conjugate(), a == b, a == third, a.is_real(), a ** -2]
+    assert not made
+    monkeypatch.undo()
+    assert a * a.inverse() == 1
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         CyclotomicNumber.zero(10).inverse()
@@ -133,7 +150,7 @@ def test_rational_coercion_and_equality():
     assert a * 4 == 3
     assert a.as_rational() == Fraction(3, 4)
     with pytest.raises(ValueError):
-        cyc_root_of_unity(1, 5).as_rational()
+        zeta_power(2, 5).as_rational()
 
 
 # -- the trigonometric constructors -----------------------------------------
@@ -161,12 +178,13 @@ def test_cos_is_real_and_conjugation_fixed():
 
 
 def test_roots_of_unity():
-    assert cyc_root_of_unity(0, 7) == 1
-    u = cyc_root_of_unity(1, 3)
+    # exp(2 pi i k / L) is zeta^(2k) in Q(zeta_2L)
+    assert zeta_power(0, 7) == 1
+    u = zeta_power(2, 3)
     assert u * u + u + 1 == 0  # primitive cube root
-    assert cyc_root_of_unity(-1, 5) == cyc_root_of_unity(1, 5).conjugate()
+    assert zeta_power(-2, 5) == zeta_power(2, 5).conjugate()
     for L in (3, 5, 7):
-        assert cyc_root_of_unity(1, L) ** L == 1
+        assert zeta_power(2, L) ** L == 1
     assert zeta_power(1, 5) ** 10 == 1
     assert zeta_power(5, 5) == -1
 
@@ -192,9 +210,22 @@ def test_table_reduction_matches_division_remainder(data):
     size = data.draw(st.integers(0, 2 * L))
     coeffs = data.draw(st.lists(RATIONALS, min_size=size, max_size=size))
     modulus = cyclotomic_polynomial(2 * L)
-    _, rem = divmod(RationalPolynomial(coeffs), modulus)
-    expected = list(rem.coeffs) + [0] * (modulus.degree - len(rem.coeffs))
-    assert CyclotomicNumber(2 * L, coeffs).coeffs == tuple(expected)
+    dim = len(modulus) - 1
+    rem = list(coeffs) + [Fraction(0)] * max(0, dim - len(coeffs))
+    for top in range(len(rem) - 1, dim - 1, -1):  # the modulus is monic
+        lead = rem[top]
+        for j, m in enumerate(modulus):
+            rem[top - dim + j] -= lead * m
+    assert CyclotomicNumber(2 * L, coeffs).coeffs == tuple(rem[:dim])
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == _totient(x.order)
+
+
+NONZERO = st.integers(-(10**6), 10**6).filter(bool)
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,13 +235,17 @@ def test_bucket_constructor_matches_field_sums(data):
     buckets = data.draw(
         st.lists(st.integers(-(10**9), 10**9), min_size=2 * L, max_size=2 * L)
     )
-    denominator = data.draw(st.integers(1, 10**6))
+    denominator = data.draw(NONZERO)
     expected = CyclotomicNumber.zero(2 * L)
     for k, c in enumerate(buckets):
         expected = expected + zeta_power(k, L) * c
-    assert CyclotomicNumber.from_buckets(2 * L, buckets, denominator) == (
-        expected / denominator
-    )
+    got = CyclotomicNumber(2 * L, buckets, denominator)
+    assert got == expected / denominator
+    _assert_canonical(got)
+    # a common factor of the input is divided out: same coordinates and hash
+    k = data.draw(NONZERO)
+    scaled = CyclotomicNumber(2 * L, [k * c for c in buckets], k * denominator)
+    assert (scaled.nums, scaled.den, hash(scaled)) == (got.nums, got.den, hash(got))
 
 
 def test_invalid_L_rejected():
@@ -237,7 +272,7 @@ def test_embed_matches_mpmath_cos():
 
 def test_embed_root_of_unity():
     with mpmath.workprec(256):
-        got = cyc_root_of_unity(1, 3).embed(256)
+        got = zeta_power(2, 3).embed(256)
         expected = mpmath.expjpi(mpmath.mpf(2) / 3)
         assert abs(got - expected) < mpmath.mpf(2) ** -230
 
@@ -268,10 +303,21 @@ def test_rational_format_round_trip():
     assert format_rational(3) == "3/1"
 
 
-def test_cyclotomic_dict_round_trip():
-    rng = random.Random(19)
-    for order in (6, 10, 22):
-        a = _random_element(rng, order)
-        data = a.to_dict(128)
-        assert data["order"] == order
-        assert CyclotomicNumber.from_dict(data) == a
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cyclotomic_dict_round_trip(data):
+    L = data.draw(ODD_L)
+    order = 2 * L
+    coeffs = data.draw(st.lists(RATIONALS, max_size=_totient(order)))
+    k = data.draw(NONZERO)
+    a = CyclotomicNumber(order, coeffs)
+    # the same element from a scaled input, rational coefficients included
+    scaled = CyclotomicNumber(order, [k * c for c in coeffs], k)
+    assert (scaled.nums, scaled.den, hash(scaled)) == (a.nums, a.den, hash(a))
+    _assert_canonical(a)
+    assert a.coeffs == tuple(coeffs) + (0,) * (_totient(order) - len(coeffs))
+    text = a.to_dict(128)
+    assert text["order"] == order
+    assert text["coeffs"] == [format_rational(c) for c in a.coeffs]
+    back = CyclotomicNumber.from_dict(text)
+    assert (back.nums, back.den) == (a.nums, a.den)

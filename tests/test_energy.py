@@ -2,12 +2,15 @@
 
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import summaries_for, summary_at
-from qchain.cyclotomic import cyc_cos
+from qchain.cyclotomic import CyclotomicNumber, cyc_cos
 from qchain.energy import (
     closed_form_root_sum,
     crosscheck_closed_forms,
@@ -109,10 +112,24 @@ def test_per_site_density_values():
     assert summary_at(7, 3).energy_per_site == density7
 
 
-def test_summary_pickle_round_trip():
+SUMMARY_5_2 = summary_at(5, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.integers(1, 15).map(lambda h: 2 * h + 1),
+    coeffs=st.lists(st.fractions(max_denominator=1000), max_size=12),
+    k=st.integers(-(10**6), 10**6).filter(bool),
+)
+def test_summary_pickle_round_trip(L, coeffs, k):
     # worker processes send summaries back to the parent by pickle
-    summary = summary_at(5, 2)
-    assert pickle.loads(pickle.dumps(summary)) == summary
+    assert pickle.loads(pickle.dumps(SUMMARY_5_2)) == SUMMARY_5_2
+    # an element made from a scaled input comes back in the same lowest terms
+    x = CyclotomicNumber(2 * L, [k * c for c in coeffs], k)
+    back = pickle.loads(pickle.dumps(x))
+    assert (back.order, back.nums, back.den, hash(back)) == (x.order, x.nums, x.den, hash(x))
+    assert x == CyclotomicNumber(2 * L, coeffs)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
 
 
 def test_first_differences_are_constant():

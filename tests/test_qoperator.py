@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import q_at, tq_oracle
-from qchain.cyclotomic import cyc_root_of_unity, zeta_power
+from qchain.cyclotomic import zeta_power
 from qchain.qoperator import (
     ChainParams,
     QPolynomial,
@@ -117,7 +117,7 @@ def test_eval_at_root_of_unity_prefactor():
     # cosine-weighted coefficient sum; checked against the (3,2) chain where
     # that sum is 6/5.
     q32 = build_q(ChainParams(3, 2))
-    value = q_at(q32, cyc_root_of_unity(-1, 3))
+    value = q_at(q32, zeta_power(-2, 3))
     assert value == zeta_power(-2, 3) * F(6, 5)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import q_at
-from qchain.cyclotomic import CyclotomicNumber, cyc_cos, cyc_root_of_unity, zeta_power
+from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
 from qchain.qoperator import ChainParams, build_q
 from qchain.report import FalsificationError
 from qchain.wtransform import verify_inverse_sum, w_elementary, w_sum
@@ -54,7 +54,7 @@ def test_denominator_is_q_at_pole_up_to_phase():
     for L, N in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
         q = build_q(ChainParams(L, N))
         ws = w_sum(q)
-        value = q_at(q, cyc_root_of_unity(-1, L))
+        value = q_at(q, zeta_power(-2, L))
         if isinstance(value, Fraction):
             value = CyclotomicNumber.from_rational(value, 2 * L)
         assert value == zeta_power(-q.params.p, L) * ws.denominator
