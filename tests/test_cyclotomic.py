@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchain.cyclotomic import CyclotomicNumber, cyc_cos, cyclotomic_polynomial, zeta_power
-from qchain.rationals import format_rational, parse_rational
+from qchain.rationals import divide_monic, format_rational, parse_rational
 
 # n -> ascending coefficients, frozen from the standard table
 KNOWN_CYCLOTOMICS = {
@@ -52,14 +52,20 @@ def test_cyclotomic_polynomials_match_table():
         assert cyclotomic_polynomial(n) == coeffs, n
 
 
+def test_cyclotomic_divides_xn_minus_one():
+    for n in range(1, 41):
+        xn = [-1] + [0] * (n - 1) + [1]
+        quotient = divide_monic(xn, cyclotomic_polynomial(n))
+        assert _convolve(quotient, cyclotomic_polynomial(n)) == xn, n
+
+
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 41):
         assert len(cyclotomic_polynomial(n)) - 1 == _totient(n)
 
 
 def test_divisor_product_reassembles():
-    # x^n - 1 is the product of the d-th cyclotomic polynomials over d | n,
-    # so each of them divides it exactly
+    # x^n - 1 is the product of the d-th cyclotomic polynomials over d | n
     for n in range(1, 41):
         product = [1]
         for d in range(1, n + 1):
