@@ -328,9 +328,9 @@ def _verify_point(task: tuple) -> tuple[list[CheckResult], WSummary | Exception 
             CheckResult(
                 name="cross-method",
                 params=where,
-                passed=q.e == other.e,
-                residual="0" if q.e == other.e else "1",
-                detail="" if q.e == other.e else "construction routes disagree",
+                passed=q == other,
+                residual="0" if q == other else "1",
+                detail="" if q == other else "construction routes disagree",
             )
         )
     if tamper is not None:
@@ -364,7 +364,7 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     entries: list[CheckResult] = []
     try:
         rs = find_roots(q, precision)
-        top = max(abs(c) for c in q.e)
+        top = Fraction(max(abs(c) for c in q.nums), q.den)
         with mpmath.workprec(max(53, top.numerator.bit_length())):
             max_coeff = mpmath.mpf(top.numerator) / top.denominator
         poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
@@ -452,7 +452,7 @@ def cmd_verify(config: RunConfig) -> int:
                 else:
                     report.extend(crosscheck_closed_forms(ready, config.precision_bits))
             except FINDING_ERRORS as exc:
-                report.add(_finding(check, {"L": L}, exc))
+                report.extend([_finding(check, {"L": L}, exc)])
 
     report.entries.sort(
         key=lambda e: (
@@ -462,6 +462,9 @@ def cmd_verify(config: RunConfig) -> int:
         )
     )
 
+    if not report.entries:
+        print("error: no selected check applies to this grid", file=sys.stderr)
+        return 2
     for entry in report.entries:
         print(entry.line())
     failures = report.failures()

@@ -9,7 +9,7 @@ equality.  Sums cross-multiply the denominators, products convolve the
 integer coordinates; no Fraction is made by the arithmetic.  Because the
 cyclotomic polynomial is irreducible over Q, every nonzero element has an
 inverse, solved from its integer multiplication matrix by
-linalg.solve_integer_system.
+linalg.solve_linear_system.
 
 Reduction goes through one cached power table per order: zeta^k for k < n as
 integer rows (the modulus is monic with integer coefficients).  Field sums
@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
 from typing import Iterable
 
 import mpmath
 
-from .linalg import SingularMatrixError, solve_integer_system
-from .rationals import divide_monic, format_rational, integer_scaled, parse_rational
+from .linalg import SingularMatrixError, solve_linear_system
+from .rationals import divide_monic, format_rational, integer_scaled, lowest_terms, parse_rational
 
 MIN_EMBED_BITS = 64
 
@@ -97,13 +96,10 @@ class CyclotomicNumber:
         dim, _ = _field_data(order)
         scale, nums = integer_scaled(coeffs)
         nums = _reduce(order, nums) if len(nums) > dim else nums + [0] * (dim - len(nums))
-        den = scale * denominator
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        nums, den = lowest_terms(nums, scale * denominator)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", tuple(c // g for c in nums))
-        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
@@ -222,7 +218,7 @@ class CyclotomicNumber:
         columns = [_reduce(self.order, [0] * j + list(self.nums)) for j in range(dim)]
         rhs = [self.den] + [0] * (dim - 1)
         try:
-            d, y = solve_integer_system([[*row, b] for row, b in zip(zip(*columns), rhs)])
+            d, y = solve_linear_system([[*row, b] for row, b in zip(zip(*columns), rhs)])
         except SingularMatrixError:
             raise AssertionError("modulus not coprime to nonzero element")
         return CyclotomicNumber(self.order, y, d)

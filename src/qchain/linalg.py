@@ -1,21 +1,16 @@
-"""Exact solver for square rational linear systems.
+"""Exact solver for square integer linear systems.
 
-Rows are cleared to integers and eliminated with fraction-free (Bareiss)
-updates, so every intermediate entry is an integer and the single division
-per update is exact.  The pivot in each column is the nonzero candidate with
-the smallest bit size, which keeps intermediate growth down on the binomial
-systems this package produces.  With d the last pivot, back-substitution
-computes y = d x in integers and checks sum a y = d b on the integer rows
-before returning y / d.  Q's linear system and field inversion share it;
-inversion calls the integer core solve_integer_system and keeps y and d.
+A system A x = b comes in as augmented integer rows [A | b] and is
+eliminated with fraction-free (Bareiss) updates, so every intermediate entry
+is an integer and the single division per update is exact.  The pivot in
+each column is the nonzero candidate with the smallest bit size, which keeps
+intermediate growth down on the binomial systems this package produces.
+With d the last pivot, back-substitution computes y = d x in integers and
+checks sum a y = d b on the input rows; the solution is returned as d and y,
+never as Fractions.  Q's linear system and field inversion share it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from typing import Sequence
-
-from .rationals import integer_scaled
 
 
 class SingularMatrixError(ValueError):
@@ -59,26 +54,7 @@ def _eliminate(rows: list[list[int]], ncols: int) -> int:
     return rank
 
 
-def solve_linear_system(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[Fraction]:
-    """Solve A x = b exactly for square A.
-
-    Raises SingularMatrixError (with the rank found) when the system has no
-    unique solution, and ValueError on shape mismatches.
-    """
-    n = len(matrix)
-    if n == 0:
-        return []
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    if len(rhs) != n:
-        raise ValueError("right-hand side length must match matrix size")
-    d, y = solve_integer_system([integer_scaled([*row, b])[1] for row, b in zip(matrix, rhs)])
-    return [Fraction(v, d) for v in y]
-
-
-def solve_integer_system(rows: list[list[int]]) -> tuple[int, list[int]]:
+def solve_linear_system(rows: list[list[int]]) -> tuple[int, list[int]]:
     """Solve the n x (n+1) augmented integer rows [A | b]; returns d and y = d x.
 
     d is the last pivot, y is an integer vector (Cramer's rule), so each

@@ -3,17 +3,19 @@
 Conventions.  A chain is (L, N) with L odd >= 3 and N >= 1: spin s =
 (L-2)/2, M = 2N+1 sites, and p = N(L-2) + (L-3)/2 Bethe roots.  The Q
 polynomial is monic of degree p with Q(0) = 1 and is stored through its
-signed elementary symmetric coefficients e_0..e_p:
+signed elementary symmetric coefficients e_0..e_p, kept as integer
+numerators over one positive denominator in lowest terms:
 
     Q(z) = prod_j (z - z_j) = sum_k (-1)^k e_k z^(p-k),  e_0 = 1.
 
 Route one (closed form) assembles an explicit degree L*N + (L-1)/2 numerator
 from binomial-weighted rational products, scales it to integers and divides
 it by (z-1)^(2N+1) in integer long division; a nonzero remainder doubles as
-a transcription check.  Route two (linear system) imposes the vanishing of
-a binomial convolution of the e_k at every admissible index and solves the
-resulting square integer system exactly.  The two routes must agree
-coefficient by coefficient.
+a transcription check, and the scale is Q's denominator.  Route two (linear
+system) imposes the vanishing of a binomial convolution of the e_k at every
+admissible index and solves the resulting square integer system exactly;
+Bareiss's last pivot is Q's denominator.  The two routes must agree
+coefficient by coefficient, which is equality of the reduced forms.
 
 The functional three-term identity satisfied by Q (verify_tq_identity) is
 checked as an exact polynomial identity over Q(zeta_2L), never numerically.
@@ -27,7 +29,7 @@ from math import comb
 
 from .cyclotomic import CyclotomicNumber
 from .linalg import solve_linear_system
-from .rationals import divide_monic, format_rational, integer_scaled
+from .rationals import divide_monic, format_rational, integer_scaled, lowest_terms
 from .report import CheckResult
 
 MIN_REPORT_BITS = 64
@@ -62,42 +64,47 @@ class ChainParams:
     def field_order(self) -> int:
         return 2 * self.L
 
-    @property
-    def eta_label(self) -> str:
-        """Fixed anisotropy tag for this L (eta = -(L-1) pi i / L)."""
-        return f"-{self.L - 1}*pi*i/{self.L}"
-
 
 @dataclass(frozen=True)
 class QPolynomial:
-    """Q through its signed coefficients e_0..e_p; see module docstring.
+    """Q through its signed coefficients e_k = nums[k] / den; see module docstring.
 
-    Structural properties (e_0 = 1, the palindrome, Q(0) = 1) are checked by
-    verify_structure, not enforced here: negative controls need to be able
-    to construct broken instances.
+    nums and den are brought to lowest terms with den > 0, so equality and
+    hash compare exact values.  Structural properties (e_0 = 1, the
+    palindrome, Q(0) = 1) are checked by verify_structure, not enforced
+    here: negative controls need to be able to construct broken instances.
     """
 
     params: ChainParams
-    e: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.e) != self.params.p + 1:
+        if len(self.nums) != self.params.p + 1:
             raise ValueError(
-                f"need {self.params.p + 1} coefficients, got {len(self.e)}"
+                f"need {self.params.p + 1} coefficients, got {len(self.nums)}"
             )
+        nums, den = lowest_terms(self.nums, self.den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def e(self) -> tuple[Fraction, ...]:
+        """e_0..e_p as reduced Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def coefficients(self) -> list[Fraction]:
-        """Plain ascending power-basis coefficients of Q."""
+        """Plain ascending power-basis coefficients of Q, as reduced Fractions."""
         p = self.params.p
-        return [(-1) ** (p - i) * self.e[p - i] for i in range(p + 1)]
+        return [Fraction((-1) ** (p - i) * self.nums[p - i], self.den) for i in range(p + 1)]
 
     def with_coefficient_bump(self, k: int, delta: Fraction | int) -> "QPolynomial":
         """Copy with e_k shifted by delta; negative-control hook."""
         if not 0 <= k <= self.params.p:
             raise ValueError(f"index {k} out of range 0..{self.params.p}")
-        bumped = list(self.e)
-        bumped[k] += Fraction(delta)
-        return replace(self, e=tuple(bumped))
+        bumped = [c * delta.denominator for c in self.nums]
+        bumped[k] += delta.numerator * self.den
+        return replace(self, nums=tuple(bumped), den=self.den * delta.denominator)
 
 
 def q_closed_form(params: ChainParams) -> QPolynomial:
@@ -149,10 +156,9 @@ def q_closed_form(params: ChainParams) -> QPolynomial:
     degree = max((i for i, c in enumerate(quotient) if c), default=-1)
     if degree != p:
         raise AssertionError(f"quotient degree {degree}, expected {p}")
-    e = tuple(Fraction((-1) ** k * quotient[p - k], scale) for k in range(p + 1))
-    if e[0] != 1:
+    if quotient[p] != scale:
         raise AssertionError("quotient is not monic")
-    return QPolynomial(params, e)
+    return QPolynomial(params, tuple((-1) ** k * quotient[p - k] for k in range(p + 1)), scale)
 
 
 def admissible_indices(params: ChainParams) -> list[int]:
@@ -178,23 +184,21 @@ def q_linear_system(params: ChainParams) -> QPolynomial:
 
     Each admissible index ell gives sum_j C(2N+1, ell-j) e_j = 0 with j
     clamped to max(0, ell-2N-1)..min(p, ell).  With e_0 = 1 moved to the
-    right-hand side this is a square integer system for e_1..e_p.
+    right-hand side this is a square integer system for e_1..e_p, solved
+    as d and y = d (e_1..e_p) so that d / d is e_0.
     """
     M, p = params.M, params.p
     rows: list[list[int]] = []
-    rhs: list[int] = []
     for ell in admissible_indices(params):
-        row = [0] * p
+        row = [0] * (p + 1)
         lo, hi = max(0, ell - M), min(p, ell)
-        for j in range(lo, hi + 1):
-            if j == 0:
-                continue
+        for j in range(max(lo, 1), hi + 1):
             row[j - 1] = comb(M, ell - j)
+        row[p] = -comb(M, ell) if lo == 0 else 0
         rows.append(row)
-        rhs.append(-comb(M, ell) if lo == 0 else 0)
 
-    tail = solve_linear_system(rows, rhs)
-    return QPolynomial(params, (Fraction(1), *tail))
+    d, y = solve_linear_system(rows)
+    return QPolynomial(params, (d, *y), d)
 
 
 def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:
@@ -206,7 +210,7 @@ def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:
     if method == "both":
         qa = q_closed_form(params)
         qb = q_linear_system(params)
-        if qa.e != qb.e:
+        if qa != qb:
             raise AssertionError(
                 f"construction routes disagree at L={params.L} N={params.N}"
             )
@@ -215,21 +219,23 @@ def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:
 
 
 def verify_structure(q: QPolynomial) -> CheckResult:
-    """Exact structural checks: e_0, the palindrome e_k = (-1)^p e_(p-k), Q(0) = 1."""
-    p = q.params.p
+    """Exact structural checks: e_0, the palindrome e_k = (-1)^p e_(p-k), Q(0) = 1.
+
+    Q(0) = (-1)^p e_p.  Every comparison is on the integer numerators.
+    """
+    p, nums, den = q.params.p, q.nums, q.den
     problems = []
-    if q.e[0] != 1:
-        problems.append(f"e_0 = {format_rational(q.e[0])}")
+    if nums[0] != den:
+        problems.append(f"e_0 = {format_rational(Fraction(nums[0], den))}")
     sign = (-1) ** p
     for k in range(p + 1):
-        if q.e[k] != sign * q.e[p - k]:
+        if nums[k] != sign * nums[p - k]:
             problems.append(f"palindrome fails at k={k}")
             break
-    if q.e[p] != sign:
-        problems.append(f"e_p = {format_rational(q.e[p])}")
-    value_at_zero = q.coefficients()[0]
-    if value_at_zero != 1:
-        problems.append(f"Q(0) = {format_rational(value_at_zero)}")
+    if nums[p] != sign * den:
+        problems.append(f"e_p = {format_rational(Fraction(nums[p], den))}")
+    if sign * nums[p] != den:
+        problems.append(f"Q(0) = {format_rational(Fraction(sign * nums[p], den))}")
     return CheckResult(
         name="structure",
         params={"L": q.params.L, "N": q.params.N},
@@ -250,7 +256,7 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
 
     must vanish identically, where Q_c(z) = prod_j (z - c z_j) expands as
     sum_k (-1)^k c^k e_k z^(p-k) directly from the coefficients (the roots
-    themselves are never needed).  With the e_k scaled to integers and
+    themselves are never needed).  With the e_k read as integers over den and
     -2 cos(h pi / L) = -zeta^h - zeta^-h, each coefficient of z^i is summed
     in integer buckets by zeta exponent and reduced once.  The check is
     coefficient-by-coefficient equality to zero; there is no tolerance.
@@ -258,7 +264,7 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
     params = q.params
     L, M, p = params.L, params.M, params.p
     order, half = params.field_order, (L - 1) // 2
-    scale, scaled = integer_scaled(q.e)
+    den, nums = q.den, q.nums
     # (sign, zeta exponent of the prefactor term, zeta exponent of the shift)
     terms = [(-1, half, 0), (-1, -half, 0), (1, -half, 2), (1, half, -2)]
 
@@ -269,7 +275,7 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
         for k in range(max(0, p - i), min(p, M + p - i) + 1):
             a = i - p + k
             power = M - a + k
-            weight = (-1) ** power * comb(M, a) * scaled[k]
+            weight = (-1) ** power * comb(M, a) * nums[k]
             for sign, exponent, step in terms:
                 buckets[(exponent + step * power) % order] += sign * weight
         coefficient = CyclotomicNumber(order, buckets)
@@ -279,7 +285,7 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
     where = {"L": L, "N": params.N}
     if not bad:
         return CheckResult(name="tq", params=where, passed=True)
-    degree, witness = bad[0][0], bad[0][1] / scale
+    degree, witness = bad[0][0], bad[0][1] / den
     return CheckResult(
         name="tq",
         params=where,

@@ -1,17 +1,18 @@
 """Exact rational and integer helpers shared across the package.
 
-Rationals are plain ``fractions.Fraction`` values at the edges (Q's
-coefficients, parsed input, reported strings); the exact work inside runs on
-integers over a common denominator.  The helpers here pin down the one
-serialization format used by reports and the CLI, the base-10 string
-"numerator/denominator", the scaling of rationals to integers, and the one
-exact division of integer polynomials.
+Exact values are stored as integers over one positive denominator in lowest
+terms (Q's coefficients and field coordinates alike); plain
+``fractions.Fraction`` values appear only at the edges (parsed input, read-only
+views, reported strings).  The helpers here pin down the one lowest-terms
+rule, the one serialization format used by reports and the CLI, the base-10
+string "numerator/denominator", the scaling of rationals to integers, and the
+one exact division of integer polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 
@@ -19,6 +20,15 @@ def format_rational(value: Fraction | int) -> str:
     """Render a rational as "numerator/denominator" in base 10."""
     q = Fraction(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den with a positive denominator and no common factor left."""
+    nums = tuple(nums)
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
 
 
 def integer_scaled(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:

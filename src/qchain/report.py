@@ -44,15 +44,8 @@ class CheckResult:
 class VerificationReport:
     entries: list[CheckResult] = field(default_factory=list)
 
-    def add(self, *results: CheckResult) -> None:
-        self.entries.extend(results)
-
     def extend(self, results) -> None:
         self.entries.extend(results)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
 
     def failures(self) -> list[CheckResult]:
         return [e for e in self.entries if not e.passed]

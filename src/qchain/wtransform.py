@@ -21,7 +21,6 @@ from math import comb
 
 from .cyclotomic import CyclotomicNumber
 from .qoperator import ChainParams, QPolynomial
-from .rationals import integer_scaled
 from .report import CheckResult, FalsificationError
 
 
@@ -41,24 +40,24 @@ def w_sum(q: QPolynomial) -> WSymmetrics:
     numerator   = 2 sum_(k<p) (-1)^k (p-k) cos(pi (2k+2-p)/L) e_k
     denominator =   sum_(k<=p) (-1)^k cos(pi (p-2k)/L) e_k
 
-    With 2 cos(pi m / L) = zeta^m + zeta^-m and the e_k scaled to integers,
-    each sum is collected in integer buckets by zeta exponent and reduced
+    With 2 cos(pi m / L) = zeta^m + zeta^-m and the e_k read as integers
+    over Q's denominator, each sum is collected in integer buckets by zeta exponent and reduced
     once.  The denominator equals Q(exp(-2 pi i / L)) up to a unimodular
     prefactor, so it vanishing would mean Q has a root at the Moebius pole;
     that is fatal and raises ZeroDivisionError.
     """
     params = q.params
     L, p, order = params.L, params.p, params.field_order
-    scale, scaled = integer_scaled(q.e)
+    den, nums = q.den, q.nums
 
     top, bottom = [0] * order, [0] * order
     for k in range(p + 1):
-        weight = (-1) ** k * scaled[k]
+        weight = (-1) ** k * nums[k]
         for sign in (1, -1):
             bottom[sign * (p - 2 * k) % order] += weight
             top[sign * (2 * k + 2 - p) % order] += (p - k) * weight
-    numerator = CyclotomicNumber(order, top, scale)
-    denominator = CyclotomicNumber(order, bottom, 2 * scale)
+    numerator = CyclotomicNumber(order, top, den)
+    denominator = CyclotomicNumber(order, bottom, 2 * den)
 
     if denominator.is_zero():
         raise ZeroDivisionError(
@@ -88,22 +87,22 @@ def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
     L, p, order = params.L, params.p, params.field_order
     if not 0 <= alpha <= p:
         raise ValueError(f"alpha must be in 0..{p}, got {alpha}")
-    scale, scaled = integer_scaled(q.e)
+    den, nums = q.den, q.nums
 
     acc, at_pole = [0] * order, [0] * order
     for k in range(p + 1):
         # Q(a) = sum_k (-1)^k e_k a^(p-k)
-        at_pole[-2 * (p - k) % order] += (-1) ** k * scaled[k]
+        at_pole[-2 * (p - k) % order] += (-1) ** k * nums[k]
         for j in range(max(0, k - alpha), min(k, p - alpha) + 1):
-            weight = comb(p - k, p - alpha - j) * comb(k, j) * scaled[k]
+            weight = comb(p - k, p - alpha - j) * comb(k, j) * nums[k]
             acc[-2 * (k + p - alpha - 2 * j) % order] += (-1) ** k * weight
 
-    denominator = CyclotomicNumber(order, at_pole, scale)
+    denominator = CyclotomicNumber(order, at_pole, den)
     if denominator.is_zero():
         raise ZeroDivisionError(
             f"Q vanishes at the Moebius pole for L={L} N={params.N}"
         )
-    return CyclotomicNumber(order, acc, scale) / denominator
+    return CyclotomicNumber(order, acc, den) / denominator
 
 
 def verify_inverse_sum(q: QPolynomial, e1: CyclotomicNumber) -> CheckResult:

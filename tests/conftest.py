@@ -19,6 +19,19 @@ def summaries_for(L, N_max=2):
     return [summary_at(L, N) for N in range(1, max(N_max, 2) + 1)]
 
 
+def count_fractions(monkeypatch):
+    """A list that records the arguments of every Fraction made until monkeypatch.undo()."""
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return made
+
+
 def q_at(q, z):
     """Q evaluated at z (rational or cyclotomic) by Horner's rule."""
     coeffs = q.coefficients()

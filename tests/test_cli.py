@@ -184,6 +184,17 @@ def test_verify_report_file(tmp_path, capsys):
     assert "roots" not in names
 
 
+def test_verify_with_no_applicable_check_is_an_error(tmp_path, capsys):
+    # closed forms exist only for L = 7, 9, 11, so nothing would be checked
+    report_path = tmp_path / "report.json"
+    argv = ["verify", "--L", "3,5", "--N-max", "2", "--method", "closed-form"]
+    code, out, err = run(argv + ["--checks", "closed-forms", "--output", str(report_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: no selected check applies to this grid\n"
+    assert not report_path.exists()
+
+
 def test_verify_tamper_is_detected(capsys):
     code, out, _ = run(
         [

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_fractions
 from qchain.cyclotomic import CyclotomicNumber, cyc_cos, cyclotomic_polynomial, zeta_power
 from qchain.rationals import divide_monic, format_rational, parse_rational
 
@@ -114,14 +115,7 @@ def test_field_arithmetic_makes_no_fraction(monkeypatch):
     rng = random.Random(23)
     a, b = _random_element(rng, 22), _random_element(rng, 22)
     third = Fraction(1, 3)
-    made = []
-    original = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    made = count_fractions(monkeypatch)
     results = [a + b, a - b, -a, a * b, a * 3, a * third, a / 7, a / third, a / b]
     results += [a.inverse(), a.conjugate(), a == b, a == third, a.is_real(), a ** -2]
     assert not made

@@ -5,11 +5,15 @@ Anchor coefficient vectors for the smallest chains were worked out by hand
 route) and are frozen here as the primary oracle.
 """
 
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import q_at, tq_oracle
+from conftest import count_fractions, q_at, tq_oracle
 from qchain.cyclotomic import zeta_power
 from qchain.qoperator import (
     ChainParams,
@@ -21,6 +25,7 @@ from qchain.qoperator import (
     verify_structure,
     verify_tq_identity,
 )
+from qchain.wtransform import w_elementary, w_sum
 
 F = Fraction
 
@@ -180,3 +185,71 @@ def test_bump_helper_is_pure():
     assert q.e == KNOWN_E[(3, 2)]
     assert bumped.e[1] == F(-11, 5) + F(1, 3)
     assert isinstance(bumped, QPolynomial)
+
+
+def random_q():
+    """A QPolynomial with arbitrary integer numerators over an arbitrary nonzero denominator."""
+    params = st.builds(ChainParams, st.sampled_from([3, 5, 7]), st.integers(1, 2))
+    return params.flatmap(
+        lambda pr: st.builds(
+            QPolynomial,
+            st.just(pr),
+            st.lists(st.integers(-(10**6), 10**6), min_size=pr.p + 1, max_size=pr.p + 1).map(tuple),
+            st.integers(-(10**6), 10**6).filter(bool),
+        )
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_q(), st.integers(-1000, 1000).filter(bool))
+def test_scaled_numerators_give_an_equal_q(q, k):
+    assert q.den > 0 and gcd(q.den, *q.nums) == 1
+    scaled = QPolynomial(q.params, tuple(k * c for c in q.nums), k * q.den)
+    assert scaled == q
+    assert hash(scaled) == hash(q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_q())
+def test_q_pickle_round_trip(q):
+    assert pickle.loads(pickle.dumps(q)) == q
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_q(), st.integers(0, 100), st.fractions(max_denominator=10**4).filter(bool))
+def test_bump_then_unbump_returns_an_equal_q(q, k, delta):
+    k %= q.params.p + 1
+    bumped = q.with_coefficient_bump(k, delta)
+    assert bumped.e[k] == q.e[k] + delta
+    assert bumped != q
+    assert bumped.with_coefficient_bump(k, -delta) == q
+
+
+def test_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        QPolynomial(ChainParams(3, 1), (1, -1), 0)
+
+
+def test_exact_q_layers_make_no_fraction(monkeypatch):
+    # Q is integer numerators over one denominator: route two and the exact
+    # checks read them directly; Fractions appear only in views and reports
+    made = count_fractions(monkeypatch)
+    q = q_linear_system(ChainParams(7, 2))
+    checks = [verify_structure(q), verify_tq_identity(q)]
+    w_sum(q), w_elementary(q, 3)
+    assert not made
+    monkeypatch.undo()
+    assert all(check.passed for check in checks)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 7).map(lambda i: 2 * i + 1), st.integers(1, 4), st.data())
+def test_random_chains_agree_and_catch_a_bump(L, N, data):
+    params = ChainParams(L, N)
+    q = q_closed_form(params)
+    assert q == q_linear_system(params)
+    assert verify_structure(q).passed
+    assert verify_tq_identity(q).passed
+    k = data.draw(st.integers(0, params.p), label="k")
+    delta = data.draw(st.fractions(max_denominator=1000).filter(bool), label="delta")
+    assert not verify_tq_identity(q.with_coefficient_bump(k, delta)).passed
