@@ -34,7 +34,7 @@ from .qoperator import (
     verify_tq_identity,
 )
 from .rationals import format_rational, parse_rational
-from .report import CheckResult, FalsificationError, VerificationReport
+from .report import CheckResult, FalsificationError
 from .roots import (
     ConvergenceError,
     RootSet,
@@ -58,7 +58,6 @@ __all__ = [
     "RootSet",
     "SingularMatrixError",
     "SpinConstant",
-    "VerificationReport",
     "WSummary",
     "WSymmetrics",
     "admissible_indices",

@@ -1,8 +1,14 @@
 """Command-line driver: compute, verify, table.
 
+All three run one pass over the (L, N) grid: _point builds each point's Q
+once (by both routes under --method both), runs the selected point checks
+and makes its summary (one w_sum).  compute and table render the same
+records, ordered by L then N; verify adds the per-L checks, which read the
+points' summaries.
+
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
-2 invalid configuration, 3 internal error (for example an exactness
-assertion tripping inside a builder).  The default verification grid is
+2 invalid configuration, 3 internal error (an exactness assertion in a
+builder, or disagreeing routes in compute or table).  The default verification grid is
 L in {3, 5, 7, 9, 11} with N up to 4.  QCHAIN_PRECISION_BITS overrides the
 default numeric precision when --precision-bits is not given.
 """
@@ -34,12 +40,11 @@ from .qoperator import (
     QPolynomial,
     q_closed_form,
     q_linear_system,
-    build_q,
     verify_structure,
     verify_tq_identity,
 )
 from .rationals import format_rational, parse_rational
-from .report import CheckResult, FalsificationError, VerificationReport
+from .report import CheckResult, FalsificationError
 from .roots import (
     ConvergenceError,
     bae_residuals_by_form,
@@ -58,10 +63,8 @@ DEFAULT_PRECISION = 256
 PRECISION_ENV = "QCHAIN_PRECISION_BITS"
 
 CHECK_TOKENS = ("structure", "tq", "linearity", "finite-size", "closed-forms", "roots")
-# Checks of one L read from its gathered summaries, which need N = 1, 2.
+# Checks of one L read from its points' summaries, which need N = 1, 2.
 PER_L_CHECKS = ("linearity", "finite-size", "closed-forms")
-# Checks that need the root sum E1 of a point (structure for inverse-sum).
-SUMMARY_CHECKS = ("structure", "roots") + PER_L_CHECKS
 CHECK_ALIASES = {"section4": "closed-forms"}
 ENTRY_ORDER = {
     name: index
@@ -97,7 +100,7 @@ class RunConfig:
     tamper: tuple[int, Fraction] | None = None
 
     @classmethod
-    def from_args(cls, args: argparse.Namespace, default_method: str) -> "RunConfig":
+    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         L_values = _parse_L(args.L)
         if args.N_max < 1:
             raise ValueError(f"N-max must be >= 1, got {args.N_max}")
@@ -115,15 +118,10 @@ class RunConfig:
         if precision < 128:
             raise ValueError(f"precision-bits must be >= 128, got {precision}")
 
-        method = args.method or default_method
-        if method not in ("closed-form", "linear-system", "both"):
-            raise ValueError(f"unknown method {method!r}")
-
         checks = _parse_checks(getattr(args, "checks", "all"))
 
-        jobs = getattr(args, "jobs", 1)
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
 
         tamper = None
         raw_tamper = getattr(args, "tamper", None)
@@ -146,19 +144,14 @@ class RunConfig:
         return cls(
             L_values=L_values,
             N_max=args.N_max,
-            method=method,
+            method=args.method,
             precision_bits=precision,
             checks=checks,
             output_format=getattr(args, "format", "json"),
-            output_path=getattr(args, "output", None),
-            jobs=jobs,
+            output_path=args.output,
+            jobs=args.jobs,
             tamper=tamper,
         )
-
-    def grid(self, with_pair: bool) -> list[tuple[int, int]]:
-        """The (L, N) points; with_pair adds N = 2 (needed to fit A) when N-max is 1."""
-        top = max(self.N_max, 2) if with_pair else self.N_max
-        return [(L, N) for L in self.L_values for N in range(1, top + 1)]
 
     def meta(self) -> dict:
         return {
@@ -207,91 +200,8 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# compute
+# grid points
 
-
-def _run_tasks(worker, tasks: list, jobs: int) -> list:
-    """worker over tasks in order, in a process pool when jobs > 1.
-
-    The pool may start all its workers at once, so it gets no more than tasks.
-    """
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
-def _summarize_point(task: tuple) -> tuple[QPolynomial, WSummary]:
-    """Build Q of one grid point once, by the selected route(s), and summarize it."""
-    L, N, method = task
-    q = build_q(ChainParams(L, N), method)
-    return q, groundstate_summary(q)
-
-
-def _gather(config: RunConfig) -> dict[int, list[tuple[QPolynomial, WSummary]]]:
-    """Q and summary of every grid point, per L ordered by N, N = 2 always included."""
-    tasks = [(L, N, config.method) for L, N in config.grid(with_pair=True)]
-    points: dict[int, list] = {L: [] for L in config.L_values}
-    for q, summary in _run_tasks(_summarize_point, tasks, config.jobs):
-        points[q.params.L].append((q, summary))
-    return points
-
-
-def cmd_compute(config: RunConfig) -> int:
-    bits = config.precision_bits
-    records = []
-    for L, points in sorted(_gather(config).items()):
-        constant = extract_A([summary for _, summary in points])
-        A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
-        for q, summary in points[: config.N_max]:
-            records.append(
-                {
-                    "L": L,
-                    "N": q.params.N,
-                    "M": summary.params.M,
-                    "p": summary.params.p,
-                    "e": [format_rational(c) for c in q.e],
-                    "E1": summary.E1.to_dict(bits),
-                    "energy": summary.energy.to_dict(bits),
-                    "energy_per_site": summary.energy_per_site.to_dict(bits),
-                    "A": A,
-                    "slope": slope,
-                }
-            )
-
-    payload = {"meta": config.meta(), "runs": records}
-    if config.output_format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = _records_to_csv(records, config.precision_bits)
-    return _write_output(text, config.output_path)
-
-
-def _records_to_csv(records: list[dict], precision_bits: int) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# decimal values derived from exact fields at {precision_bits} bits\n")
-    writer = csv.writer(buffer)
-    writer.writerow(["L", "N", "M", "p", "E1", "energy", "energy_per_site", "A", "slope"])
-    for r in records:
-        writer.writerow(
-            [
-                r["L"],
-                r["N"],
-                r["M"],
-                r["p"],
-                r["E1"]["approx"],
-                r["energy"]["approx"],
-                r["energy_per_site"]["approx"],
-                r["A"]["approx"],
-                r["slope"]["approx"],
-            ]
-        )
-    return buffer.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# verify
 
 FINDING_ERRORS = (ZeroDivisionError, FalsificationError, ConvergenceError, ValueError)
 
@@ -313,9 +223,9 @@ def _unwrap(found: WSummary | Exception) -> WSummary:
     return found
 
 
-def _verify_point(task: tuple) -> tuple[list[CheckResult], WSummary | Exception | None]:
-    """Point checks and summary of one grid point from one build of Q; the summary
-    is made only if a selected check needs it, and a w_sum failure stands in for it."""
+def _point(task: tuple) -> tuple[QPolynomial, list[CheckResult], WSummary | Exception]:
+    """One grid point from one build of Q: Q as checked, its point checks and its
+    summary, for which a w_sum failure stands in."""
     L, N, method, precision, checks, tamper = task
     where = {"L": L, "N": N}
     entries: list[CheckResult] = []
@@ -336,12 +246,10 @@ def _verify_point(task: tuple) -> tuple[list[CheckResult], WSummary | Exception 
     if tamper is not None:
         q = q.with_coefficient_bump(tamper[0], tamper[1])
 
-    summary = None
-    if any(check in checks for check in SUMMARY_CHECKS):
-        try:
-            summary = groundstate_summary(q)
-        except FINDING_ERRORS as exc:
-            summary = exc
+    try:
+        summary = groundstate_summary(q)
+    except FINDING_ERRORS as exc:
+        summary = exc
 
     if "structure" in checks:
         entries.append(verify_structure(q))
@@ -356,7 +264,7 @@ def _verify_point(task: tuple) -> tuple[list[CheckResult], WSummary | Exception 
     if "roots" in checks:
         entries.extend(_root_entries(q, precision, summary))
 
-    return entries, summary
+    return q, entries, summary
 
 
 def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
@@ -416,45 +324,134 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     return entries
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = VerificationReport()
-    per_L = tuple(check for check in PER_L_CHECKS if check in config.checks)
-    points = config.grid(with_pair=bool(per_L))
-    # A point past N-max is only there to fix A: it runs the per-L needs alone.
+def _run_grid(
+    config: RunConfig, checks: tuple[str, ...], with_pair: bool
+) -> dict[int, list[tuple[QPolynomial, list[CheckResult], WSummary | Exception]]]:
+    """_point once per grid point, in a process pool when jobs > 1; per L its
+    results ordered by N.
+
+    with_pair adds N = 2 (needed to fit A) when N-max is 1.  A point past
+    N-max is only there to fix A, so it runs no point check.
+    """
+    top = max(config.N_max, 2) if with_pair else config.N_max
     tasks = [
         (
             L,
             N,
             config.method,
             config.precision_bits,
-            config.checks if N <= config.N_max else per_L,
+            checks if N <= config.N_max else (),
             config.tamper,
         )
-        for L, N in points
+        for L in config.L_values
+        for N in range(1, top + 1)
     ]
-    summaries: dict[int, list] = {L: [] for L in config.L_values}
-    for (L, N), (entries, summary) in zip(points, _run_tasks(_verify_point, tasks, config.jobs)):
-        if N <= config.N_max:
-            report.extend(entries)
-        summaries[L].append(summary)
+    # The pool may start all its workers at once, so it gets no more than tasks.
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_point, tasks))
+    else:
+        results = [_point(task) for task in tasks]
+    points: dict[int, list] = {L: [] for L in config.L_values}
+    for found in results:
+        points[found[0].params.L].append(found)
+    return points
 
-    for L, found in summaries.items():
+
+# ---------------------------------------------------------------------------
+# compute
+
+
+def _records(config: RunConfig) -> list[dict]:
+    """compute's exact records, by L then N; JSON, CSV and table all read these.
+
+    Under --method both a point whose routes disagree is an internal error.
+    """
+    bits = config.precision_bits
+    records = []
+    for L, points in sorted(_run_grid(config, (), with_pair=True).items()):
+        for q, entries, _ in points:
+            if not all(entry.passed for entry in entries):
+                raise AssertionError(f"construction routes disagree at L={L} N={q.params.N}")
+        summaries = [_unwrap(summary) for _, _, summary in points]
+        constant = extract_A(summaries)
+        A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
+        for (q, _, _), summary in zip(points[: config.N_max], summaries):
+            records.append(
+                {
+                    "L": L,
+                    "N": q.params.N,
+                    "M": summary.params.M,
+                    "p": summary.params.p,
+                    "e": [format_rational(c) for c in q.e],
+                    "E1": summary.E1.to_dict(bits),
+                    "energy": summary.energy.to_dict(bits),
+                    "energy_per_site": summary.energy_per_site.to_dict(bits),
+                    "A": A,
+                    "slope": slope,
+                }
+            )
+    return records
+
+
+def cmd_compute(config: RunConfig) -> int:
+    records = _records(config)
+    if config.output_format == "json":
+        text = json.dumps({"meta": config.meta(), "runs": records}, indent=2) + "\n"
+    else:
+        text = _records_to_csv(records, config.precision_bits)
+    return _write_output(text, config.output_path)
+
+
+def _records_to_csv(records: list[dict], precision_bits: int) -> str:
+    buffer = io.StringIO()
+    buffer.write(f"# decimal values derived from exact fields at {precision_bits} bits\n")
+    writer = csv.writer(buffer)
+    writer.writerow(["L", "N", "M", "p", "E1", "energy", "energy_per_site", "A", "slope"])
+    for r in records:
+        writer.writerow(
+            [
+                r["L"],
+                r["N"],
+                r["M"],
+                r["p"],
+                r["E1"]["approx"],
+                r["energy"]["approx"],
+                r["energy_per_site"]["approx"],
+                r["A"]["approx"],
+                r["slope"]["approx"],
+            ]
+        )
+    return buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# verify
+
+
+def cmd_verify(config: RunConfig) -> int:
+    per_L = tuple(check for check in PER_L_CHECKS if check in config.checks)
+    entries: list[CheckResult] = []
+    for L, points in _run_grid(config, config.checks, with_pair=bool(per_L)).items():
+        for _, found, _ in points[: config.N_max]:
+            entries.extend(found)
         for check in per_L:
             if check == "closed-forms" and L not in CLOSED_FORM_SUMS:
                 continue
-            needed = found[:2] if check == "closed-forms" else found
+            needed = points[:2] if check == "closed-forms" else points
             try:
-                ready = [_unwrap(s) for s in needed]
+                ready = [_unwrap(summary) for _, _, summary in needed]
                 if check == "linearity":
-                    report.extend(verify_linearity(ready, config.N_max))
+                    entries.extend(verify_linearity(ready, config.N_max))
                 elif check == "finite-size":
-                    report.extend(verify_no_finite_size_correction(ready, config.N_max))
+                    entries.extend(verify_no_finite_size_correction(ready, config.N_max))
                 else:
-                    report.extend(crosscheck_closed_forms(ready, config.precision_bits))
+                    entries.extend(crosscheck_closed_forms(ready, config.precision_bits))
             except FINDING_ERRORS as exc:
-                report.extend([_finding(check, {"L": L}, exc)])
+                entries.append(_finding(check, {"L": L}, exc))
 
-    report.entries.sort(
+    entries.sort(
         key=lambda e: (
             ENTRY_ORDER.get(e.name, 99),
             e.params.get("L", 0),
@@ -462,22 +459,26 @@ def cmd_verify(config: RunConfig) -> int:
         )
     )
 
-    if not report.entries:
+    if not entries:
         print("error: no selected check applies to this grid", file=sys.stderr)
         return 2
-    for entry in report.entries:
+    for entry in entries:
         print(entry.line())
-    failures = report.failures()
-    if failures:
-        print(f"{len(failures)} of {len(report.entries)} checks FAILED")
+    failed = sum(not entry.passed for entry in entries)
+    if failed:
+        print(f"{failed} of {len(entries)} checks FAILED")
     else:
-        print(f"all {len(report.entries)} checks passed")
+        print(f"all {len(entries)} checks passed")
 
     if config.output_path:
-        text = json.dumps(report.to_dict(config.meta()), indent=2) + "\n"
-        if _write_output(text, config.output_path):
+        report = {
+            "meta": config.meta(),
+            "summary": {"total": len(entries), "failed": failed, "passed": len(entries) - failed},
+            "entries": [entry.to_dict() for entry in entries],
+        }
+        if _write_output(json.dumps(report, indent=2) + "\n", config.output_path):
             return 2
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,23 +486,16 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_table(config: RunConfig) -> int:
-    bits = config.precision_bits
-    rows = []
-    for L, points in _gather(config).items():
-        a_text = extract_A([summary for _, summary in points]).A.approx_str(bits)[:16]
-        for _, summary in points[: config.N_max]:
-            rows.append(
-                (
-                    L,
-                    summary.params.N,
-                    summary.params.M,
-                    summary.params.p,
-                    summary.E1.approx_str(bits)[:16],
-                    summary.energy.approx_str(bits)[:16],
-                    summary.energy_per_site.approx_str(bits)[:16],
-                    a_text,
-                )
-            )
+    rows = [
+        (
+            r["L"],
+            r["N"],
+            r["M"],
+            r["p"],
+            *(r[field]["approx"][:16] for field in ("E1", "energy", "energy_per_site", "A")),
+        )
+        for r in _records(config)
+    ]
     header = ("L", "N", "M", "p", "E1", "energy", "energy/site", "A")
     widths = [
         max(len(str(header[i])), max(len(str(r[i])) for r in rows)) for i in range(len(header))
@@ -543,10 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, with_checks: bool) -> None:
         p.add_argument("--L", default="3,5,7,9,11", help="comma-separated odd L values")
         p.add_argument("--N-max", dest="N_max", type=int, default=DEFAULT_N_MAX)
+        # verify cross-checks the two routes by default; compute and table build once
         p.add_argument(
             "--method",
             choices=("closed-form", "linear-system", "both"),
-            default=None,
+            default="both" if with_checks else "closed-form",
         )
         p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
         p.add_argument("--output", default=None, help="output path, default stdout")
@@ -583,22 +578,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
 
-    default_method = "both" if args.command == "verify" else "closed-form"
     try:
-        config = RunConfig.from_args(args, default_method)
+        config = RunConfig.from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    command = {"compute": cmd_compute, "verify": cmd_verify, "table": cmd_table}[args.command]
     try:
-        if args.command == "compute":
-            return cmd_compute(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "table":
-            return cmd_table(config)
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return 2
+        return command(config)
     except Exception as exc:  # noqa: BLE001 - map anything unexpected to exit 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

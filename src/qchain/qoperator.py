@@ -219,9 +219,10 @@ def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:
 
 
 def verify_structure(q: QPolynomial) -> CheckResult:
-    """Exact structural checks: e_0, the palindrome e_k = (-1)^p e_(p-k), Q(0) = 1.
+    """Exact structural checks: e_0 = 1, the palindrome e_k = (-1)^p e_(p-k), Q(0) = 1.
 
-    Q(0) = (-1)^p e_p.  Every comparison is on the integer numerators.
+    Q(0) = (-1)^p e_p, so the last check is also the test of e_p; each fact is
+    reported once.  Every comparison is on the integer numerators.
     """
     p, nums, den = q.params.p, q.nums, q.den
     problems = []
@@ -232,8 +233,6 @@ def verify_structure(q: QPolynomial) -> CheckResult:
         if nums[k] != sign * nums[p - k]:
             problems.append(f"palindrome fails at k={k}")
             break
-    if nums[p] != sign * den:
-        problems.append(f"e_p = {format_rational(Fraction(nums[p], den))}")
     if sign * nums[p] != den:
         problems.append(f"Q(0) = {format_rational(Fraction(sign * nums[p], den))}")
     return CheckResult(

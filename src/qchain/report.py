@@ -1,4 +1,4 @@
-"""Check results and verification reports.
+"""Check results.
 
 Every verification routine returns CheckResult entries rather than booleans,
 so a failure carries the exact (or high-precision) residual that witnessed
@@ -9,7 +9,7 @@ finding instead of swallowing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class FalsificationError(RuntimeError):
@@ -38,26 +38,3 @@ class CheckResult:
         where = " ".join(f"{k}={v}" for k, v in self.params.items())
         tail = f" [{self.detail}]" if self.detail and not self.passed else ""
         return f"{status} {self.name} {where}{tail}"
-
-
-@dataclass
-class VerificationReport:
-    entries: list[CheckResult] = field(default_factory=list)
-
-    def extend(self, results) -> None:
-        self.entries.extend(results)
-
-    def failures(self) -> list[CheckResult]:
-        return [e for e in self.entries if not e.passed]
-
-    def to_dict(self, meta: dict) -> dict:
-        failed = len(self.failures())
-        return {
-            "meta": dict(meta),
-            "summary": {
-                "total": len(self.entries),
-                "failed": failed,
-                "passed": len(self.entries) - failed,
-            },
-            "entries": [e.to_dict() for e in self.entries],
-        }

@@ -380,6 +380,43 @@ def test_per_L_checks_need_N2_even_at_N_max_1(capsys):
     assert CyclotomicNumber.from_dict(record["slope"]) == Fraction(1, 2)
 
 
+def test_disagreeing_routes_fail_verify_and_stop_compute(monkeypatch, capsys):
+    def bumped_linear_system(params):
+        return q_linear_system(params).with_coefficient_bump(1, Fraction(1, 3))
+
+    monkeypatch.setattr("qchain.qoperator.q_linear_system", bumped_linear_system)
+    monkeypatch.setattr("qchain.cli.q_linear_system", bumped_linear_system)
+    grid = ["--L", "3", "--N-max", "1"]
+    code, out, _ = run(["verify", *grid], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL cross-method L=3 N=1 [construction routes disagree]"
+    for command in ("compute", "table"):
+        code, out, err = run([command, *grid, "--method", "both"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "internal error: AssertionError: construction routes disagree at L=3 N=1\n"
+        )
+
+
+def test_stored_w_sum_failure_stays_out_of_unselected_checks(capsys):
+    # e_1 -> e_1 + 2 puts the (3,1) root on the Moebius pole, so its summary
+    # is a stored ZeroDivisionError that only checks reading E1 may report
+    argv = ["verify", "--L", "3", "--tamper", "1:2"]
+    code, out, _ = run([*argv, "--N-max", "1", "--checks", "tq"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "PASS cross-method L=3 N=1"
+    assert lines[1].startswith("FAIL tq L=3 N=1 [")
+    assert lines[2:] == ["1 of 2 checks FAILED"]
+    code, out, _ = run([*argv, "--N-max", "2", "--checks", "tq,linearity"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert {line.split()[1] for line in lines[:-1]} == {"cross-method", "tq", "linearity"}
+    (linearity,) = [line for line in lines if " linearity " in line]
+    assert linearity.startswith("FAIL linearity L=3 [ZeroDivisionError: ")
+
+
 def test_verify_tamper_reaches_per_L_checks(capsys):
     code, out, _ = run(
         ["verify", "--L", "5", "--N-max", "2", "--precision-bits", "192", "--tamper", "1:1/3"],
@@ -412,6 +449,18 @@ def test_table_golden_ratio_value(capsys):
     with mpmath.workprec(64):
         expected = (5 + 7 * mpmath.sqrt(5)) / 4
         assert abs(mpmath.mpf(row[4]) - expected) < 1e-10
+
+
+def test_table_rows_follow_compute_order(capsys):
+    argv = ["--L", "7,3", "--N-max", "2"]
+    code, out, _ = run(["table", *argv], capsys)
+    assert code == 0
+    table_points = [tuple(line.split()[:2]) for line in out.strip().splitlines()[2:]]
+    assert table_points == [("3", "1"), ("3", "2"), ("7", "1"), ("7", "2")]
+    code, out, _ = run(["compute", *argv], capsys)
+    assert code == 0
+    runs = json.loads(out)["runs"]
+    assert [(str(r["L"]), str(r["N"])) for r in runs] == table_points
 
 
 def test_missing_subcommand(capsys):

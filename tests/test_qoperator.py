@@ -140,6 +140,16 @@ def test_structure_check_fails_on_broken_palindrome():
     assert "palindrome" in result.detail
 
 
+def test_structure_check_reports_q0_once():
+    # Q(0) = (-1)^p e_p, so a wrong e_p is one fact, reported as Q(0)
+    q = build_q(ChainParams(3, 1)).with_coefficient_bump(1, F(1, 2))
+    result = verify_structure(q)
+    assert not result.passed
+    assert result.detail == "palindrome fails at k=0; Q(0) = 1/2"
+    assert "e_p =" not in result.detail
+    assert result.detail.count("Q(0)") == 1
+
+
 def test_constant_term_is_one():
     for L, N in ((3, 3), (5, 2), (11, 1)):
         q = build_q(ChainParams(L, N))
