@@ -13,8 +13,11 @@ from binomial-weighted rational products, scales it to integers and divides
 it by (z-1)^(2N+1) in integer long division; a nonzero remainder doubles as
 a transcription check, and the scale is Q's denominator.  Route two (linear
 system) imposes the vanishing of a binomial convolution of the e_k at every
-admissible index and solves the resulting square integer system exactly;
-Bareiss's last pivot is Q's denominator.  The two routes must agree
+admissible index.  Those p conditions say that (1+x)^M sum_k e_k x^k lives
+on M+1 fixed exponents, so route two solves for it there from M integer
+divisibility conditions, divides by (1+x)^M in its own synthetic-division
+loop and substitutes the result into every admissible condition; the
+solver's last pivot is Q's denominator.  The two routes must agree
 coefficient by coefficient, which is equality of the reduced forms.
 
 The functional three-term identity satisfied by Q (verify_tq_identity) is
@@ -165,8 +168,8 @@ def admissible_indices(params: ChainParams) -> list[int]:
     """Indices where the binomial convolution of the e_k must vanish.
 
     Runs over 0..L*N+(L-1)/2 minus the 2(N+1) excluded values L*k and
-    L*k + (L-1)/2 for k = 0..N.  The count always equals p, which makes the
-    linear system square; this is asserted.
+    L*k + (L-1)/2 for k = 0..N.  The count always equals p, one condition
+    per unknown e_1..e_p; this is asserted.
     """
     L, N = params.L, params.N
     half = (L - 1) // 2
@@ -180,25 +183,42 @@ def admissible_indices(params: ChainParams) -> list[int]:
 
 
 def q_linear_system(params: ChainParams) -> QPolynomial:
-    """Build Q by solving the vanishing conditions exactly.
+    """Build Q by solving the vanishing conditions exactly, as an M x M system.
 
-    Each admissible index ell gives sum_j C(2N+1, ell-j) e_j = 0 with j
-    clamped to max(0, ell-2N-1)..min(p, ell).  With e_0 = 1 moved to the
-    right-hand side this is a square integer system for e_1..e_p, solved
-    as d and y = d (e_1..e_p) so that d / d is e_0.
+    Condition ell says that P(x) = (1+x)^M E(x), with E(x) = sum_j e_j x^j,
+    has no x^ell term, so P is supported on the M+1 excluded exponents
+    s = L*k and L*k + (L-1)/2, and P_0 = e_0 = 1.  P is a multiple of
+    (1+x)^M exactly when it vanishes to order M at x = -1, which on that
+    support reads sum_s P_s (-1)^s s^i = 0 for i < M: M integer conditions
+    on the other M coefficients, solved as d and y = d P_s.  M synthetic
+    divisions of d P by (1+x), each remainder checked, leave the integer
+    numerators d e_0..d e_p over d.  The e_k are then substituted into
+    every admissible condition, Q's defining system, as the acceptance
+    test.
     """
-    M, p = params.M, params.p
-    rows: list[list[int]] = []
-    for ell in admissible_indices(params):
-        row = [0] * (p + 1)
-        lo, hi = max(0, ell - M), min(p, ell)
-        for j in range(max(lo, 1), hi + 1):
-            row[j - 1] = comb(M, ell - j)
-        row[p] = -comb(M, ell) if lo == 0 else 0
-        rows.append(row)
-
+    L, N, M, p = params.L, params.N, params.M, params.p
+    half = (L - 1) // 2
+    # the excluded exponents but s = 0, where P_0 = 1 goes to the right-hand side
+    support = sorted({L * k for k in range(1, N + 1)} | {L * k + half for k in range(N + 1)})
+    rows = [[(-1) ** s * s**i for s in support] + [-1 if i == 0 else 0] for i in range(M)]
     d, y = solve_linear_system(rows)
-    return QPolynomial(params, (d, *y), d)
+
+    nums = [0] * (L * N + half + 1)
+    nums[0] = d
+    for s, coefficient in zip(support, y):
+        nums[s] = coefficient
+    for _ in range(M):
+        # a = (1+x) q gives q_i = a_i - q_(i-1); what is left in the top entry is the remainder
+        for i in range(1, len(nums)):
+            nums[i] -= nums[i - 1]
+        if nums.pop():
+            raise AssertionError("division by (1+x) leaves a remainder")
+
+    binomials = [comb(M, i) for i in range(M + 1)]
+    for ell in admissible_indices(params):
+        if sum(binomials[ell - j] * nums[j] for j in range(max(0, ell - M), min(p, ell) + 1)):
+            raise AssertionError(f"condition at index {ell} fails")
+    return QPolynomial(params, tuple(nums), d)
 
 
 def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:

@@ -5,7 +5,8 @@ from math import comb
 
 from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
-from qchain.qoperator import MIN_REPORT_BITS, ChainParams, build_q
+from qchain.linalg import solve_linear_system
+from qchain.qoperator import MIN_REPORT_BITS, ChainParams, QPolynomial, admissible_indices, build_q
 from qchain.report import CheckResult
 
 
@@ -39,6 +40,27 @@ def q_at(q, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
+
+
+def linear_system_oracle(params):
+    """Q from the full p x p system of vanishing conditions, one row per admissible index.
+
+    The reference for `q_linear_system`, which solves the same conditions
+    on the M+1 support exponents of (1+x)^M E(x): here each admissible ell
+    gives sum_j C(M, ell-j) e_j = 0, with e_0 = 1 moved to the right-hand
+    side, and Bareiss solves for e_1..e_p directly.
+    """
+    M, p = params.M, params.p
+    rows = []
+    for ell in admissible_indices(params):
+        row = [0] * (p + 1)
+        lo, hi = max(0, ell - M), min(p, ell)
+        for j in range(max(lo, 1), hi + 1):
+            row[j - 1] = comb(M, ell - j)
+        row[p] = -comb(M, ell) if lo == 0 else 0
+        rows.append(row)
+    d, y = solve_linear_system(rows)
+    return QPolynomial(params, (d, *y), d)
 
 
 def _cyclo_convolve(a, b, order):

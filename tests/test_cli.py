@@ -9,10 +9,10 @@ import mpmath
 import pytest
 
 from qchain.cli import main
-from qchain.qoperator import q_closed_form, q_linear_system
+from qchain.qoperator import ChainParams, QPolynomial, q_closed_form, q_linear_system
 from qchain.wtransform import w_sum
 from qchain.cyclotomic import CyclotomicNumber
-from qchain.rationals import parse_rational
+from qchain.rationals import integer_scaled, parse_rational
 
 
 def run(argv, capsys):
@@ -52,6 +52,21 @@ def test_compute_json_exact_fields_reproduce_approx(tmp_path, capsys):
             stored = record[field]
             rebuilt = CyclotomicNumber.from_dict(stored)
             assert rebuilt.to_dict(bits)["approx"] == stored["approx"]
+
+
+def test_compute_json_e_rebuilds_q(capsys):
+    # the e strings are Q in lowest terms: over their common denominator they
+    # are the stored numerators, and they rebuild a Q equal to both routes
+    code, out, err = run(["compute", "--L", "3,5,11", "--N-max", "3", "--method", "both"], capsys)
+    assert code == 0, err
+    records = json.loads(out)["runs"]
+    assert len(records) == 9
+    for record in records:
+        params = ChainParams(record["L"], record["N"])
+        den, nums = integer_scaled(parse_rational(text) for text in record["e"])
+        rebuilt = QPolynomial(params, tuple(nums), den)
+        assert rebuilt == q_closed_form(params) == q_linear_system(params)
+        assert (rebuilt.nums, rebuilt.den) == (tuple(nums), den)
 
 
 def test_compute_csv(capsys):

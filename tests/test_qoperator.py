@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_fractions, q_at, tq_oracle
+from conftest import count_fractions, linear_system_oracle, q_at, tq_oracle
 from qchain.cyclotomic import zeta_power
+from qchain.linalg import SingularMatrixError, solve_linear_system
 from qchain.qoperator import (
     ChainParams,
     QPolynomial,
@@ -81,6 +82,42 @@ def test_build_q_dispatch():
         assert build_q(params, method).e == KNOWN_E[(3, 2)]
     with pytest.raises(ValueError):
         build_q(params, "newton")
+
+
+@pytest.mark.parametrize("key", [(31, 6), (51, 12)])
+def test_linear_system_solves_m_conditions(key, monkeypatch):
+    # route two's solver sees the M divisibility conditions, never the p x p system
+    sizes = []
+
+    def recording(rows):
+        sizes.append((len(rows), len(rows[0])))
+        return solve_linear_system(rows)
+
+    monkeypatch.setattr("qchain.qoperator.solve_linear_system", recording)
+    params = ChainParams(*key)
+    assert q_linear_system(params) == q_closed_form(params)
+    assert sizes == [(params.M, params.M + 1)]
+
+
+def test_linear_system_rejects_a_bumped_solution(monkeypatch):
+    def bumped(rows):
+        d, y = solve_linear_system(rows)
+        y[len(y) // 2] += 1
+        return d, y
+
+    monkeypatch.setattr("qchain.qoperator.solve_linear_system", bumped)
+    for key in ((3, 1), (5, 2), (11, 3)):
+        with pytest.raises(AssertionError):
+            q_linear_system(ChainParams(*key))
+
+
+def test_linear_system_passes_on_a_singular_solve(monkeypatch):
+    def singular(rows):
+        raise SingularMatrixError(len(rows) - 1, len(rows))
+
+    monkeypatch.setattr("qchain.qoperator.solve_linear_system", singular)
+    with pytest.raises(SingularMatrixError):
+        q_linear_system(ChainParams(5, 2))
 
 
 def test_admissible_count_identity():
@@ -257,7 +294,7 @@ def test_exact_q_layers_make_no_fraction(monkeypatch):
 def test_random_chains_agree_and_catch_a_bump(L, N, data):
     params = ChainParams(L, N)
     q = q_closed_form(params)
-    assert q == q_linear_system(params)
+    assert q == q_linear_system(params) == linear_system_oracle(params)
     assert verify_structure(q).passed
     assert verify_tq_identity(q).passed
     k = data.draw(st.integers(0, params.p), label="k")
