@@ -37,6 +37,7 @@ from .rationals import format_rational, parse_rational
 from .report import CheckResult, FalsificationError
 from .roots import (
     ConvergenceError,
+    Measured,
     RootSet,
     bae_residuals_by_form,
     find_roots,
@@ -54,6 +55,7 @@ __all__ = [
     "ConvergenceError",
     "CyclotomicNumber",
     "FalsificationError",
+    "Measured",
     "QPolynomial",
     "RootSet",
     "SingularMatrixError",

@@ -8,9 +8,12 @@ points' summaries.
 
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
 2 invalid configuration, 3 internal error (an exactness assertion in a
-builder, or disagreeing routes in compute or table).  The default verification grid is
-L in {3, 5, 7, 9, 11} with N up to 4.  QCHAIN_PRECISION_BITS overrides the
-default numeric precision when --precision-bits is not given.
+builder, or disagreeing routes in compute or table).  Under verify
+--method both, a route-two construction failure is a failed cross-method
+check instead, and the point's other checks run on route one's Q.  The
+default verification grid is L in {3, 5, 7, 9, 11} with N up to 4.
+QCHAIN_PRECISION_BITS overrides the default numeric precision when
+--precision-bits is not given.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .energy import (
     verify_linearity,
     verify_no_finite_size_correction,
 )
+from .linalg import SingularMatrixError
 from .qoperator import (
     ChainParams,
     QPolynomial,
@@ -47,6 +51,7 @@ from .rationals import format_rational, parse_rational
 from .report import CheckResult, FalsificationError
 from .roots import (
     ConvergenceError,
+    Measured,
     bae_residuals_by_form,
     find_roots,
     inversion_closure_gap,
@@ -204,6 +209,9 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 
 
 FINDING_ERRORS = (ZeroDivisionError, FalsificationError, ConvergenceError, ValueError)
+# A construction route's own exactness checks; under --method both a failing
+# route two is reported as the cross-method finding.
+ROUTE_ERRORS = (AssertionError, ArithmeticError, SingularMatrixError)
 
 
 def _finding(name: str, params: dict, exc: Exception) -> CheckResult:
@@ -233,16 +241,20 @@ def _point(task: tuple) -> tuple[QPolynomial, list[CheckResult], WSummary | Exce
 
     q = q_linear_system(params) if method == "linear-system" else q_closed_form(params)
     if method == "both":
-        other = q_linear_system(params)
-        entries.append(
-            CheckResult(
-                name="cross-method",
-                params=where,
-                passed=q == other,
-                residual="0" if q == other else "1",
-                detail="" if q == other else "construction routes disagree",
+        try:
+            other = q_linear_system(params)
+        except ROUTE_ERRORS as exc:
+            entries.append(_finding("cross-method", where, exc))
+        else:
+            entries.append(
+                CheckResult(
+                    name="cross-method",
+                    params=where,
+                    passed=q == other,
+                    residual="0" if q == other else "1",
+                    detail="" if q == other else "construction routes disagree",
+                )
             )
-        )
     if tamper is not None:
         q = q.with_coefficient_bump(tamper[0], tamper[1])
 
@@ -267,6 +279,22 @@ def _point(task: tuple) -> tuple[QPolynomial, list[CheckResult], WSummary | Exce
     return q, entries, summary
 
 
+def _measured_entry(
+    name: str, where: dict, found: list[Measured], tolerance, detail: str = ""
+) -> CheckResult:
+    """A check on residuals with rounding bounds: it passes when every
+    residual + bound is below tolerance, and reports the largest of each."""
+    worst = max(m.value for m in found)
+    bound = max(m.bound for m in found)
+    return CheckResult(
+        name=name,
+        params=where,
+        passed=all(m.below(tolerance) for m in found),
+        residual=f"{mpmath.nstr(worst, 8)} (rounding bound {mpmath.nstr(bound, 3)})",
+        detail=detail,
+    )
+
+
 def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
     where = {"L": q.params.L, "N": q.params.N}
     entries: list[CheckResult] = []
@@ -278,43 +306,15 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
         poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
         loose_tol = mpmath.mpf(2) ** -(precision - 40)
         entries.append(
-            CheckResult(
-                name="roots",
-                params=where,
-                passed=rs.max_poly_residual < poly_tol,
-                residual=mpmath.nstr(rs.max_poly_residual, 8),
-                detail=f"{rs.sweeps} sweeps",
-            )
+            _measured_entry("roots", where, [rs.max_poly_residual], poly_tol, f"{rs.sweeps} sweeps")
         )
-        product = root_product_gap(rs)
-        entries.append(
-            CheckResult(
-                name="root-product",
-                params=where,
-                passed=product < loose_tol,
-                residual=mpmath.nstr(product, 8),
-            )
-        )
+        entries.append(_measured_entry("root-product", where, [root_product_gap(rs)], loose_tol))
         closure = inversion_closure_gap(rs)
-        entries.append(
-            CheckResult(
-                name="root-inversion",
-                params=where,
-                passed=closure < loose_tol,
-                residual=mpmath.nstr(closure, 8),
-            )
-        )
+        entries.append(_measured_entry("root-inversion", where, [closure], loose_tol))
         forms = bae_residuals_by_form(rs)
-        worst = max(forms["z"], forms["w"])
-        entries.append(
-            CheckResult(
-                name="bae",
-                params=where,
-                passed=worst < loose_tol,
-                residual=mpmath.nstr(worst, 8),
-                detail=f"z-form {mpmath.nstr(forms['z'], 5)}, w-form {mpmath.nstr(forms['w'], 5)}",
-            )
-        )
+        z_form, w_form = (mpmath.nstr(forms[form].value, 5) for form in "zw")
+        detail = f"z-form {z_form}, w-form {w_form}"
+        entries.append(_measured_entry("bae", where, [forms["z"], forms["w"]], loose_tol, detail))
     except FINDING_ERRORS as exc:
         return [*entries, _finding("roots", where, exc)]
     try:

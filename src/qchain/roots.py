@@ -8,13 +8,18 @@ root with Newton steps at well above the requested precision, so the
 reported residuals measure the polynomial and the Bethe equations honestly
 rather than the evaluation noise.
 
-The search and the polish run on plain Python integers: a complex number
-is a pair of ints scaled by 2^F (F = the search or polish precision in
-bits), which is several times faster than mpmath's mpc at these sizes.
-Everything that is reported is measured in mpmath instead: the polynomial
-residual (mpmath.polyval on the exact coefficients at the polish
-precision), the Moebius images, the Bethe-equation residuals, the root
-product, the inversion closure and the root sum.
+The search, the polish and the measurements run on plain Python integers:
+a complex number is a pair of ints scaled by 2^F, which is several times
+faster than mpmath's mpc at these sizes.  The polynomial residual |Q(z_j)|
+comes from the same Horner routine as the polish, at the polish precision;
+the Bethe-equation residuals, the root product and the inversion closure
+run at one working scale, F = precision_bits + 128 + 2p.  Each of the four
+comes back as a Measured: the residual and an explicit bound on its
+rounding error, derived in the function's docstring and computed in
+integers, so a check passes only when residual + bound is below its
+tolerance.  mpmath computes the seeds, the constants exp and sinh of eta,
+the Moebius images (z_to_w), the root sum, and the conversions between
+stored roots, fixed point and reported mpf values.
 
 The Bethe equations are evaluated in both variables: the z-form directly on
 the roots of Q, and the w-form on their Moebius images, with the anisotropy
@@ -25,6 +30,7 @@ cyclotomic shortcuts.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,13 +53,39 @@ class ConvergenceError(RuntimeError):
         self.sweeps = sweeps
 
 
+@dataclass(frozen=True)
+class Measured:
+    """A residual computed in fixed point and a bound on its rounding error.
+
+    The exact residual lies within value +- bound.  A Measured compares
+    with numbers (and other Measured) by value, like the mpf it reports.
+    """
+
+    value: mpmath.mpf
+    bound: mpmath.mpf
+
+    def below(self, tolerance) -> bool:
+        """Whether value + bound, summed exactly, is below tolerance."""
+        return mpmath.fadd(self.value, self.bound, exact=True) < tolerance
+
+    def __lt__(self, other):
+        return self.value < _plain(other)
+
+    def __gt__(self, other):
+        return self.value > _plain(other)
+
+
+def _plain(x):
+    return x.value if isinstance(x, Measured) else x
+
+
 @dataclass
 class RootSet:
     params: ChainParams
     precision_bits: int
     z_roots: tuple
     w_roots: tuple
-    max_poly_residual: mpmath.mpf
+    max_poly_residual: Measured
     sweeps: int = 0
 
 
@@ -62,7 +94,7 @@ def _fixed(x: Fraction, bits: int) -> int:
     return (x.numerator << bits) // x.denominator
 
 
-def _horner(monic: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, int, int]:
+def _horner(coeffs: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, int, int]:
     """Q(z) and Q'(z) in fixed point at 2^-bits: (Re Q, Im Q, Re Q', Im Q').
 
     The coefficients are real, ascending, and scaled like z = zr + i zi.
@@ -71,9 +103,9 @@ def _horner(monic: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, in
     same as with four.
     """
     zs = zr + zi
-    ar, ai = monic[-1], 0
+    ar, ai = coeffs[-1], 0
     dr = di = 0
-    for c in reversed(monic[:-1]):
+    for c in reversed(coeffs[:-1]):
         t1, t2 = dr * zr, di * zi
         dr, di = ((t1 - t2) >> bits) + ar, (((dr + di) * zs - t1 - t2) >> bits) + ai
         t1, t2 = ar * zr, ai * zi
@@ -82,9 +114,43 @@ def _horner(monic: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, in
 
 
 def _divide(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
-    """x / y in fixed point at 2^-bits; y must be nonzero."""
+    """x / y in fixed point at 2^-bits, each part rounded down; y must be nonzero."""
     norm = yr * yr + yi * yi
     return ((xr * yr + xi * yi) << bits) // norm, ((xi * yr - xr * yi) << bits) // norm
+
+
+def _mul(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
+    """x y in fixed point at 2^-bits, each part rounded down (Gauss's three products)."""
+    t1, t2 = xr * yr, xi * yi
+    return (t1 - t2) >> bits, ((xr + xi) * (yr + yi) - t1 - t2) >> bits
+
+
+def _to_fixed(x, bits: int) -> tuple[int, int]:
+    """An mpmath number scaled by 2^bits, each part truncated toward zero.
+
+    The result is off by less than one unit 2^-bits in each part, so by
+    less than 1.5 units; a multiple of 2^-bits converts exactly.
+    """
+    return int(mpmath.ldexp(x.real, bits)), int(mpmath.ldexp(x.imag, bits))
+
+
+def _dyadic(n: int, e: int) -> mpmath.mpf:
+    """n * 2^e as an exact mpf."""
+    with mpmath.workprec(max(53, n.bit_length())):
+        return mpmath.ldexp(n, e)
+
+
+def _modulus(num: int, den: int, bits: int) -> mpmath.mpf:
+    """sqrt(num / den) rounded down to a multiple of 2^-s, with s >= bits
+    large enough for at least 64 significant bits; low by less than
+    2^(1-bits)."""
+    s = max(bits, (130 + den.bit_length() - num.bit_length()) // 2)
+    return _dyadic(math.isqrt((num << 2 * s) // den), -s)
+
+
+def _work_bits(rs: "RootSet") -> int:
+    """The fixed-point scale of the Bethe residuals, root product and inversion closure."""
+    return rs.precision_bits + 128 + 2 * rs.params.p
 
 
 def z_to_w(z, L: int):
@@ -109,7 +175,16 @@ def find_roots(
     live in an annulus around the unit circle) with a seed-controlled phase
     offset.  Aberth runs with a cap of 200 sweeps; Newton polishing and the
     residual measurement then happen at more than twice the requested
-    precision.
+    precision, polish_bits.
+
+    max_poly_residual is max_j |Q(z_j)| at the stored roots, evaluated by
+    _horner on Q's coefficients truncated to polish_bits, with its rounding
+    bound.  In units 2^-polish_bits each coefficient is low by less than 1
+    and each Horner step truncates both parts, an error below 1.5 that the
+    remaining steps multiply by z^k, so the computed value is within
+    2.5 sum_(k<=p) |z|^k <= 2.5 (p+1) max(1, |z|)^p units of |Q(z_j)|;
+    max(1, |z|) is rounded up to a multiple of 2^-16, and the bound adds
+    the 2 units by which the reported square root may be low.
     """
     if precision_bits < MIN_ROOT_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_ROOT_BITS}")
@@ -205,9 +280,7 @@ def find_roots(
     shift = polish_bits - F
     fixed = [_fixed(c, polish_bits) for c in monic]
     with mpmath.workprec(polish_bits):
-        exact = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
         polished = []
-        worst_residual = mpmath.mpf(0)
         for zr, zi in zip(real, imag):
             zr <<= shift
             zi <<= shift
@@ -218,19 +291,150 @@ def find_roots(
                 sr, si = _divide(vr, vi, dr, di, polish_bits)
                 zr -= sr
                 zi -= si
-            z = mpmath.mpc(mpmath.ldexp(zr, -polish_bits), mpmath.ldexp(zi, -polish_bits))
-            polished.append(z)
-            worst_residual = max(worst_residual, abs(mpmath.polyval(exact, z)))
+            polished.append(
+                mpmath.mpc(mpmath.ldexp(zr, -polish_bits), mpmath.ldexp(zi, -polish_bits))
+            )
         w_images = tuple(z_to_w(z, q.params.L) for z in polished)
+
+    # |Q| at the stored roots.  Each is a polish_bits-bit float whose value
+    # is a multiple of 2^-polish_bits, so it converts back exactly.
+    plain = [_fixed(c, polish_bits) for c in coeffs]
+    worst = 0
+    reach = 1 << 16  # 2^16 max(1, |z_j|), rounded up
+    for z in polished:
+        zr, zi = _to_fixed(z, polish_bits)
+        vr, vi, _, _ = _horner(plain, zr, zi, polish_bits)
+        worst = max(worst, vr * vr + vi * vi)
+        reach = max(reach, math.isqrt((zr * zr + zi * zi) >> (2 * polish_bits - 32)) + 1)
+    # 2.5 (p+1) (reach / 2^16)^p units, plus 2 units for the reported root
+    bound = _dyadic(5 * (p + 1) * reach**p + (1 << 16 * p + 2), -16 * p - 1 - polish_bits)
+    residual = Measured(_modulus(worst, 1 << 2 * polish_bits, polish_bits), bound)
 
     return RootSet(
         params=q.params,
         precision_bits=precision_bits,
         z_roots=tuple(polished),
         w_roots=w_images,
-        max_poly_residual=worst_residual,
+        max_poly_residual=residual,
         sweeps=sweeps,
     )
+
+
+def _scaled_mul(xr: int, xi: int, xe: int, yr: int, yi: int, ye: int, keep: int):
+    """(x 2^xe)(y 2^ye) as (r, i, e), worth (r + i i) 2^e, with the larger of
+    |r|, |i| exactly keep bits long.
+
+    A long product is shifted right, which truncates each part by less than
+    a unit of the last kept bit: a relative error below 1.5 * 2^(1-keep)
+    whatever the size of x and y.  A short one is shifted left, exactly.
+    """
+    t1, t2 = xr * yr, xi * yi
+    r, i = t1 - t2, (xr + xi) * (yr + yi) - t1 - t2
+    s = (abs(r) | abs(i)).bit_length() - keep
+    if s >= 0:
+        return r >> s, i >> s, xe + ye + s
+    return r << -s, i << -s, xe + ye + s
+
+
+def _power(xr: int, xi: int, M: int, bits: int):
+    """x^M for x in fixed point at 2^-bits, by M - 1 products (_scaled_mul)."""
+    pr, pi, pe = xr, xi, -bits
+    for _ in range(M - 1):
+        pr, pi, pe = _scaled_mul(pr, pi, pe, xr, xi, -bits, bits + 1)
+    return pr, pi, pe
+
+
+def _bethe_form(roots, M: int, bits: int):
+    """Worst |(a/b)^M - num/den| over the roots, and what its bound needs.
+
+    roots gives per root its left-hand base a/b (b None for b = 1), the
+    exact starts of num and den, and the pairs (f, g) of their factors, so
+    num = start prod f and den = flip prod g; all in fixed point at
+    2^-bits.  Products keep bits + 1 significant bits and an exponent
+    (_scaled_mul), so a product of many small factors keeps its relative
+    precision.  Per root the
+    residual is |X| / |Y| with X = a^M den - b^M num and Y = b^M den, one
+    division, taken at the end on the worst |X|^2 / |Y|^2.  Returns that
+    fraction's two integers, the largest bit position of a^M den or b^M num
+    less that of Y (spread), and the smallest bit length of a factor, a
+    base or 2^bits (low).
+    """
+    keep = bits + 1
+    top, bottom = 0, 1
+    spread = None
+    small = 1 << bits
+    for (ar, ai), b, start, flip, pairs in roots:
+        small = min(small, abs(ar) | abs(ai))
+        nr, ni, ne = start, 0, -bits
+        dr, di, de = flip, 0, -bits
+        for fr, fi, gr, gi in pairs:
+            nr, ni, ne = _scaled_mul(nr, ni, ne, fr, fi, -bits, keep)
+            dr, di, de = _scaled_mul(dr, di, de, gr, gi, -bits, keep)
+            small = min(small, abs(fr) | abs(fi), abs(gr) | abs(gi))
+        pr, pi, pe = _power(ar, ai, M, bits)
+        if b is None:
+            qr, qi, qe = 1 << bits, 0, -bits
+        else:
+            small = min(small, abs(b[0]) | abs(b[1]))
+            qr, qi, qe = _power(*b, M, bits)
+        x1r, x1i, e1 = _scaled_mul(pr, pi, pe, dr, di, de, keep)
+        x2r, x2i, e2 = _scaled_mul(qr, qi, qe, nr, ni, ne, keep)
+        yr, yi, ey = _scaled_mul(qr, qi, qe, dr, di, de, keep)
+        e = min(e1, e2)
+        xr = (x1r << e1 - e) - (x2r << e2 - e)
+        xi = (x1i << e1 - e) - (x2i << e2 - e)
+        num, den = xr * xr + xi * xi, yr * yr + yi * yi
+        if not den:
+            raise ZeroDivisionError("Bethe-equation denominator vanishes")
+        if e > ey:
+            num <<= 2 * (e - ey)
+        else:
+            den <<= 2 * (ey - e)
+        if num * bottom > top * den:
+            top, bottom = num, den
+        gap = max(
+            (abs(x1r) | abs(x1i)).bit_length() + e1, (abs(x2r) | abs(x2i)).bit_length() + e2
+        ) - ((abs(yr) | abs(yi)).bit_length() + ey)
+        spread = gap if spread is None else max(spread, gap)
+    return top, bottom, spread, small.bit_length()
+
+
+def _bethe_measured(found: tuple[int, int, int, int], n: int, e: int, bits: int) -> Measured:
+    """The Measured of one Bethe form from _bethe_form's result; see bae_residuals_by_form."""
+    top, bottom, spread, low = found
+    value = _modulus(top, bottom, bits)
+    if 16 * n * e > 1 << low:
+        return Measured(value, mpmath.inf)
+    bound = mpmath.fadd(_dyadic(192 * n * e, spread - low), _dyadic(1, 1 - bits), exact=True)
+    return Measured(value, bound)
+
+
+def _constants(L: int, bits: int) -> list[tuple[int, int]]:
+    """A = exp(2 s eta), B = exp(2 eta) and sinh of eta, (2s+1) eta, (2s-1) eta,
+    eta = -(L-1) pi i / L, 2s = L - 2, in fixed point at 2^-bits.
+
+    mpmath evaluates them at bits + 64, which for L < 2^40 errs by far less
+    than a unit 2^-bits; truncation adds less than 1.5, so each is within 2
+    units.  |A| = |B| = 1 and each sinh of an imaginary argument is at most 1.
+    """
+    with mpmath.workprec(bits + 64):
+        eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
+        values = (
+            mpmath.exp((L - 2) * eta),
+            mpmath.exp(2 * eta),
+            mpmath.sinh(eta),
+            mpmath.sinh((L - 1) * eta),
+            mpmath.sinh((L - 3) * eta),
+        )
+        return [_to_fixed(v, bits) for v in values]
+
+
+def _scale_bound(points: list[tuple[int, int]], bits: int) -> int:
+    """m, the least power of two with m >= 1 and m > |x| for every point."""
+    size = 0
+    for xr, xi in points:
+        size |= abs(xr) | abs(xi)
+    return 1 << max(0, size.bit_length() - bits + 1)
 
 
 def bae_residuals_by_form(rs: RootSet) -> dict:
@@ -247,75 +451,145 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
                 (sh w_j w_k - sp w_j + sm w_k + sh) /
                 (sh w_j w_k - sp w_k + sm w_j + sh)
 
-    where sh, sp, sm are sinh of eta, (2s+1) eta, (2s-1) eta.  Coincident
-    roots are rejected before either form is evaluated.  Each product is
-    taken as one numerator over one denominator, so there is one division
-    per root.  The worst residual of a root set is the max of the two.
+    where sh, sp, sm are sinh of eta, (2s+1) eta, (2s-1) eta.  Each form
+    returns a Measured; the worst residual of a root set is the max of the
+    two.
+
+    Everything runs in fixed point at the working scale F (_work_bits).
+    Roots closer than 2^-(F//2) are rejected first, by an exact comparison
+    of squared distances.  Per root the residual is |X| / |Y| with
+    X = a^M den - b^M num and Y = b^M den, so there is one division per
+    root; the products keep F + 1 significant bits and an exponent.
+
+    Rounding bound.  In units u = 2^-F the stored roots are truncated by
+    less than 1.5 and the constants are within 2 (_constants).  With m a
+    power of two above 1 and every |root| (_scale_bound), a factor of the
+    z-form errs by at most e = 7m (z B truncated: 2m + 3; less a root:
+    2m + 4.5) and one of the w-form by at most e = 25m^2 (c w truncated:
+    5m for c = sh, sp, sm; (sh w_j) w_k truncated, plus sh: 12m^2; plus
+    sp w_j and sm w_k: 12m^2 + 10m); the lhs bases err less.  A factor f
+    off by e has relative error below 2e/|f|, and each product adds one
+    below 1.5 * 2^-F (_scaled_mul).  The bit lengths give
+    |x| >= 2^(bits-1), so with low the smallest bit length of a factor, a
+    base or 2^F, every one of the n <= 4(p+M) terms of a root is below
+    e 2^(2-low), their sum S below n e 2^(2-low), and each of a^M den,
+    b^M num and Y has relative error rho <= e^S - 1 <= 2S once S <= 1/4.
+    Then |X/Y| is computed to within 2 rho (|a^M den| + |b^M num|) / |Y|,
+    which with the bit lengths (spread) is at most 192 n e 2^(spread - low);
+    the bound adds the 2^(1-F) by which the reported square root may be
+    low.  If S could exceed 1/4 the bound is infinite.
     """
     params = rs.params
     L, M, p = params.L, params.M, params.p
-    work = rs.precision_bits + 128 + 2 * p
-    with mpmath.workprec(work):
-        z = [mpmath.mpc(v) for v in rs.z_roots]
-        w = [mpmath.mpc(v) for v in rs.w_roots]
-        min_gap = mpmath.mpf(2) ** -(work // 2)
-        for i in range(p):
-            for j in range(i + 1, p):
-                if abs(z[i] - z[j]) < min_gap:
-                    raise ValueError(f"roots {i} and {j} coincide")
+    F = _work_bits(rs)
+    z = [_to_fixed(v, F) for v in rs.z_roots]
+    w = [_to_fixed(v, F) for v in rs.w_roots]
+    min_gap = 1 << 2 * (F - F // 2)  # (2^-(F//2))^2 at the scale 2^-2F
+    for i in range(p):
+        xr, xi = z[i]
+        for j in range(i + 1, p):
+            dr, di = xr - z[j][0], xi - z[j][1]
+            if dr * dr + di * di < min_gap:
+                raise ValueError(f"roots {i} and {j} coincide")
 
-        eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
-        big_a = mpmath.exp((L - 2) * eta)  # 2s = L - 2
-        big_b = mpmath.exp(2 * eta)
-        zb = [v * big_b for v in z]
-        res_z = mpmath.mpf(0)
-        for j in range(p):
-            lhs = ((z[j] * big_a - 1) / (z[j] - big_a)) ** M
-            num = den = mpmath.mpc(1)
-            for k in range(p):
-                if k != j:
-                    num *= zb[j] - z[k]
-                    den *= z[j] - zb[k]
-            res_z = max(res_z, abs(lhs - num / den))
+    one = 1 << F
+    n = 4 * (p + M)
+    sign = (-1) ** (p - 1)
+    (Ar, Ai), B, sh, sp, sm = _constants(L, F)
 
-        sh = mpmath.sinh(eta)
-        sp = mpmath.sinh((L - 1) * eta)  # (2s+1) eta
-        sm = mpmath.sinh((L - 3) * eta)  # (2s-1) eta
-        sign = (-1) ** (p - 1)
-        w_sh = [sh * v for v in w]
-        w_sp = [sp * v for v in w]
-        w_sm = [sm * v for v in w]
-        res_w = mpmath.mpf(0)
-        for j in range(p):
-            lhs = w[j] ** M
-            num = mpmath.mpc(sign)
-            den = mpmath.mpc(1)
-            for k in range(p):
-                if k != j:
-                    pair = w_sh[j] * w[k] + sh
-                    num *= pair - w_sp[j] + w_sm[k]
-                    den *= pair - w_sp[k] + w_sm[j]
-            res_w = max(res_w, abs(lhs - num / den))
+    zb = [_mul(*v, *B, F) for v in z]
+
+    def z_form():
+        for j, ((zr, zi), (br, bi)) in enumerate(zip(z, zb)):
+            ar, ai = _mul(zr, zi, Ar, Ai, F)
+            pairs = (
+                (br - kr, bi - ki, zr - cr, zi - ci)
+                for k, ((kr, ki), (cr, ci)) in enumerate(zip(z, zb))
+                if k != j
+            )
+            yield (ar - one, ai), (zr - Ar, zi - Ai), one, one, pairs
+
+    res_z = _bethe_measured(_bethe_form(z_form(), M, F), n, 7 * _scale_bound(z, F), F)
+
+    w_sh = [_mul(*v, *sh, F) for v in w]
+    w_sp = [_mul(*v, *sp, F) for v in w]
+    w_sm = [_mul(*v, *sm, F) for v in w]
+
+    def w_pairs(j):
+        hr, hi = w_sh[j]
+        pr, pi = w_sp[j]
+        mr, mi = w_sm[j]
+        for k, ((wr, wi), (sr, si), (tr, ti)) in enumerate(zip(w, w_sp, w_sm)):
+            if k != j:
+                qr, qi = _mul(hr, hi, wr, wi, F)
+                qr += sh[0]
+                qi += sh[1]
+                yield qr - pr + tr, qi - pi + ti, qr - sr + mr, qi - si + mi
+
+    w_form = ((v, None, sign * one, one, w_pairs(j)) for j, v in enumerate(w))
+    m = _scale_bound(w, F)
+    res_w = _bethe_measured(_bethe_form(w_form, M, F), n, 25 * m * m, F)
     return {"z": res_z, "w": res_w}
 
 
-def root_product_gap(rs: RootSet) -> mpmath.mpf:
-    """|prod z_j - (-1)^p|; the product must match Q(0) = 1."""
-    with mpmath.workprec(rs.precision_bits + 64):
-        prod = mpmath.mpc(1)
-        for z in rs.z_roots:
-            prod *= z
-        return abs(prod - (-1) ** rs.params.p)
+def root_product_gap(rs: RootSet) -> Measured:
+    """|prod z_j - (-1)^p|; the product must match Q(0) = 1.
+
+    The roots are truncated to the working scale u = 2^-F and multiplied in
+    order, keeping F + 1 significant bits (_scaled_mul).  A root is off by
+    less than 1.5 units, a relative error below 3/|z_j| (|z_j| in units),
+    and each product
+    adds one below 1.5 * 2^-F; with low the smallest bit length of a root
+    or 2^F, each of the 2p terms is below 2^(3-low), their sum S below
+    p 2^(4-low), and the product P has relative error rho <= 2S once
+    S <= 1/4.  The gap moves by at most |P - P~| <= 2 rho |P~|, which the
+    bit position b of P~ bounds by p 2^(7 - low + b); the bound adds 2^(1-F)
+    for the reported square root, and is infinite if S could exceed 1/4.
+    """
+    F = _work_bits(rs)
+    p = rs.params.p
+    one = 1 << F
+    pr, pi, pe = one, 0, -F
+    small = one
+    for v in rs.z_roots:
+        zr, zi = _to_fixed(v, F)
+        small = min(small, abs(zr) | abs(zi))
+        pr, pi, pe = _scaled_mul(pr, pi, pe, zr, zi, -F, F + 1)
+    low, size = small.bit_length(), (abs(pr) | abs(pi)).bit_length() + pe
+    e = min(pe, -F)  # P - (-1)^p exactly, in units 2^e
+    gr = (pr << pe - e) - ((-1) ** p << -e)
+    gi = pi << pe - e
+    value = _modulus(gr * gr + gi * gi, 1 << -2 * e, F)
+    if p << 6 > 1 << low:
+        return Measured(value, mpmath.inf)
+    return Measured(value, mpmath.fadd(_dyadic(p, 7 - low + size), _dyadic(1, 1 - F), exact=True))
 
 
-def inversion_closure_gap(rs: RootSet) -> mpmath.mpf:
-    """How far the root multiset is from being closed under z -> 1/z."""
-    with mpmath.workprec(rs.precision_bits + 64):
-        worst = mpmath.mpf(0)
-        for z in rs.z_roots:
-            inv = 1 / z
-            worst = max(worst, min(abs(inv - other) for other in rs.z_roots))
-        return worst
+def inversion_closure_gap(rs: RootSet) -> Measured:
+    """How far the root multiset is from being closed under z -> 1/z:
+    max_j min_k |1/z_j - z_k|.
+
+    Each 1/z_j is one division at the working scale u = 2^-F, and the scan
+    compares exact squared distances.  A root is truncated by less than 1.5
+    units, which moves 1/z_j by less than 3 u / |z_j|^2 while |z_j| >= 3u;
+    the division rounds each part down, less than 1.5 units more.  Every
+    distance is then within 3 4^(F+1-b) + 3 units of its exact value, b the
+    smallest bit length of a root, and so is the max of the mins; the bound
+    adds 2 units for the reported square root, and is infinite for a root
+    below 4 units.
+    """
+    F = _work_bits(rs)
+    one = 1 << F
+    z = [_to_fixed(v, F) for v in rs.z_roots]
+    worst = 0
+    for zr, zi in z:
+        ir, ii = _divide(one, 0, zr, zi, F)
+        worst = max(worst, min((ir - kr) ** 2 + (ii - ki) ** 2 for kr, ki in z))
+    value = _modulus(worst, 1 << 2 * F, F)
+    low = min(abs(zr) | abs(zi) for zr, zi in z).bit_length()
+    if low < 3:
+        return Measured(value, mpmath.inf)
+    return Measured(value, _dyadic(3 * 4 ** max(0, F + 1 - low) + 5, -F))
 
 
 def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> CheckResult:

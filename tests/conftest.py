@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import comb
 
+import mpmath
+
 from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
 from qchain.linalg import solve_linear_system
@@ -125,3 +127,74 @@ def tq_oracle(q):
         residual=str(witness.to_dict(MIN_REPORT_BITS)["coeffs"]),
         detail=f"{len(bad)} nonzero coefficients, first at degree {degree}",
     )
+
+
+def bae_oracle(rs, bits):
+    """Both Bethe forms in mpmath at `bits`, the reference for `bae_residuals_by_form`.
+
+    The same equations, coincidence test and A, B, sh, sp, sm as the
+    fixed-point kernel, evaluated in floating point at the caller's
+    precision; at a few dozen bits above the kernel's scale its own
+    rounding is far below the kernel's bound.
+    """
+    params = rs.params
+    L, M, p = params.L, params.M, params.p
+    with mpmath.workprec(bits):
+        z = [mpmath.mpc(v) for v in rs.z_roots]
+        w = [mpmath.mpc(v) for v in rs.w_roots]
+        eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
+        big_a = mpmath.exp((L - 2) * eta)  # 2s = L - 2
+        big_b = mpmath.exp(2 * eta)
+        zb = [v * big_b for v in z]
+        res_z = mpmath.mpf(0)
+        for j in range(p):
+            lhs = ((z[j] * big_a - 1) / (z[j] - big_a)) ** M
+            num = den = mpmath.mpc(1)
+            for k in range(p):
+                if k != j:
+                    num *= zb[j] - z[k]
+                    den *= z[j] - zb[k]
+            res_z = max(res_z, abs(lhs - num / den))
+
+        sh = mpmath.sinh(eta)
+        sp = mpmath.sinh((L - 1) * eta)  # (2s+1) eta
+        sm = mpmath.sinh((L - 3) * eta)  # (2s-1) eta
+        sign = (-1) ** (p - 1)
+        res_w = mpmath.mpf(0)
+        for j in range(p):
+            lhs = w[j] ** M
+            num = mpmath.mpc(sign)
+            den = mpmath.mpc(1)
+            for k in range(p):
+                if k != j:
+                    pair = sh * w[j] * w[k] + sh
+                    num *= pair - sp * w[j] + sm * w[k]
+                    den *= pair - sp * w[k] + sm * w[j]
+            res_w = max(res_w, abs(lhs - num / den))
+    return {"z": res_z, "w": res_w}
+
+
+def product_oracle(rs, bits):
+    """|prod z_j - (-1)^p| in mpmath at `bits`, the reference for `root_product_gap`."""
+    with mpmath.workprec(bits):
+        prod = mpmath.mpc(1)
+        for z in rs.z_roots:
+            prod *= z
+        return abs(prod - (-1) ** rs.params.p)
+
+
+def inversion_oracle(rs, bits):
+    """max_j min_k |1/z_j - z_k| in mpmath at `bits`, the reference for `inversion_closure_gap`."""
+    with mpmath.workprec(bits):
+        worst = mpmath.mpf(0)
+        for z in rs.z_roots:
+            inv = 1 / z
+            worst = max(worst, min(abs(inv - other) for other in rs.z_roots))
+        return worst
+
+
+def poly_residual_oracle(q, rs, bits):
+    """max_j |Q(z_j)| by mpmath.polyval at `bits`, the reference for `max_poly_residual`."""
+    with mpmath.workprec(bits):
+        exact = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(q.coefficients())]
+        return max(abs(mpmath.polyval(exact, z)) for z in rs.z_roots)

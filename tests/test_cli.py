@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 from qchain.cli import main
+from qchain.linalg import SingularMatrixError
 from qchain.qoperator import ChainParams, QPolynomial, q_closed_form, q_linear_system
 from qchain.wtransform import w_sum
 from qchain.cyclotomic import CyclotomicNumber
@@ -412,6 +413,35 @@ def test_disagreeing_routes_fail_verify_and_stop_compute(monkeypatch, capsys):
         assert err == (
             "internal error: AssertionError: construction routes disagree at L=3 N=1\n"
         )
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        AssertionError("division by (1+x) leaves a remainder"),
+        ArithmeticError("inexact division"),
+        SingularMatrixError(2, 3),
+    ],
+)
+def test_failing_route_two_is_a_cross_method_finding(error, monkeypatch, capsys):
+    def failing_linear_system(params):
+        raise error
+
+    monkeypatch.setattr("qchain.cli.q_linear_system", failing_linear_system)
+    code, out, _ = run(["verify", "--L", "3,5", "--N-max", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    witness = f"[{type(error).__name__}: {error}]"
+    assert failed == [f"FAIL cross-method L={L} N={N} {witness}" for L in (3, 5) for N in (1, 2)]
+    passed = [line for line in lines if line.startswith("PASS")]
+    assert passed and len(passed) + len(failed) == len(lines) - 1
+    assert lines[-1] == f"{len(failed)} of {len(lines) - 1} checks FAILED"
+    # compute and table still stop on a route failure
+    for command in ("compute", "table"):
+        code, out, _ = run([command, "--L", "3", "--N-max", "1", "--method", "both"], capsys)
+        assert code == 3
+        assert out == ""
 
 
 def test_stored_w_sum_failure_stays_out_of_unselected_checks(capsys):

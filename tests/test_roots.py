@@ -10,10 +10,12 @@ import mpmath
 import pytest
 
 import qchain.roots
-from qchain.cli import main
+from conftest import bae_oracle, inversion_oracle, poly_residual_oracle, product_oracle
+from qchain.cli import _measured_entry, main
 from qchain.qoperator import ChainParams, build_q
 from qchain.roots import (
     ConvergenceError,
+    Measured,
     RootSet,
     bae_residuals_by_form,
     find_roots,
@@ -182,3 +184,98 @@ def test_sweep_cap_raises_convergence_error(monkeypatch, capsys):
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("FAIL roots ")]
     assert failures and all("ConvergenceError" in line for line in failures)
+
+
+# Sweep counts of the integer search before the measurements moved onto
+# integers; the measurements must not change the roots they measure.
+SWEEPS = {(3, 2): 6, (5, 3): 8, (7, 2): 9, (9, 2): 9, (11, 4): 14}
+
+
+@pytest.mark.parametrize("L,N", sorted(SWEEPS))
+def test_fixed_point_measurements_match_mpmath_oracles(L, N):
+    # the oracles evaluate the same quantities in mpmath 64 bits above the
+    # kernel's scale, so their own rounding is far below the kernel's bound
+    q = build_q(ChainParams(L, N))
+    rs = find_roots(q, precision_bits=256)
+    assert rs.sweeps == SWEEPS[L, N]
+    p = q.params.p
+    work = 256 + 128 + 2 * p + 64
+    polish = 2 * 256 + 128 + 2 * p + 64
+    forms = bae_residuals_by_form(rs)
+    oracle = bae_oracle(rs, work)
+    pairs = [
+        (forms["z"], oracle["z"]),
+        (forms["w"], oracle["w"]),
+        (root_product_gap(rs), product_oracle(rs, work)),
+        (inversion_closure_gap(rs), inversion_oracle(rs, work)),
+        (rs.max_poly_residual, poly_residual_oracle(q, rs, polish)),
+    ]
+    with mpmath.workprec(polish):
+        for measured, exact in pairs:
+            assert 0 < measured.bound < mpmath.mpf(2) ** -300
+            assert abs(measured.value - exact) <= measured.bound, (L, N)
+
+
+def _hand_built(rs, z_roots):
+    with mpmath.workprec(2 * rs.precision_bits + 200):
+        w_roots = [z_to_w(z, rs.params.L) for z in z_roots]
+    return RootSet(
+        params=rs.params,
+        precision_bits=rs.precision_bits,
+        z_roots=z_roots,
+        w_roots=w_roots,
+        max_poly_residual=rs.max_poly_residual,
+    )
+
+
+@pytest.mark.parametrize("change", ["moved by 2^-20", "negated"])
+def test_product_and_inversion_reject_a_wrong_root(change):
+    rs = find_roots(build_q(ChainParams(5, 2)), precision_bits=256)
+    tolerance = mpmath.mpf(2) ** -(256 - 40)
+    assert root_product_gap(rs).below(tolerance)
+    assert inversion_closure_gap(rs).below(tolerance)
+    roots = list(rs.z_roots)
+    with mpmath.workprec(600):
+        roots[0] = roots[0] + mpmath.mpf(2) ** -20 if change != "negated" else -roots[0]
+    bad = _hand_built(rs, roots)
+    for measured in (root_product_gap(bad), inversion_closure_gap(bad)):
+        # red even at the lower end of the rounding interval
+        assert not measured.below(tolerance)
+        assert measured.value - measured.bound > tolerance
+
+
+def test_checks_decide_on_residual_plus_bound():
+    tolerance = mpmath.mpf(2) ** -216
+    small = mpmath.mpf(2) ** -220
+    assert Measured(small, mpmath.mpf(2) ** -230).below(tolerance)
+    assert not Measured(small, mpmath.mpf(2) ** -216).below(tolerance)
+    assert not Measured(small, mpmath.inf).below(tolerance)
+    # the CLI entry reads the same decision, and reports value and bound
+    entry = _measured_entry("bae", {"L": 3, "N": 2}, [Measured(small, tolerance)], tolerance)
+    assert not entry.passed
+    assert entry.residual == "5.9347298e-67 (rounding bound 9.5e-66)"
+
+
+def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
+    # mpmath may compute the constants of the Bethe forms, never per root:
+    # the number of mpf/mpc operator calls must not grow with p
+    calls = []
+    for cls in (mpmath.mpf, mpmath.mpc):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
+            original = getattr(cls, name, None)
+            if original is not None:
+                def counted(*args, _original=original):
+                    calls.append(1)
+                    return _original(*args)
+                monkeypatch.setattr(cls, name, counted)
+
+    def count(fn, rs):
+        calls.clear()
+        fn(rs)
+        return len(calls)
+
+    small, large = (find_roots(build_q(ChainParams(11, N)), precision_bits=256) for N in (1, 4))
+    assert count(root_product_gap, large) == 0
+    assert count(inversion_closure_gap, large) == 0
+    assert count(bae_residuals_by_form, small) == count(bae_residuals_by_form, large)
