@@ -8,10 +8,13 @@ points' summaries.
 
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
 2 invalid configuration, 3 internal error (an exactness assertion in a
-builder, or disagreeing routes in compute or table).  Under verify
---method both, a route-two construction failure is a failed cross-method
-check instead, and the point's other checks run on route one's Q.  The
-default verification grid is L in {3, 5, 7, 9, 11} with N up to 4.
+builder, or disagreeing routes in compute or table).  In verify a
+construction failure is a finding instead: a failing primary route (route
+one, or route two under --method linear-system) is a failed construction
+check, and the point runs no other check; under --method both a failing
+route two is a failed cross-method check, and the point's other checks run
+on route one's Q.  The default verification grid is L in {3, 5, 7, 9, 11}
+with N up to 4.
 QCHAIN_PRECISION_BITS overrides the default numeric precision when
 --precision-bits is not given.
 """
@@ -75,6 +78,7 @@ ENTRY_ORDER = {
     name: index
     for index, name in enumerate(
         (
+            "construction",
             "cross-method",
             "structure",
             "inverse-sum",
@@ -209,8 +213,9 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 
 
 FINDING_ERRORS = (ZeroDivisionError, FalsificationError, ConvergenceError, ValueError)
-# A construction route's own exactness checks; under --method both a failing
-# route two is reported as the cross-method finding.
+# A construction route's own exactness checks.  verify reports a failing
+# primary route as the construction finding (and its L's checks fail with the
+# same witness), and under --method both a failing route two as cross-method.
 ROUTE_ERRORS = (AssertionError, ArithmeticError, SingularMatrixError)
 
 
@@ -231,15 +236,22 @@ def _unwrap(found: WSummary | Exception) -> WSummary:
     return found
 
 
-def _point(task: tuple) -> tuple[QPolynomial, list[CheckResult], WSummary | Exception]:
+def _point(task: tuple) -> tuple[QPolynomial | None, list[CheckResult], WSummary | Exception]:
     """One grid point from one build of Q: Q as checked, its point checks and its
-    summary, for which a w_sum failure stands in."""
+    summary, for which a w_sum failure stands in.
+
+    If the primary route fails, Q is None, the one check is a failed
+    construction finding and the route's error stands in for the summary.
+    """
     L, N, method, precision, checks, tamper = task
     where = {"L": L, "N": N}
     entries: list[CheckResult] = []
     params = ChainParams(L, N)
 
-    q = q_linear_system(params) if method == "linear-system" else q_closed_form(params)
+    try:
+        q = q_linear_system(params) if method == "linear-system" else q_closed_form(params)
+    except ROUTE_ERRORS as exc:
+        return None, [_finding("construction", where, exc)], exc
     if method == "both":
         try:
             other = q_linear_system(params)
@@ -305,9 +317,9 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
             max_coeff = mpmath.mpf(top.numerator) / top.denominator
         poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
         loose_tol = mpmath.mpf(2) ** -(precision - 40)
-        entries.append(
-            _measured_entry("roots", where, [rs.max_poly_residual], poly_tol, f"{rs.sweeps} sweeps")
-        )
+        ladder = "/".join(map(str, rs.ladder))
+        detail = f"{rs.sweeps} sweeps, search {rs.search_bits} bits, polish {ladder} bits"
+        entries.append(_measured_entry("roots", where, [rs.max_poly_residual], poly_tol, detail))
         entries.append(_measured_entry("root-product", where, [root_product_gap(rs)], loose_tol))
         closure = inversion_closure_gap(rs)
         entries.append(_measured_entry("root-inversion", where, [closure], loose_tol))
@@ -354,8 +366,8 @@ def _run_grid(
     else:
         results = [_point(task) for task in tasks]
     points: dict[int, list] = {L: [] for L in config.L_values}
-    for found in results:
-        points[found[0].params.L].append(found)
+    for task, found in zip(tasks, results):
+        points[task[0]].append(found)
     return points
 
 
@@ -366,15 +378,16 @@ def _run_grid(
 def _records(config: RunConfig) -> list[dict]:
     """compute's exact records, by L then N; JSON, CSV and table all read these.
 
-    Under --method both a point whose routes disagree is an internal error.
+    A failing route, or under --method both disagreeing routes, is an
+    internal error.
     """
     bits = config.precision_bits
     records = []
     for L, points in sorted(_run_grid(config, (), with_pair=True).items()):
+        summaries = [_unwrap(summary) for _, _, summary in points]
         for q, entries, _ in points:
             if not all(entry.passed for entry in entries):
                 raise AssertionError(f"construction routes disagree at L={L} N={q.params.N}")
-        summaries = [_unwrap(summary) for _, _, summary in points]
         constant = extract_A(summaries)
         A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
         for (q, _, _), summary in zip(points[: config.N_max], summaries):
@@ -448,7 +461,7 @@ def cmd_verify(config: RunConfig) -> int:
                     entries.extend(verify_no_finite_size_correction(ready, config.N_max))
                 else:
                     entries.extend(crosscheck_closed_forms(ready, config.precision_bits))
-            except FINDING_ERRORS as exc:
+            except (*FINDING_ERRORS, *ROUTE_ERRORS) as exc:
                 entries.append(_finding(check, {"L": L}, exc))
 
     entries.sort(

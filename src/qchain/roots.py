@@ -3,15 +3,18 @@
 This module is the one place where roots are actually computed, and it is
 numeric on purpose: nothing here feeds back into the exact pipeline.  Roots
 of Q come from a simultaneous Aberth iteration (all roots at once, updates
-applied in place) run at a moderate guard precision, then polished root by
-root with Newton steps at well above the requested precision, so the
-reported residuals measure the polynomial and the Bethe equations honestly
-rather than the evaluation noise.
+applied in place) at the precision that the size of Q's coefficients calls
+for, then a ladder of Newton steps at doubling precisions (find_roots
+derives both) polishes each root to well above the requested precision, so
+the reported residuals measure the polynomial and the Bethe equations
+honestly rather than the evaluation noise.
 
 The search, the polish and the measurements run on plain Python integers:
 a complex number is a pair of ints scaled by 2^F, which is several times
-faster than mpmath's mpc at these sizes.  The polynomial residual |Q(z_j)|
-comes from the same Horner routine as the polish, at the polish precision;
+faster than mpmath's mpc at these sizes.  Only the Aberth pair sums run in
+Python floats, since they merely scale each Newton correction.  The
+polynomial residual |Q(z_j)| comes from the same Horner routine as the
+polish, at the polish precision and on the polished fixed-point roots;
 the Bethe-equation residuals, the root product and the inversion closure
 run at one working scale, F = precision_bits + 128 + 2p.  Each of the four
 comes back as a Measured: the residual and an explicit bound on its
@@ -87,6 +90,8 @@ class RootSet:
     w_roots: tuple
     max_poly_residual: Measured
     sweeps: int = 0
+    search_bits: int = 0
+    ladder: tuple = ()
 
 
 def _fixed(x: Fraction, bits: int) -> int:
@@ -153,29 +158,82 @@ def _work_bits(rs: "RootSet") -> int:
     return rs.precision_bits + 128 + 2 * rs.params.p
 
 
-def z_to_w(z, L: int):
+def z_to_w(z, L: int, a=None):
     """Moebius image w = (z a - 1)/(z - a), a = exp(-2 pi i / L).
 
-    Evaluated at the caller's working precision.  Points closer to the pole
-    a than 2^-(prec/2) are rejected rather than silently amplified.
+    Evaluated at the caller's working precision; a root set passes a, made
+    once at that precision.  Points closer to the pole a than 2^-(prec/2)
+    are rejected rather than silently amplified.
     """
-    a = mpmath.expjpi(mpmath.mpf(-2) / L)
+    if a is None:
+        a = mpmath.expjpi(mpmath.mpf(-2) / L)
     if abs(z - a) < mpmath.mpf(2) ** -(mpmath.mp.prec // 2):
         raise ValueError("z is too close to the Moebius pole")
     return (z * a - 1) / (z - a)
 
 
-def find_roots(
-    q: QPolynomial, precision_bits: int = 256, seed: int = 0
-) -> RootSet:
+def _float(xr: int, xi: int, one: int) -> complex:
+    """(xr + i xi) / one as a Python complex; nan when out of float range."""
+    try:
+        return complex(xr / one, xi / one)
+    except OverflowError:
+        return complex(math.nan, math.nan)
+
+
+def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
+    """1 - N sum_(j!=i) 1/(z_i - z_j) in fixed point at 2^-bits, N = Q/Q' at z_i.
+
+    The sum only scales the correction N, so it is taken in Python complex
+    on the float copies of the roots and read into fixed point exactly.  If
+    two copies coincide, one is out of float range (nan) or the result is
+    not finite, the sum is taken on the integers instead.
+    """
+    one = 1 << bits
+    x = floats[i]
+    try:
+        pairs = sum([1 / (x - y) for y in floats[:i]]) + sum([1 / (x - y) for y in floats[i + 1 :]])
+        m = 1 - complex(nr / one, ni / one) * pairs
+        (ar, br), (ai, bi) = m.real.as_integer_ratio(), m.imag.as_integer_ratio()
+        return (ar << bits) // br, (ai << bits) // bi
+    except (ZeroDivisionError, OverflowError, ValueError):  # inf and nan have no ratio
+        pass
+    sr = si = 0
+    for j, (yr, yi) in enumerate(zip(real, imag)):
+        if j != i:
+            tr, ti = _divide(one, 0, real[i] - yr, imag[i] - yi, bits)
+            sr, si = sr + tr, si + ti
+    mr, mi = _mul(nr, ni, sr, si, bits)
+    return one - mr, -mi
+
+
+def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> RootSet:
     """All p roots of Q, polished well past precision_bits.
 
     Initial guesses sit on a circle of radius equal to the p-th root of the
     Cauchy coefficient bound (the roots of these palindromic polynomials
     live in an annulus around the unit circle) with a seed-controlled phase
-    offset.  Aberth runs with a cap of 200 sweeps; Newton polishing and the
-    residual measurement then happen at more than twice the requested
-    precision, polish_bits.
+    offset.  Aberth runs with a cap of 200 sweeps, then a Newton ladder
+    polishes each root.
+
+    Search precision.  The monic coefficients are below 2^noise_bits, the
+    bit length of the Cauchy bound, so at 2^-F a Horner pass over p + 1 of
+    them errs by up to about (p+1) 2^noise_bits units, and a correction is
+    sound to 2^-(F - margin), margin = noise_bits + bitlen(p) + 24 (the 24
+    for |Q'| below 1 and the correction's own rounding).  The search stops
+    once every step, relative to max(1, |z|), is below 2^-(F - margin), or
+    when steps below 2^-48 stop halving three sweeps running.  So at
+    F = margin + 72 = noise_bits + bitlen(p) + 96 its roots are good to 72
+    bits, or 48 after a stall: far inside their Newton basins.
+
+    Newton ladder.  A Newton step from a root good to a bits lands within
+    about 2^-2a if it runs at 2a + margin bits or more.  So the last step
+    runs at exactly polish_bits = 2 precision_bits + 128 + 2p and reaches
+    its noise floor 2^-(polish_bits - margin) from half as many good bits;
+    each earlier one runs at half the next one's good bits plus margin,
+    back to the first within reach of the search's 72 (or 48).  The steps
+    use Q's plain coefficients truncated to their precision (Newton does
+    not depend on Q's scale); the stored roots are exactly the last step's
+    fixed-point values.
 
     max_poly_residual is max_j |Q(z_j)| at the stored roots, evaluated by
     _horner on Q's coefficients truncated to polish_bits, with its rounding
@@ -194,37 +252,22 @@ def find_roots(
     if lead == 0:
         raise ValueError("leading coefficient vanished")
     monic = [c / lead for c in coeffs]
+    bound = 1 + max(abs(c) for c in monic[:-1])
+    margin = (bound.numerator // bound.denominator).bit_length() + p.bit_length() + 24
+    F = search_bits = margin + 72
 
-    search_bits = 128 + 2 * p
-    with mpmath.workprec(search_bits):
-        bound = 1 + max(abs(c) for c in monic[:-1])
-        cauchy = mpmath.mpf(bound.numerator) / bound.denominator
-        radius = cauchy ** (mpmath.mpf(1) / p)
-        rng = random.Random(seed)
-        offset = rng.random() * 2 * mpmath.pi / p
-        seeds = [
-            radius * mpmath.exp(1j * (2 * mpmath.pi * k / p + offset))
-            for k in range(p)
-        ]
-        real = [int(mpmath.ldexp(z.real, search_bits)) for z in seeds]
-        imag = [int(mpmath.ldexp(z.imag, search_bits)) for z in seeds]
-        noise_bits = max(0, int(mpmath.log(cauchy, 2)) + 1)
+    with mpmath.workprec(F):
+        radius = (mpmath.mpf(bound.numerator) / bound.denominator) ** (mpmath.mpf(1) / p)
+        offset = random.Random(seed).random() * 2 * mpmath.pi / p
+        seeds = [radius * mpmath.exp(1j * (2 * mpmath.pi * k / p + offset)) for k in range(p)]
+        real = [int(mpmath.ldexp(z.real, F)) for z in seeds]
+        imag = [int(mpmath.ldexp(z.imag, F)) for z in seeds]
 
-    # Fixed point at 2^-F, F = search_bits.  The achievable correction size
-    # is limited by evaluation noise, which scales with the coefficients;
-    # corrections only need to land the roots inside their Newton basins
-    # for the polish phase.  Each fixed-point product rounds by at most
-    # 2^-F, so a Horner pass over p + 1 terms of size up to 2^noise_bits
-    # errs far below the target: at the target the steps still sit
-    # 24 + noise_bits + bitlen(p) bits above 2^-F, so F fractional bits are
-    # enough.  Step sizes are compared squared, as exact fractions
-    # |step|^2 / max(1, |z|^2).
-    F = search_bits
     one = 1 << F
-    cube = 1 << 3 * F
+    floats = [_float(zr, zi, one) for zr, zi in zip(real, imag)]
     fixed = [_fixed(c, F) for c in monic]
-    target = Fraction(2) ** -(2 * (F - 24 - noise_bits - p.bit_length()))
-    stall_floor = Fraction(2) ** -96
+    target = Fraction(1, 1 << 2 * (F - margin))
+    stall_floor = Fraction(1, 1 << 96)
     worst = Fraction(1)
     previous = None
     stalled = 0
@@ -237,26 +280,17 @@ def find_roots(
                 continue
             if dr == di == 0:
                 real[i] += 1 << (F - F // 3)
+                floats[i] = _float(real[i], zi, one)
                 if top < bottom:
                     top, bottom = 1, 1
                 continue
             nr, ni = _divide(vr, vi, dr, di, F)
-            # sum of 1/(z_i - z_j), kept at 2^-2F until the final shift
-            rr = ri = 0
-            for j in range(p):
-                if j != i:
-                    xr, xi = zr - real[j], zi - imag[j]
-                    k = cube // (xr * xr + xi * xi)
-                    rr += xr * k
-                    ri -= xi * k
-            rr >>= F
-            ri >>= F
-            mr = one - ((nr * rr - ni * ri) >> F)
-            mi = -((nr * ri + ni * rr) >> F)
+            mr, mi = _aberth_denominator(nr, ni, i, real, imag, floats, F)
             sr, si = (nr, ni) if mr == mi == 0 else _divide(nr, ni, mr, mi, F)
             zr -= sr
             zi -= si
             real[i], imag[i] = zr, zi
+            floats[i] = _float(zr, zi, one)
             size = sr * sr + si * si
             scale = max(one * one, zr * zr + zi * zi)
             if size * bottom > top * scale:
@@ -276,33 +310,29 @@ def find_roots(
             worst_step = mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
             raise ConvergenceError(MAX_SWEEPS, mpmath.nstr(worst_step, 5))
 
+    good = F - margin if worst < target else 48
     polish_bits = 2 * precision_bits + 128 + 2 * p
-    shift = polish_bits - F
-    fixed = [_fixed(c, polish_bits) for c in monic]
-    with mpmath.workprec(polish_bits):
-        polished = []
-        for zr, zi in zip(real, imag):
-            zr <<= shift
-            zi <<= shift
-            for _ in range(4):
-                vr, vi, dr, di = _horner(fixed, zr, zi, polish_bits)
-                if vr == vi == 0 or dr == di == 0:
-                    break
-                sr, si = _divide(vr, vi, dr, di, polish_bits)
+    ladder = [polish_bits]
+    while ladder[0] - margin > 2 * good:
+        ladder.insert(0, (ladder[0] - margin + 1) // 2 + margin)
+    for bits in ladder:
+        plain = [_fixed(c, bits) for c in coeffs]
+        up, down = max(bits - F, 0), max(F - bits, 0)
+        for i in range(p):
+            zr, zi = (real[i] << up) >> down, (imag[i] << up) >> down
+            vr, vi, dr, di = _horner(plain, zr, zi, bits)
+            if (vr or vi) and (dr or di):
+                sr, si = _divide(vr, vi, dr, di, bits)
                 zr -= sr
                 zi -= si
-            polished.append(
-                mpmath.mpc(mpmath.ldexp(zr, -polish_bits), mpmath.ldexp(zi, -polish_bits))
-            )
-        w_images = tuple(z_to_w(z, q.params.L) for z in polished)
+            real[i], imag[i] = zr, zi
+        F = bits
 
-    # |Q| at the stored roots.  Each is a polish_bits-bit float whose value
-    # is a multiple of 2^-polish_bits, so it converts back exactly.
-    plain = [_fixed(c, polish_bits) for c in coeffs]
+    # |Q| at the stored roots, which are exactly these fixed-point values;
+    # plain holds Q's coefficients truncated to the last step, polish_bits
     worst = 0
     reach = 1 << 16  # 2^16 max(1, |z_j|), rounded up
-    for z in polished:
-        zr, zi = _to_fixed(z, polish_bits)
+    for zr, zi in zip(real, imag):
         vr, vi, _, _ = _horner(plain, zr, zi, polish_bits)
         worst = max(worst, vr * vr + vi * vi)
         reach = max(reach, math.isqrt((zr * zr + zi * zi) >> (2 * polish_bits - 32)) + 1)
@@ -310,13 +340,23 @@ def find_roots(
     bound = _dyadic(5 * (p + 1) * reach**p + (1 << 16 * p + 2), -16 * p - 1 - polish_bits)
     residual = Measured(_modulus(worst, 1 << 2 * polish_bits, polish_bits), bound)
 
+    with mpmath.workprec(max(53, *(abs(x).bit_length() for x in real + imag))):
+        polished = tuple(
+            mpmath.mpc(mpmath.ldexp(zr, -polish_bits), mpmath.ldexp(zi, -polish_bits))
+            for zr, zi in zip(real, imag)
+        )
+    with mpmath.workprec(polish_bits):
+        pole = mpmath.expjpi(mpmath.mpf(-2) / q.params.L)
+        w_images = tuple(z_to_w(z, q.params.L, pole) for z in polished)
     return RootSet(
         params=q.params,
         precision_bits=precision_bits,
-        z_roots=tuple(polished),
+        z_roots=polished,
         w_roots=w_images,
         max_poly_residual=residual,
         sweeps=sweeps,
+        search_bits=search_bits,
+        ladder=tuple(ladder),
     )
 
 

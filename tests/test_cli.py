@@ -444,6 +444,58 @@ def test_failing_route_two_is_a_cross_method_finding(error, monkeypatch, capsys)
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "method,route",
+    [
+        ("both", "q_closed_form"),
+        ("closed-form", "q_closed_form"),
+        ("linear-system", "q_linear_system"),
+    ],
+)
+def test_failing_primary_route_is_a_construction_finding(method, route, monkeypatch, capsys):
+    built = {"q_closed_form": q_closed_form, "q_linear_system": q_linear_system}[route]
+
+    def failing_at_L5(params):
+        if params.L == 5:
+            raise AssertionError("quotient is not monic")
+        return built(params)
+
+    monkeypatch.setattr(f"qchain.cli.{route}", failing_at_L5)
+    grid = ["--L", "3,5", "--N-max", "2", "--method", method]
+    code, out, err = run(["verify", *grid], capsys)
+    assert code == 1, err
+    assert "internal error" not in err
+    lines = out.splitlines()
+    witness = "[AssertionError: quotient is not monic]"
+    # the failed points run no other check; their L's checks fail with the witness
+    assert [line for line in lines if "L=5" in line] == [
+        f"FAIL construction L=5 N=1 {witness}",
+        f"FAIL construction L=5 N=2 {witness}",
+        f"FAIL linearity L=5 {witness}",
+        f"FAIL finite-size L=5 {witness}",
+    ]
+    assert all(line.startswith("PASS ") for line in lines[:-1] if "L=3" in line)
+    assert lines[-1] == f"4 of {len(lines) - 1} checks FAILED"
+    # compute and table still stop on a route failure
+    for command in ("compute", "table"):
+        code, out, err = run([command, *grid], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: AssertionError: quotient is not monic\n"
+
+
+def test_roots_detail_reports_search_and_ladder_bits(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    argv = ["verify", "--L", "3", "--N-max", "2", "--checks", "roots"]
+    code, out, _ = run([*argv, "--output", str(report_path)], capsys)
+    assert code == 0
+    assert "PASS roots L=3 N=2\n" in out
+    (entry,) = [e for e in json.loads(report_path.read_text())["entries"]
+                if e["check"] == "roots" and e["params"] == {"L": 3, "N": 2}]
+    # p = 2: polish at 2 * 256 + 128 + 2p bits
+    assert entry["detail"] == "5 sweeps, search 100 bits, polish 105/182/336/644 bits"
+
+
 def test_stored_w_sum_failure_stays_out_of_unselected_checks(capsys):
     # e_1 -> e_1 + 2 puts the (3,1) root on the Moebius pole, so its summary
     # is a stored ZeroDivisionError that only checks reading E1 may report

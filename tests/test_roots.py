@@ -4,6 +4,7 @@ The quadratic (3,2) chain is the main oracle: its roots are
 (-11 +- sqrt 21)/10, small enough to verify against mpmath.sqrt directly.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -186,9 +187,9 @@ def test_sweep_cap_raises_convergence_error(monkeypatch, capsys):
     assert failures and all("ConvergenceError" in line for line in failures)
 
 
-# Sweep counts of the integer search before the measurements moved onto
-# integers; the measurements must not change the roots they measure.
-SWEEPS = {(3, 2): 6, (5, 3): 8, (7, 2): 9, (9, 2): 9, (11, 4): 14}
+# Sweep counts of the search at noise_bits + bitlen(p) + 96 bits with float
+# pair sums; the measurements must not change the roots they measure.
+SWEEPS = {(3, 2): 5, (5, 3): 8, (7, 2): 9, (9, 2): 9, (11, 4): 14}
 
 
 @pytest.mark.parametrize("L,N", sorted(SWEEPS))
@@ -279,3 +280,77 @@ def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
     assert count(root_product_gap, large) == 0
     assert count(inversion_closure_gap, large) == 0
     assert count(bae_residuals_by_form, small) == count(bae_residuals_by_form, large)
+
+
+def _recording_horner(monkeypatch):
+    """Patch the Horner routine to record the precision of every call."""
+    calls = []
+    horner = qchain.roots._horner
+
+    def recording(coeffs, zr, zi, bits):
+        calls.append(bits)
+        return horner(coeffs, zr, zi, bits)
+
+    monkeypatch.setattr(qchain.roots, "_horner", recording)
+    return calls
+
+
+def test_search_runs_at_the_noise_derived_precision(monkeypatch):
+    q = build_q(ChainParams(21, 4))
+    p = q.params.p
+    coeffs = q.coefficients()
+    cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    noise_bits = math.floor(math.log2(cauchy)) + 1
+    calls = _recording_horner(monkeypatch)
+    rs = find_roots(q, precision_bits=256)
+    assert rs.search_bits == noise_bits + p.bit_length() + 96 < 128 + 2 * p
+    assert calls[: rs.sweeps * p] == [rs.search_bits] * (rs.sweeps * p)
+    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
+
+
+def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
+    q = build_q(ChainParams(11, 4))
+    p = q.params.p
+    polish = 2 * 256 + 128 + 2 * p
+    calls = _recording_horner(monkeypatch)
+    rs = find_roots(q, precision_bits=256)
+    # p roots per search sweep, per ladder step and in the residual pass
+    runs = calls[::p]
+    assert calls == [bits for bits in runs for _ in range(p)]
+    assert runs == [rs.search_bits] * rs.sweeps + list(rs.ladder) + [polish]
+    assert rs.ladder[-1] == polish
+    # the good bits (precision less the search's margin) at most double per step
+    margin = rs.search_bits - 72
+    good = [bits - margin for bits in rs.ladder]
+    assert len(good) > 1 and 72 < good[0] <= 2 * 72
+    assert all(a < b <= 2 * a for a, b in zip(good, good[1:]))
+    # the stored roots are the last step's fixed-point values
+    with mpmath.workprec(polish + 64):
+        for z in rs.z_roots:
+            for part in (z.real, z.imag):
+                scaled = mpmath.ldexp(part, polish)
+                assert scaled == int(scaled)
+
+
+def test_float_copies_are_nan_out_of_float_range():
+    one = 1 << 200
+    assert qchain.roots._float(3 * one, -one // 2, one) == complex(3, -0.5)
+    value = qchain.roots._float(10**400 * one, 0, one)
+    assert math.isnan(value.real) and math.isnan(value.imag)
+
+
+@pytest.mark.parametrize("copy", [0j, complex(math.nan, math.nan)], ids=["coincident", "nan"])
+def test_unusable_float_pair_sums_fall_back_to_the_exact_loop(copy, monkeypatch):
+    q = build_q(ChainParams(7, 2))
+    rs = find_roots(q, precision_bits=256)
+    # every float copy the same point (each float pair sum divides by zero)
+    # or out of float range: every pair sum is taken on the integers
+    monkeypatch.setattr(qchain.roots, "_float", lambda xr, xi, one: copy)
+    exact = find_roots(q, precision_bits=256)
+    assert exact.search_bits == rs.search_bits
+    with mpmath.workprec(600):
+        remaining = list(exact.z_roots)
+        for z in rs.z_roots:
+            nearest = min(remaining, key=lambda y: abs(z - y))
+            assert abs(z - nearest) < mpmath.mpf(2) ** -200
+            remaining.remove(nearest)
