@@ -53,6 +53,7 @@ from .qoperator import (
 from .rationals import format_rational, parse_rational
 from .report import CheckResult, FalsificationError
 from .roots import (
+    MIN_ROOT_BITS,
     ConvergenceError,
     Measured,
     bae_residuals_by_form,
@@ -124,8 +125,8 @@ class RunConfig:
                 raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}")
         else:
             precision = DEFAULT_PRECISION
-        if precision < 128:
-            raise ValueError(f"precision-bits must be >= 128, got {precision}")
+        if precision < MIN_ROOT_BITS:
+            raise ValueError(f"precision-bits must be >= {MIN_ROOT_BITS}, got {precision}")
 
         checks = _parse_checks(getattr(args, "checks", "all"))
 
@@ -328,7 +329,9 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
         detail = f"z-form {z_form}, w-form {w_form}"
         entries.append(_measured_entry("bae", where, [forms["z"], forms["w"]], loose_tol, detail))
     except FINDING_ERRORS as exc:
-        return [*entries, _finding("roots", where, exc)]
+        # each check adds one entry, in this order, so the one that raised is next
+        check = ("roots", "root-product", "root-inversion", "bae")[len(entries)]
+        return [*entries, _finding(check, where, exc)]
     try:
         entries.append(numeric_cross_check(rs, _unwrap(summary).E1))
     except FINDING_ERRORS as exc:

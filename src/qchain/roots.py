@@ -9,9 +9,10 @@ derives both) polishes each root to well above the requested precision, so
 the reported residuals measure the polynomial and the Bethe equations
 honestly rather than the evaluation noise.
 
-The search, the polish and the measurements run on plain Python integers:
-a complex number is a pair of ints scaled by 2^F, which is several times
-faster than mpmath's mpc at these sizes.  Only the Aberth pair sums run in
+The search, the polish and the measurements run on plain Python integers,
+in the fixed point of fixedpoint.py, which is several times faster than
+mpmath's mpc at these sizes; its docstring states the rounding convention
+that every bound here starts from.  Only the Aberth pair sums run in
 Python floats, since they merely scale each Newton correction.  The
 polynomial residual |Q(z_j)| comes from the same Horner routine as the
 polish, at the polish precision and on the polished fixed-point roots;
@@ -41,6 +42,8 @@ from fractions import Fraction
 import mpmath
 
 from .cyclotomic import CyclotomicNumber
+from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _product, _scaled_mul
+from .fixedpoint import _to_fixed
 from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult
 
@@ -56,32 +59,6 @@ class ConvergenceError(RuntimeError):
         self.sweeps = sweeps
 
 
-@dataclass(frozen=True)
-class Measured:
-    """A residual computed in fixed point and a bound on its rounding error.
-
-    The exact residual lies within value +- bound.  A Measured compares
-    with numbers (and other Measured) by value, like the mpf it reports.
-    """
-
-    value: mpmath.mpf
-    bound: mpmath.mpf
-
-    def below(self, tolerance) -> bool:
-        """Whether value + bound, summed exactly, is below tolerance."""
-        return mpmath.fadd(self.value, self.bound, exact=True) < tolerance
-
-    def __lt__(self, other):
-        return self.value < _plain(other)
-
-    def __gt__(self, other):
-        return self.value > _plain(other)
-
-
-def _plain(x):
-    return x.value if isinstance(x, Measured) else x
-
-
 @dataclass
 class RootSet:
     params: ChainParams
@@ -94,68 +71,11 @@ class RootSet:
     ladder: tuple = ()
 
 
-def _fixed(x: Fraction, bits: int) -> int:
-    """x scaled by 2^bits and rounded down to an integer."""
-    return (x.numerator << bits) // x.denominator
-
-
-def _horner(coeffs: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, int, int]:
-    """Q(z) and Q'(z) in fixed point at 2^-bits: (Re Q, Im Q, Re Q', Im Q').
-
-    The coefficients are real, ascending, and scaled like z = zr + i zi.
-    Each complex product takes three integer products (Gauss's trick); the
-    imaginary part (a + b)(c + d) - ac - bd is exact, so the result is the
-    same as with four.
-    """
-    zs = zr + zi
-    ar, ai = coeffs[-1], 0
-    dr = di = 0
-    for c in reversed(coeffs[:-1]):
-        t1, t2 = dr * zr, di * zi
-        dr, di = ((t1 - t2) >> bits) + ar, (((dr + di) * zs - t1 - t2) >> bits) + ai
-        t1, t2 = ar * zr, ai * zi
-        ar, ai = ((t1 - t2) >> bits) + c, ((ar + ai) * zs - t1 - t2) >> bits
-    return ar, ai, dr, di
-
-
-def _divide(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
-    """x / y in fixed point at 2^-bits, each part rounded down; y must be nonzero."""
-    norm = yr * yr + yi * yi
-    return ((xr * yr + xi * yi) << bits) // norm, ((xi * yr - xr * yi) << bits) // norm
-
-
-def _mul(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
-    """x y in fixed point at 2^-bits, each part rounded down (Gauss's three products)."""
-    t1, t2 = xr * yr, xi * yi
-    return (t1 - t2) >> bits, ((xr + xi) * (yr + yi) - t1 - t2) >> bits
-
-
-def _to_fixed(x, bits: int) -> tuple[int, int]:
-    """An mpmath number scaled by 2^bits, each part truncated toward zero.
-
-    The result is off by less than one unit 2^-bits in each part, so by
-    less than 1.5 units; a multiple of 2^-bits converts exactly.
-    """
-    return int(mpmath.ldexp(x.real, bits)), int(mpmath.ldexp(x.imag, bits))
-
-
-def _dyadic(n: int, e: int) -> mpmath.mpf:
-    """n * 2^e as an exact mpf."""
-    with mpmath.workprec(max(53, n.bit_length())):
-        return mpmath.ldexp(n, e)
-
-
-def _modulus(num: int, den: int, bits: int) -> mpmath.mpf:
-    """sqrt(num / den) rounded down to a multiple of 2^-s, with s >= bits
-    large enough for at least 64 significant bits; low by less than
-    2^(1-bits)."""
-    s = max(bits, (130 + den.bit_length() - num.bit_length()) // 2)
-    return _dyadic(math.isqrt((num << 2 * s) // den), -s)
-
-
-def _work_bits(rs: "RootSet") -> int:
-    """The fixed-point scale of the Bethe residuals, root product and inversion closure."""
-    return rs.precision_bits + 128 + 2 * rs.params.p
+def _at_work_scale(rs: RootSet, roots) -> tuple[int, list[tuple[int, int]]]:
+    """F = precision_bits + 128 + 2p, the scale of the Bethe residuals, root
+    product and inversion closure, and the given stored roots at 2^-F."""
+    F = rs.precision_bits + 128 + 2 * rs.params.p
+    return F, [_to_fixed(v, F) for v in roots]
 
 
 def z_to_w(z, L: int, a=None):
@@ -170,14 +90,6 @@ def z_to_w(z, L: int, a=None):
     if abs(z - a) < mpmath.mpf(2) ** -(mpmath.mp.prec // 2):
         raise ValueError("z is too close to the Moebius pole")
     return (z * a - 1) / (z - a)
-
-
-def _float(xr: int, xi: int, one: int) -> complex:
-    """(xr + i xi) / one as a Python complex; nan when out of float range."""
-    try:
-        return complex(xr / one, xi / one)
-    except OverflowError:
-        return complex(math.nan, math.nan)
 
 
 def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
@@ -336,9 +248,9 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         vr, vi, _, _ = _horner(plain, zr, zi, polish_bits)
         worst = max(worst, vr * vr + vi * vi)
         reach = max(reach, math.isqrt((zr * zr + zi * zi) >> (2 * polish_bits - 32)) + 1)
-    # 2.5 (p+1) (reach / 2^16)^p units, plus 2 units for the reported root
-    bound = _dyadic(5 * (p + 1) * reach**p + (1 << 16 * p + 2), -16 * p - 1 - polish_bits)
-    residual = Measured(_modulus(worst, 1 << 2 * polish_bits, polish_bits), bound)
+    # 2.5 (p+1) (reach / 2^16)^p units
+    error = (5 * (p + 1) * reach**p, -16 * p - 1 - polish_bits)
+    residual = Measured.from_square(worst, 1 << 2 * polish_bits, polish_bits, error)
 
     with mpmath.workprec(max(53, *(abs(x).bit_length() for x in real + imag))):
         polished = tuple(
@@ -360,63 +272,24 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     )
 
 
-def _scaled_mul(xr: int, xi: int, xe: int, yr: int, yi: int, ye: int, keep: int):
-    """(x 2^xe)(y 2^ye) as (r, i, e), worth (r + i i) 2^e, with the larger of
-    |r|, |i| exactly keep bits long.
+def _bethe_form(roots, M: int, bits: int, n: int, factor_error: int) -> Measured:
+    """Worst |(a/b)^M - num/den| over the roots as a Measured, with the
+    bound that bae_residuals_by_form derives (e = factor_error).
 
-    A long product is shifted right, which truncates each part by less than
-    a unit of the last kept bit: a relative error below 1.5 * 2^(1-keep)
-    whatever the size of x and y.  A short one is shifted left, exactly.
-    """
-    t1, t2 = xr * yr, xi * yi
-    r, i = t1 - t2, (xr + xi) * (yr + yi) - t1 - t2
-    s = (abs(r) | abs(i)).bit_length() - keep
-    if s >= 0:
-        return r >> s, i >> s, xe + ye + s
-    return r << -s, i << -s, xe + ye + s
-
-
-def _power(xr: int, xi: int, M: int, bits: int):
-    """x^M for x in fixed point at 2^-bits, by M - 1 products (_scaled_mul)."""
-    pr, pi, pe = xr, xi, -bits
-    for _ in range(M - 1):
-        pr, pi, pe = _scaled_mul(pr, pi, pe, xr, xi, -bits, bits + 1)
-    return pr, pi, pe
-
-
-def _bethe_form(roots, M: int, bits: int):
-    """Worst |(a/b)^M - num/den| over the roots, and what its bound needs.
-
-    roots gives per root its left-hand base a/b (b None for b = 1), the
-    exact starts of num and den, and the pairs (f, g) of their factors, so
-    num = start prod f and den = flip prod g; all in fixed point at
-    2^-bits.  Products keep bits + 1 significant bits and an exponent
-    (_scaled_mul), so a product of many small factors keeps its relative
-    precision.  Per root the
-    residual is |X| / |Y| with X = a^M den - b^M num and Y = b^M den, one
-    division, taken at the end on the worst |X|^2 / |Y|^2.  Returns that
-    fraction's two integers, the largest bit position of a^M den or b^M num
-    less that of Y (spread), and the smallest bit length of a factor, a
-    base or 2^bits (low).
+    roots gives per root its left-hand base a/b (b None for b = 1) and the
+    factors of num and of den, the first of each an exact start; all in
+    fixed point at 2^-bits.
     """
     keep = bits + 1
     top, bottom = 0, 1
     spread = None
-    small = 1 << bits
-    for (ar, ai), b, start, flip, pairs in roots:
-        small = min(small, abs(ar) | abs(ai))
-        nr, ni, ne = start, 0, -bits
-        dr, di, de = flip, 0, -bits
-        for fr, fi, gr, gi in pairs:
-            nr, ni, ne = _scaled_mul(nr, ni, ne, fr, fi, -bits, keep)
-            dr, di, de = _scaled_mul(dr, di, de, gr, gi, -bits, keep)
-            small = min(small, abs(fr) | abs(fi), abs(gr) | abs(gi))
-        pr, pi, pe = _power(ar, ai, M, bits)
-        if b is None:
-            qr, qi, qe = 1 << bits, 0, -bits
-        else:
-            small = min(small, abs(b[0]) | abs(b[1]))
-            qr, qi, qe = _power(*b, M, bits)
+    low = keep  # the bit length of 2^bits
+    for a, b, nums, dens in roots:
+        nr, ni, ne, low_n = _product(nums, bits)
+        dr, di, de, low_d = _product(dens, bits)
+        pr, pi, pe, low_a = _product([a] * M, bits)
+        qr, qi, qe, low_b = (1 << bits, 0, -bits, keep) if b is None else _product([b] * M, bits)
+        low = min(low, low_n, low_d, low_a, low_b)
         x1r, x1i, e1 = _scaled_mul(pr, pi, pe, dr, di, de, keep)
         x2r, x2i, e2 = _scaled_mul(qr, qi, qe, nr, ni, ne, keep)
         yr, yi, ey = _scaled_mul(qr, qi, qe, dr, di, de, keep)
@@ -436,17 +309,8 @@ def _bethe_form(roots, M: int, bits: int):
             (abs(x1r) | abs(x1i)).bit_length() + e1, (abs(x2r) | abs(x2i)).bit_length() + e2
         ) - ((abs(yr) | abs(yi)).bit_length() + ey)
         spread = gap if spread is None else max(spread, gap)
-    return top, bottom, spread, small.bit_length()
-
-
-def _bethe_measured(found: tuple[int, int, int, int], n: int, e: int, bits: int) -> Measured:
-    """The Measured of one Bethe form from _bethe_form's result; see bae_residuals_by_form."""
-    top, bottom, spread, low = found
-    value = _modulus(top, bottom, bits)
-    if 16 * n * e > 1 << low:
-        return Measured(value, mpmath.inf)
-    bound = mpmath.fadd(_dyadic(192 * n * e, spread - low), _dyadic(1, 1 - bits), exact=True)
-    return Measured(value, bound)
+    error = None if 16 * n * factor_error > 1 << low else (192 * n * factor_error, spread - low)
+    return Measured.from_square(top, bottom, bits, error)
 
 
 def _constants(L: int, bits: int) -> list[tuple[int, int]]:
@@ -495,11 +359,12 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     returns a Measured; the worst residual of a root set is the max of the
     two.
 
-    Everything runs in fixed point at the working scale F (_work_bits).
+    Everything runs in fixed point at the working scale F (_at_work_scale).
     Roots closer than 2^-(F//2) are rejected first, by an exact comparison
     of squared distances.  Per root the residual is |X| / |Y| with
-    X = a^M den - b^M num and Y = b^M den, so there is one division per
-    root; the products keep F + 1 significant bits and an exponent.
+    X = a^M den - b^M num and Y = b^M den, the powers and products keeping
+    F + 1 significant bits and an exponent (_product); one division, taken
+    at the end on the worst |X|^2 / |Y|^2.
 
     Rounding bound.  In units u = 2^-F the stored roots are truncated by
     less than 1.5 and the constants are within 2 (_constants).  With m a
@@ -515,15 +380,15 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     e 2^(2-low), their sum S below n e 2^(2-low), and each of a^M den,
     b^M num and Y has relative error rho <= e^S - 1 <= 2S once S <= 1/4.
     Then |X/Y| is computed to within 2 rho (|a^M den| + |b^M num|) / |Y|,
-    which with the bit lengths (spread) is at most 192 n e 2^(spread - low);
-    the bound adds the 2^(1-F) by which the reported square root may be
-    low.  If S could exceed 1/4 the bound is infinite.
+    which is at most 192 n e 2^(spread - low), spread the largest bit
+    position of a^M den or b^M num less that of Y; the bound adds the
+    2^(1-F) by which the reported square root may be low.  If S could
+    exceed 1/4 the bound is infinite.
     """
     params = rs.params
     L, M, p = params.L, params.M, params.p
-    F = _work_bits(rs)
-    z = [_to_fixed(v, F) for v in rs.z_roots]
-    w = [_to_fixed(v, F) for v in rs.w_roots]
+    F, z = _at_work_scale(rs, rs.z_roots)
+    _, w = _at_work_scale(rs, rs.w_roots)
     min_gap = 1 << 2 * (F - F // 2)  # (2^-(F//2))^2 at the scale 2^-2F
     for i in range(p):
         xr, xi = z[i]
@@ -542,33 +407,32 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     def z_form():
         for j, ((zr, zi), (br, bi)) in enumerate(zip(z, zb)):
             ar, ai = _mul(zr, zi, Ar, Ai, F)
-            pairs = (
-                (br - kr, bi - ki, zr - cr, zi - ci)
-                for k, ((kr, ki), (cr, ci)) in enumerate(zip(z, zb))
-                if k != j
-            )
-            yield (ar - one, ai), (zr - Ar, zi - Ai), one, one, pairs
+            nums = [(one, 0)] + [(br - kr, bi - ki) for kr, ki in z[:j] + z[j + 1 :]]
+            dens = [(one, 0)] + [(zr - cr, zi - ci) for cr, ci in zb[:j] + zb[j + 1 :]]
+            yield (ar - one, ai), (zr - Ar, zi - Ai), nums, dens
 
-    res_z = _bethe_measured(_bethe_form(z_form(), M, F), n, 7 * _scale_bound(z, F), F)
+    res_z = _bethe_form(z_form(), M, F, n, 7 * _scale_bound(z, F))
 
     w_sh = [_mul(*v, *sh, F) for v in w]
     w_sp = [_mul(*v, *sp, F) for v in w]
     w_sm = [_mul(*v, *sm, F) for v in w]
 
-    def w_pairs(j):
-        hr, hi = w_sh[j]
-        pr, pi = w_sp[j]
-        mr, mi = w_sm[j]
-        for k, ((wr, wi), (sr, si), (tr, ti)) in enumerate(zip(w, w_sp, w_sm)):
-            if k != j:
-                qr, qi = _mul(hr, hi, wr, wi, F)
-                qr += sh[0]
-                qi += sh[1]
-                yield qr - pr + tr, qi - pi + ti, qr - sr + mr, qi - si + mi
+    def w_form():
+        for j, (hr, hi) in enumerate(w_sh):
+            pr, pi = w_sp[j]
+            mr, mi = w_sm[j]
+            nums, dens = [(sign * one, 0)], [(one, 0)]
+            for k, ((wr, wi), (sr, si), (tr, ti)) in enumerate(zip(w, w_sp, w_sm)):
+                if k != j:
+                    qr, qi = _mul(hr, hi, wr, wi, F)
+                    qr += sh[0]
+                    qi += sh[1]
+                    nums.append((qr - pr + tr, qi - pi + ti))
+                    dens.append((qr - sr + mr, qi - si + mi))
+            yield w[j], None, nums, dens
 
-    w_form = ((v, None, sign * one, one, w_pairs(j)) for j, v in enumerate(w))
     m = _scale_bound(w, F)
-    res_w = _bethe_measured(_bethe_form(w_form, M, F), n, 25 * m * m, F)
+    res_w = _bethe_form(w_form(), M, F, n, 25 * m * m)
     return {"z": res_z, "w": res_w}
 
 
@@ -576,33 +440,25 @@ def root_product_gap(rs: RootSet) -> Measured:
     """|prod z_j - (-1)^p|; the product must match Q(0) = 1.
 
     The roots are truncated to the working scale u = 2^-F and multiplied in
-    order, keeping F + 1 significant bits (_scaled_mul).  A root is off by
+    order, keeping F + 1 significant bits (_product).  A root is off by
     less than 1.5 units, a relative error below 3/|z_j| (|z_j| in units),
-    and each product
-    adds one below 1.5 * 2^-F; with low the smallest bit length of a root
-    or 2^F, each of the 2p terms is below 2^(3-low), their sum S below
-    p 2^(4-low), and the product P has relative error rho <= 2S once
-    S <= 1/4.  The gap moves by at most |P - P~| <= 2 rho |P~|, which the
-    bit position b of P~ bounds by p 2^(7 - low + b); the bound adds 2^(1-F)
-    for the reported square root, and is infinite if S could exceed 1/4.
+    and each product adds one below 1.5 * 2^-F; with low the smallest bit
+    length of a root or 2^F, each of the 2p terms is below 2^(3-low), their
+    sum S below p 2^(4-low), and the product P has relative error
+    rho <= 2S once S <= 1/4.  The gap moves by at most
+    |P - P~| <= 2 rho |P~|, which the bit position b of P~ bounds by
+    p 2^(7 - low + b); the bound adds 2^(1-F) for the reported square
+    root, and is infinite if S could exceed 1/4.
     """
-    F = _work_bits(rs)
+    F, z = _at_work_scale(rs, rs.z_roots)
     p = rs.params.p
-    one = 1 << F
-    pr, pi, pe = one, 0, -F
-    small = one
-    for v in rs.z_roots:
-        zr, zi = _to_fixed(v, F)
-        small = min(small, abs(zr) | abs(zi))
-        pr, pi, pe = _scaled_mul(pr, pi, pe, zr, zi, -F, F + 1)
-    low, size = small.bit_length(), (abs(pr) | abs(pi)).bit_length() + pe
+    pr, pi, pe, low = _product([(1 << F, 0), *z], F)
+    size = (abs(pr) | abs(pi)).bit_length() + pe
     e = min(pe, -F)  # P - (-1)^p exactly, in units 2^e
     gr = (pr << pe - e) - ((-1) ** p << -e)
     gi = pi << pe - e
-    value = _modulus(gr * gr + gi * gi, 1 << -2 * e, F)
-    if p << 6 > 1 << low:
-        return Measured(value, mpmath.inf)
-    return Measured(value, mpmath.fadd(_dyadic(p, 7 - low + size), _dyadic(1, 1 - F), exact=True))
+    error = None if p << 6 > 1 << low else (p, 7 - low + size)
+    return Measured.from_square(gr * gr + gi * gi, 1 << -2 * e, F, error)
 
 
 def inversion_closure_gap(rs: RootSet) -> Measured:
@@ -618,18 +474,15 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
     adds 2 units for the reported square root, and is infinite for a root
     below 4 units.
     """
-    F = _work_bits(rs)
+    F, z = _at_work_scale(rs, rs.z_roots)
     one = 1 << F
-    z = [_to_fixed(v, F) for v in rs.z_roots]
     worst = 0
     for zr, zi in z:
         ir, ii = _divide(one, 0, zr, zi, F)
         worst = max(worst, min((ir - kr) ** 2 + (ii - ki) ** 2 for kr, ki in z))
-    value = _modulus(worst, 1 << 2 * F, F)
     low = min(abs(zr) | abs(zi) for zr, zi in z).bit_length()
-    if low < 3:
-        return Measured(value, mpmath.inf)
-    return Measured(value, _dyadic(3 * 4 ** max(0, F + 1 - low) + 5, -F))
+    error = None if low < 3 else (3 * 4 ** max(0, F + 1 - low) + 3, -F)
+    return Measured.from_square(worst, 1 << 2 * F, F, error)
 
 
 def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> CheckResult:

@@ -215,18 +215,18 @@ def test_criterion_8_numeric_root_validator(capsys):
             rs = find_roots(q, precision_bits=bits)
             if len(rs.z_roots) != q.params.p:
                 failures.append(f"missing roots at L={L} N={N}")
-            if not rs.max_poly_residual < poly_bound:
+            if not rs.max_poly_residual.below(poly_bound):
                 failures.append(
-                    f"|Q(z_j)| = {mpmath.nstr(rs.max_poly_residual, 5)} at L={L} N={N}"
+                    f"|Q(z_j)| = {mpmath.nstr(rs.max_poly_residual.value, 5)} at L={L} N={N}"
                 )
             forms = bae_residuals_by_form(rs)
-            if not max(forms["z"], forms["w"]) < pair_bound:
+            if not (forms["z"].below(pair_bound) and forms["w"].below(pair_bound)):
                 failures.append(f"pair equations at L={L} N={N}: {forms}")
             with mpmath.workprec(bits + 64):
                 gap = abs(mpmath.fsum(rs.w_roots) - w_sum(q).E1.embed(bits + 64))
             if not gap < pair_bound:
                 failures.append(f"root sum gap {mpmath.nstr(gap, 5)} at L={L} N={N}")
-            if not root_product_gap(rs) < pair_bound:
+            if not root_product_gap(rs).below(pair_bound):
                 failures.append(f"root product at L={L} N={N}")
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < 120.0
@@ -254,7 +254,7 @@ def test_criterion_9_falsification_sensitivity(capsys):
     for L, N in ((3, 2), (5, 1)):
         bumped = cached_q(L, N).with_coefficient_bump(1, F(1, 1024))
         rs = find_roots(bumped, precision_bits=256)
-        if not max(bae_residuals_by_form(rs).values()) > floor:
+        if not max(m.value for m in bae_residuals_by_form(rs).values()) > floor:
             failures.append(f"pair equations accepted bumped Q at L={L} N={N}")
     elapsed = time.perf_counter() - start
     announce(

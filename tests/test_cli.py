@@ -275,13 +275,19 @@ def test_huge_tamper_delta_is_a_finding(capsys):
     # a 400-digit bump overflows a float; the roots checks must still report
     delta = "1" + "0" * 400
     code, out, err = run(
-        ["verify", "--L", "3", "--N-max", "1", "--tamper", f"1:{delta}", "--checks", "roots"],
+        ["verify", "--L", "3", "--N-max", "2", "--tamper", f"1:{delta}", "--checks", "roots"],
         capsys,
     )
     assert code == 1, err
     assert "internal error" not in err
-    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
+    lines = out.splitlines()
+    failed = {line.split()[1] for line in lines if line.startswith("FAIL ")}
     assert {"root-product", "root-inversion", "root-sum"} <= failed
+    # at N = 2 the two roots coincide at the working scale: the Bethe check
+    # raises, and the finding carries its name, not a second roots line
+    assert "FAIL bae L=3 N=2 [ValueError: roots 0 and 1 coincide]" in lines
+    for N in (1, 2):
+        assert sum(line.split()[1:4] == ["roots", "L=3", f"N={N}"] for line in lines) == 1
 
 
 @pytest.mark.parametrize(

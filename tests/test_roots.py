@@ -52,7 +52,7 @@ def test_quadratic_roots_match_radicals():
 def test_poly_residual_bound_on_grid():
     for L, N in ((3, 3), (5, 2), (7, 1), (9, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
-        assert rs.max_poly_residual < mpmath.mpf(2) ** -232
+        assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
         assert len(rs.z_roots) == rs.params.p
         assert len(rs.w_roots) == rs.params.p
 
@@ -101,9 +101,8 @@ def test_bae_residuals_on_grid():
     for L, N in ((3, 2), (5, 1), (5, 2), (7, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
         by_form = bae_residuals_by_form(rs)
-        assert max(by_form.values()) < mpmath.mpf(2) ** -216
-        assert by_form["z"] < mpmath.mpf(2) ** -216
-        assert by_form["w"] < mpmath.mpf(2) ** -216
+        assert by_form["z"].below(mpmath.mpf(2) ** -216)
+        assert by_form["w"].below(mpmath.mpf(2) ** -216)
 
 
 def test_bae_rejects_perturbed_roots():
@@ -117,22 +116,22 @@ def test_bae_rejects_perturbed_roots():
             w_roots=[z_to_w(r, 3) for r in shifted],
             max_poly_residual=rs.max_poly_residual,
         )
-    assert max(bae_residuals_by_form(bad).values()) > mpmath.mpf(2) ** -64
+    assert max(m.value for m in bae_residuals_by_form(bad).values()) > mpmath.mpf(2) ** -64
 
 
 def test_bae_rejects_wrong_polynomial():
     q = build_q(ChainParams(5, 1)).with_coefficient_bump(1, F(1, 1024))
     rs = find_roots(q, precision_bits=256)
     # roots of the bumped polynomial satisfy it, but not the pair equations
-    assert rs.max_poly_residual < mpmath.mpf(2) ** -232
-    assert max(bae_residuals_by_form(rs).values()) > mpmath.mpf(2) ** -64
+    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
+    assert max(m.value for m in bae_residuals_by_form(rs).values()) > mpmath.mpf(2) ** -64
 
 
 def test_product_and_inversion_closure():
     for L, N in ((3, 2), (5, 2), (7, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
-        assert root_product_gap(rs) < mpmath.mpf(2) ** -216
-        assert inversion_closure_gap(rs) < mpmath.mpf(2) ** -216
+        assert root_product_gap(rs).below(mpmath.mpf(2) ** -216)
+        assert inversion_closure_gap(rs).below(mpmath.mpf(2) ** -216)
 
 
 def test_numeric_cross_check_against_exact_sum():
@@ -153,7 +152,7 @@ def test_large_grid_point_converges():
     q = build_q(ChainParams(11, 4))
     rs = find_roots(q, precision_bits=192)
     assert len(rs.z_roots) == 40
-    assert rs.max_poly_residual < mpmath.mpf(2) ** -168
+    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -168)
 
 
 def test_roots_match_independent_polyroots():
