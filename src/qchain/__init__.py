@@ -16,7 +16,6 @@ from .energy import (
     WSummary,
     closed_form_root_sum,
     crosscheck_closed_forms,
-    energy,
     extract_A,
     groundstate_summary,
     verify_linearity,
@@ -69,7 +68,6 @@ __all__ = [
     "crosscheck_closed_forms",
     "cyc_cos",
     "cyclotomic_polynomial",
-    "energy",
     "extract_A",
     "find_roots",
     "format_rational",

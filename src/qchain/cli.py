@@ -4,19 +4,20 @@ All three run one pass over the (L, N) grid: _point builds each point's Q
 once (by both routes under --method both), runs the selected point checks
 and makes its summary (one w_sum).  compute and table render the same
 records, ordered by L then N; verify adds the per-L checks, which read the
-points' summaries.
+points' summaries.  CHECKS names every check verify reports, in report
+order, and _check runs each one.
 
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
-2 invalid configuration, 3 internal error (an exactness assertion in a
-builder, or disagreeing routes in compute or table).  In verify a
-construction failure is a finding instead: a failing primary route (route
-one, or route two under --method linear-system) is a failed construction
-check, and the point runs no other check; under --method both a failing
-route two is a failed cross-method check, and the point's other checks run
-on route one's Q.  The default verification grid is L in {3, 5, 7, 9, 11}
-with N up to 4.
-QCHAIN_PRECISION_BITS overrides the default numeric precision when
---precision-bits is not given.
+2 invalid configuration, 3 internal error.  In verify one rule makes a
+finding: an error in FINDING_ERRORS raised inside a check is that check's
+FAIL, with the error as its witness.  A failing primary route (route one,
+or route two under --method linear-system) is a failed construction check,
+the point runs no other check, and its L's per-L checks fail with the same
+witness; under --method both a failing route two is a failed cross-method
+check, and the point's other checks run on route one's Q.  compute and
+table report no findings: a failing route, or disagreeing routes under
+--method both, exits 3.  The default verification grid is L in
+{3, 5, 7, 9, 11} with N up to 4.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .energy import (
@@ -41,7 +42,6 @@ from .energy import (
     verify_linearity,
     verify_no_finite_size_correction,
 )
-from .linalg import SingularMatrixError
 from .qoperator import (
     ChainParams,
     QPolynomial,
@@ -66,35 +66,29 @@ from .wtransform import verify_inverse_sum
 
 import mpmath
 
-DEFAULT_GRID_L = (3, 5, 7, 9, 11)
 DEFAULT_N_MAX = 4
 DEFAULT_PRECISION = 256
-PRECISION_ENV = "QCHAIN_PRECISION_BITS"
 
-CHECK_TOKENS = ("structure", "tq", "linearity", "finite-size", "closed-forms", "roots")
-# Checks of one L read from its points' summaries, which need N = 1, 2.
-PER_L_CHECKS = ("linearity", "finite-size", "closed-forms")
-CHECK_ALIASES = {"section4": "closed-forms"}
-ENTRY_ORDER = {
-    name: index
-    for index, name in enumerate(
-        (
-            "construction",
-            "cross-method",
-            "structure",
-            "inverse-sum",
-            "tq",
-            "roots",
-            "root-product",
-            "root-inversion",
-            "bae",
-            "root-sum",
-            "linearity",
-            "finite-size",
-            "closed-forms",
-        )
-    )
+# Every check verify reports, in report order, with the --checks token that
+# selects it (None: run at every built point).  The last three are per-L
+# checks, which read one L's summaries and so need N = 1, 2.
+CHECKS = {
+    "construction": None,
+    "cross-method": None,
+    "structure": "structure",
+    "inverse-sum": "structure",
+    "tq": "tq",
+    "roots": "roots",
+    "root-product": "roots",
+    "root-inversion": "roots",
+    "bae": "roots",
+    "root-sum": "roots",
+    "linearity": "linearity",
+    "finite-size": "finite-size",
+    "closed-forms": "closed-forms",
 }
+CHECK_TOKENS = tuple(dict.fromkeys(token for token in CHECKS.values() if token))
+CHECK_ALIASES = {"section4": "closed-forms"}
 
 
 @dataclass
@@ -115,16 +109,7 @@ class RunConfig:
         if args.N_max < 1:
             raise ValueError(f"N-max must be >= 1, got {args.N_max}")
 
-        if args.precision_bits is not None:
-            precision = args.precision_bits
-        elif os.environ.get(PRECISION_ENV):
-            raw = os.environ[PRECISION_ENV]
-            try:
-                precision = int(raw)
-            except ValueError:
-                raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}")
-        else:
-            precision = DEFAULT_PRECISION
+        precision = args.precision_bits
         if precision < MIN_ROOT_BITS:
             raise ValueError(f"precision-bits must be >= {MIN_ROOT_BITS}, got {precision}")
 
@@ -213,11 +198,9 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 # grid points
 
 
-FINDING_ERRORS = (ZeroDivisionError, FalsificationError, ConvergenceError, ValueError)
-# A construction route's own exactness checks.  verify reports a failing
-# primary route as the construction finding (and its L's checks fail with the
-# same witness), and under --method both a failing route two as cross-method.
-ROUTE_ERRORS = (AssertionError, ArithmeticError, SingularMatrixError)
+# SingularMatrixError is a ValueError and ZeroDivisionError an ArithmeticError;
+# a route's own exactness checks raise AssertionError or ArithmeticError.
+FINDING_ERRORS = (ArithmeticError, AssertionError, FalsificationError, ConvergenceError, ValueError)
 
 
 def _finding(name: str, params: dict, exc: Exception) -> CheckResult:
@@ -230,11 +213,25 @@ def _finding(name: str, params: dict, exc: Exception) -> CheckResult:
     )
 
 
+def _check(name: str, where: dict, check: Callable, *args) -> list[CheckResult]:
+    """check(*args)'s entries, or one failed entry named name if it raises a finding error."""
+    try:
+        found = check(*args)
+    except FINDING_ERRORS as exc:
+        return [_finding(name, where, exc)]
+    return found if isinstance(found, list) else [found]
+
+
 def _unwrap(found: WSummary | Exception) -> WSummary:
     """A point's summary, or its w_sum failure raised again for the check that needs it."""
     if isinstance(found, Exception):
         raise found
     return found
+
+
+def _summaries(points: list) -> list[WSummary]:
+    """The summaries of one L's points, the first stored failure raised again."""
+    return [_unwrap(summary) for _, _, summary in points]
 
 
 def _point(task: tuple) -> tuple[QPolynomial | None, list[CheckResult], WSummary | Exception]:
@@ -246,28 +243,13 @@ def _point(task: tuple) -> tuple[QPolynomial | None, list[CheckResult], WSummary
     """
     L, N, method, precision, checks, tamper = task
     where = {"L": L, "N": N}
-    entries: list[CheckResult] = []
     params = ChainParams(L, N)
 
     try:
         q = q_linear_system(params) if method == "linear-system" else q_closed_form(params)
-    except ROUTE_ERRORS as exc:
+    except FINDING_ERRORS as exc:
         return None, [_finding("construction", where, exc)], exc
-    if method == "both":
-        try:
-            other = q_linear_system(params)
-        except ROUTE_ERRORS as exc:
-            entries.append(_finding("cross-method", where, exc))
-        else:
-            entries.append(
-                CheckResult(
-                    name="cross-method",
-                    params=where,
-                    passed=q == other,
-                    residual="0" if q == other else "1",
-                    detail="" if q == other else "construction routes disagree",
-                )
-            )
+    entries = _check("cross-method", where, _cross_method, q, where) if method == "both" else []
     if tamper is not None:
         q = q.with_coefficient_bump(tamper[0], tamper[1])
 
@@ -277,19 +259,28 @@ def _point(task: tuple) -> tuple[QPolynomial | None, list[CheckResult], WSummary
         summary = exc
 
     if "structure" in checks:
-        entries.append(verify_structure(q))
-        try:
-            entries.append(verify_inverse_sum(q, _unwrap(summary).E1))
-        except FINDING_ERRORS as exc:
-            entries.append(_finding("inverse-sum", where, exc))
+        entries += _check("structure", where, verify_structure, q)
+        entries += _check("inverse-sum", where, lambda: verify_inverse_sum(q, _unwrap(summary).E1))
 
     if "tq" in checks:
-        entries.append(verify_tq_identity(q))
+        entries += _check("tq", where, verify_tq_identity, q)
 
     if "roots" in checks:
-        entries.extend(_root_entries(q, precision, summary))
+        entries += _root_entries(q, precision, summary)
 
     return q, entries, summary
+
+
+def _cross_method(q: QPolynomial, where: dict) -> CheckResult:
+    """Route two built again and compared with the primary route's Q."""
+    same = q == q_linear_system(q.params)
+    return CheckResult(
+        name="cross-method",
+        params=where,
+        passed=same,
+        residual="0" if same else "1",
+        detail="" if same else "construction routes disagree",
+    )
 
 
 def _measured_entry(
@@ -309,34 +300,36 @@ def _measured_entry(
 
 
 def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
+    """The roots check, then each measurement on the roots found, run on its own."""
     where = {"L": q.params.L, "N": q.params.N}
-    entries: list[CheckResult] = []
     try:
         rs = find_roots(q, precision)
-        top = Fraction(max(abs(c) for c in q.nums), q.den)
-        with mpmath.workprec(max(53, top.numerator.bit_length())):
-            max_coeff = mpmath.mpf(top.numerator) / top.denominator
-        poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
-        loose_tol = mpmath.mpf(2) ** -(precision - 40)
-        ladder = "/".join(map(str, rs.ladder))
-        detail = f"{rs.sweeps} sweeps, search {rs.search_bits} bits, polish {ladder} bits"
-        entries.append(_measured_entry("roots", where, [rs.max_poly_residual], poly_tol, detail))
-        entries.append(_measured_entry("root-product", where, [root_product_gap(rs)], loose_tol))
-        closure = inversion_closure_gap(rs)
-        entries.append(_measured_entry("root-inversion", where, [closure], loose_tol))
+    except FINDING_ERRORS as exc:
+        return [_finding("roots", where, exc)]
+    top = Fraction(max(abs(c) for c in q.nums), q.den)
+    with mpmath.workprec(max(53, top.numerator.bit_length())):
+        max_coeff = mpmath.mpf(top.numerator) / top.denominator
+    poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
+    loose_tol = mpmath.mpf(2) ** -(precision - 40)
+    ladder = "/".join(map(str, rs.ladder))
+    detail = f"{rs.sweeps} sweeps, search {rs.search_bits} bits, polish {ladder} bits"
+
+    def gap(name: str, measure: Callable) -> list[CheckResult]:
+        return _check(name, where, lambda: _measured_entry(name, where, [measure(rs)], loose_tol))
+
+    def bae() -> CheckResult:
         forms = bae_residuals_by_form(rs)
         z_form, w_form = (mpmath.nstr(forms[form].value, 5) for form in "zw")
         detail = f"z-form {z_form}, w-form {w_form}"
-        entries.append(_measured_entry("bae", where, [forms["z"], forms["w"]], loose_tol, detail))
-    except FINDING_ERRORS as exc:
-        # each check adds one entry, in this order, so the one that raised is next
-        check = ("roots", "root-product", "root-inversion", "bae")[len(entries)]
-        return [*entries, _finding(check, where, exc)]
-    try:
-        entries.append(numeric_cross_check(rs, _unwrap(summary).E1))
-    except FINDING_ERRORS as exc:
-        entries.append(_finding("root-sum", where, exc))
-    return entries
+        return _measured_entry("bae", where, [forms["z"], forms["w"]], loose_tol, detail)
+
+    return [
+        _measured_entry("roots", where, [rs.max_poly_residual], poly_tol, detail),
+        *gap("root-product", root_product_gap),
+        *gap("root-inversion", inversion_closure_gap),
+        *_check("bae", where, bae),
+        *_check("root-sum", where, lambda: numeric_cross_check(rs, _unwrap(summary).E1)),
+    ]
 
 
 def _run_grid(
@@ -387,7 +380,7 @@ def _records(config: RunConfig) -> list[dict]:
     bits = config.precision_bits
     records = []
     for L, points in sorted(_run_grid(config, (), with_pair=True).items()):
-        summaries = [_unwrap(summary) for _, _, summary in points]
+        summaries = _summaries(points)
         for q, entries, _ in points:
             if not all(entry.passed for entry in entries):
                 raise AssertionError(f"construction routes disagree at L={L} N={q.params.N}")
@@ -447,29 +440,24 @@ def _records_to_csv(records: list[dict], precision_bits: int) -> str:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    per_L = tuple(check for check in PER_L_CHECKS if check in config.checks)
+    per_L = {
+        "linearity": lambda ready: verify_linearity(ready, config.N_max),
+        "finite-size": lambda ready: verify_no_finite_size_correction(ready, config.N_max),
+        "closed-forms": lambda ready: crosscheck_closed_forms(ready, config.precision_bits),
+    }
+    selected = [name for name in per_L if CHECKS[name] in config.checks]
     entries: list[CheckResult] = []
-    for L, points in _run_grid(config, config.checks, with_pair=bool(per_L)).items():
+    for L, points in _run_grid(config, config.checks, with_pair=bool(selected)).items():
         for _, found, _ in points[: config.N_max]:
             entries.extend(found)
-        for check in per_L:
-            if check == "closed-forms" and L not in CLOSED_FORM_SUMS:
-                continue
-            needed = points[:2] if check == "closed-forms" else points
-            try:
-                ready = [_unwrap(summary) for _, _, summary in needed]
-                if check == "linearity":
-                    entries.extend(verify_linearity(ready, config.N_max))
-                elif check == "finite-size":
-                    entries.extend(verify_no_finite_size_correction(ready, config.N_max))
-                else:
-                    entries.extend(crosscheck_closed_forms(ready, config.precision_bits))
-            except (*FINDING_ERRORS, *ROUTE_ERRORS) as exc:
-                entries.append(_finding(check, {"L": L}, exc))
+        for name in selected:
+            if name != "closed-forms" or L in CLOSED_FORM_SUMS:
+                needed = points[:2] if name == "closed-forms" else points
+                entries += _check(name, {"L": L}, lambda: per_L[name](_summaries(needed)))
 
     entries.sort(
         key=lambda e: (
-            ENTRY_ORDER.get(e.name, 99),
+            list(CHECKS).index(e.name),
             e.params.get("L", 0),
             e.params.get("N", 0),
         )
@@ -559,14 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("closed-form", "linear-system", "both"),
             default="both" if with_checks else "closed-form",
         )
-        p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
+        p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION)
         p.add_argument("--output", default=None, help="output path, default stdout")
         p.add_argument("--jobs", type=int, default=1)
         if with_checks:
             p.add_argument(
                 "--checks",
                 default="all",
-                help="comma list of structure,tq,linearity,finite-size,closed-forms,roots or all",
+                help=f"comma list of {','.join(CHECK_TOKENS)} or all",
             )
             p.add_argument(
                 "--tamper",

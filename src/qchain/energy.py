@@ -36,7 +36,7 @@ import mpmath
 from .cyclotomic import CyclotomicNumber, cyc_cos
 from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult, FalsificationError
-from .wtransform import WSymmetrics, w_sum
+from .wtransform import w_sum
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,10 @@ class SpinConstant:
     slope: CyclotomicNumber
 
 
-def energy(ws: WSymmetrics) -> WSummary:
-    """Exact energy and per-site energy from the root sum."""
+def groundstate_summary(q: QPolynomial) -> WSummary:
+    """Root sum (the one w_sum of its grid point), exact energy and per-site
+    energy of one built Q."""
+    ws = w_sum(q)
     params = ws.params
     cos2 = cyc_cos(2, params.L)
     total = cos2 * (2 * params.p) - ws.E1 * 2
@@ -71,11 +73,6 @@ def energy(ws: WSymmetrics) -> WSummary:
         energy=total,
         energy_per_site=total / params.M,
     )
-
-
-def groundstate_summary(q: QPolynomial) -> WSummary:
-    """Root sum and energies of one built Q (the one w_sum of its grid point)."""
-    return energy(w_sum(q))
 
 
 def extract_A(summaries: Sequence[WSummary]) -> SpinConstant:

@@ -23,6 +23,10 @@ class SingularMatrixError(ValueError):
         self.rank = rank
         self.size = size
 
+    def __reduce__(self):
+        # args holds only the message, so unpickling (a process pool) needs the fields
+        return type(self), (self.rank, self.size)
+
 
 def _eliminate(rows: list[list[int]], ncols: int) -> int:
     """Fraction-free elimination of the first ncols columns in place; returns the rank.

@@ -57,6 +57,11 @@ class ConvergenceError(RuntimeError):
     def __init__(self, sweeps: int, worst: str):
         super().__init__(f"no convergence after {sweeps} sweeps, worst correction {worst}")
         self.sweeps = sweeps
+        self.worst = worst
+
+    def __reduce__(self):
+        # args holds only the message, so unpickling (a process pool) needs the fields
+        return type(self), (self.sweeps, self.worst)
 
 
 @dataclass

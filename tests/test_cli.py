@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+import pickle
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -8,12 +9,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from qchain import cli
 from qchain.cli import main
 from qchain.linalg import SingularMatrixError
 from qchain.qoperator import ChainParams, QPolynomial, q_closed_form, q_linear_system
 from qchain.wtransform import w_sum
 from qchain.cyclotomic import CyclotomicNumber
 from qchain.rationals import integer_scaled, parse_rational
+from qchain.roots import ConvergenceError
 
 
 def run(argv, capsys):
@@ -96,35 +99,12 @@ def test_compute_rejects_bad_N(capsys):
     assert "N-max" in err
 
 
-def test_precision_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("QCHAIN_PRECISION_BITS", "192")
-    code, out, _ = run(["compute", "--L", "3", "--N-max", "1"], capsys)
-    assert code == 0
-    assert json.loads(out)["meta"]["precision_bits"] == 192
-
-
-def test_precision_flag_beats_env(monkeypatch, capsys):
-    monkeypatch.setenv("QCHAIN_PRECISION_BITS", "192")
-    code, out, _ = run(
-        ["compute", "--L", "3", "--N-max", "1", "--precision-bits", "320"], capsys
-    )
-    assert code == 0
-    assert json.loads(out)["meta"]["precision_bits"] == 320
-
-
 def test_precision_floor(monkeypatch, capsys):
     code, _, err = run(
         ["compute", "--L", "3", "--N-max", "1", "--precision-bits", "64"], capsys
     )
     assert code == 2
     assert "128" in err
-
-
-def test_bad_env_precision(monkeypatch, capsys):
-    monkeypatch.setenv("QCHAIN_PRECISION_BITS", "lots")
-    code, _, err = run(["compute", "--L", "3", "--N-max", "1"], capsys)
-    assert code == 2
-    assert "QCHAIN_PRECISION_BITS" in err
 
 
 def test_jobs_capped_at_task_count(monkeypatch, capsys):
@@ -286,8 +266,35 @@ def test_huge_tamper_delta_is_a_finding(capsys):
     # at N = 2 the two roots coincide at the working scale: the Bethe check
     # raises, and the finding carries its name, not a second roots line
     assert "FAIL bae L=3 N=2 [ValueError: roots 0 and 1 coincide]" in lines
-    for N in (1, 2):
-        assert sum(line.split()[1:4] == ["roots", "L=3", f"N={N}"] for line in lines) == 1
+    # every root measurement reports on its own, so root-sum survives the raise
+    for check in ("roots", "root-product", "root-inversion", "bae", "root-sum"):
+        for N in (1, 2):
+            assert sum(line.split()[1:4] == [check, "L=3", f"N={N}"] for line in lines) == 1
+    assert any(line.startswith("FAIL root-sum L=3 N=2 ") for line in lines)
+    assert lines[-1] == "9 of 12 checks FAILED"
+
+
+def _failing_linear_system(params):
+    raise SingularMatrixError(2, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        ([], False),
+        (["--tamper", "1:1/3"], False),
+        (["--L", "3,5", "--N-max", "2"], True),
+    ],
+)
+def test_verify_reports_checks_in_table_order(argv, patched, monkeypatch, capsys):
+    if patched:
+        monkeypatch.setattr("qchain.cli.q_linear_system", _failing_linear_system)
+    code, out, err = run(["verify", *argv], capsys)
+    assert code in (0, 1), err
+    names = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert set(names) <= set(cli.CHECKS)
+    order = list(cli.CHECKS)
+    assert [order.index(name) for name in names] == sorted(order.index(name) for name in names)
 
 
 @pytest.mark.parametrize(
@@ -448,6 +455,27 @@ def test_failing_route_two_is_a_cross_method_finding(error, monkeypatch, capsys)
         code, out, _ = run([command, "--L", "3", "--N-max", "1", "--method", "both"], capsys)
         assert code == 3
         assert out == ""
+
+
+@pytest.mark.parametrize("error", [SingularMatrixError(2, 3), ConvergenceError(200, "0.125")])
+def test_route_errors_round_trip_through_pickle(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) and copy.args == error.args
+    assert vars(copy) == vars(error)
+
+
+def test_failing_route_point_round_trips_through_pickle(monkeypatch):
+    # a worker's result is pickled back, the failing route's error included
+    monkeypatch.setattr("qchain.cli.q_linear_system", _failing_linear_system)
+    found = cli._point((3, 1, "linear-system", 256, ("structure",), None))
+    q, entries, summary = pickle.loads(pickle.dumps(found))
+    assert q is None
+    assert entries == found[1] == [
+        cli._finding("construction", {"L": 3, "N": 1}, SingularMatrixError(2, 3))
+    ]
+    assert entries[0].detail == "SingularMatrixError: singular system: rank 2 < size 3"
+    assert type(summary) is SingularMatrixError and vars(summary) == {"rank": 2, "size": 3}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Energy extraction and the size-independence of the per-site value."""
 
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -14,8 +15,8 @@ from qchain.cyclotomic import CyclotomicNumber, cyc_cos
 from qchain.energy import (
     closed_form_root_sum,
     crosscheck_closed_forms,
-    energy,
     extract_A,
+    groundstate_summary,
     verify_linearity,
     verify_no_finite_size_correction,
 )
@@ -51,10 +52,16 @@ def test_root_sum_anchor_L3_affine():
 
 
 def test_energy_is_real_or_falsified():
-    ws = w_sum(build_q(ChainParams(7, 2)))
-    summary = energy(ws)
+    summary = groundstate_summary(build_q(ChainParams(7, 2)))
     assert summary.energy.is_real()
     assert summary.energy_per_site * summary.params.M == summary.energy
+
+
+def test_energy_submodule_is_the_module():
+    # the package re-exports no name that shadows the submodule
+    import qchain.energy as module
+
+    assert module is sys.modules["qchain.energy"]
 
 
 def test_extract_A_small_cases():
