@@ -51,11 +51,10 @@ from .qoperator import (
     verify_tq_identity,
 )
 from .rationals import format_rational, parse_rational
-from .report import CheckResult, FalsificationError
+from .report import CheckResult, FalsificationError, listed, measured
 from .roots import (
     MIN_ROOT_BITS,
     ConvergenceError,
-    Measured,
     bae_residuals_by_form,
     find_roots,
     inversion_closure_gap,
@@ -204,13 +203,7 @@ FINDING_ERRORS = (ArithmeticError, AssertionError, FalsificationError, Convergen
 
 
 def _finding(name: str, params: dict, exc: Exception) -> CheckResult:
-    return CheckResult(
-        name=name,
-        params=params,
-        passed=False,
-        residual="1",
-        detail=f"{type(exc).__name__}: {exc}",
-    )
+    return listed(name, params, [f"{type(exc).__name__}: {exc}"])
 
 
 def _check(name: str, where: dict, check: Callable, *args) -> list[CheckResult]:
@@ -274,29 +267,7 @@ def _point(task: tuple) -> tuple[QPolynomial | None, list[CheckResult], WSummary
 def _cross_method(q: QPolynomial, where: dict) -> CheckResult:
     """Route two built again and compared with the primary route's Q."""
     same = q == q_linear_system(q.params)
-    return CheckResult(
-        name="cross-method",
-        params=where,
-        passed=same,
-        residual="0" if same else "1",
-        detail="" if same else "construction routes disagree",
-    )
-
-
-def _measured_entry(
-    name: str, where: dict, found: list[Measured], tolerance, detail: str = ""
-) -> CheckResult:
-    """A check on residuals with rounding bounds: it passes when every
-    residual + bound is below tolerance, and reports the largest of each."""
-    worst = max(m.value for m in found)
-    bound = max(m.bound for m in found)
-    return CheckResult(
-        name=name,
-        params=where,
-        passed=all(m.below(tolerance) for m in found),
-        residual=f"{mpmath.nstr(worst, 8)} (rounding bound {mpmath.nstr(bound, 3)})",
-        detail=detail,
-    )
+    return listed("cross-method", where, [] if same else ["construction routes disagree"])
 
 
 def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
@@ -314,19 +285,19 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     ladder = "/".join(map(str, rs.ladder))
     detail = f"{rs.sweeps} sweeps, search {rs.search_bits} bits, polish {ladder} bits"
 
-    def gap(name: str, measure: Callable) -> list[CheckResult]:
-        return _check(name, where, lambda: _measured_entry(name, where, [measure(rs)], loose_tol))
+    def on_roots(name: str, measure: Callable) -> list[CheckResult]:
+        return _check(name, where, lambda: measured(name, where, [measure(rs)], loose_tol))
 
     def bae() -> CheckResult:
         forms = bae_residuals_by_form(rs)
         z_form, w_form = (mpmath.nstr(forms[form].value, 5) for form in "zw")
         detail = f"z-form {z_form}, w-form {w_form}"
-        return _measured_entry("bae", where, [forms["z"], forms["w"]], loose_tol, detail)
+        return measured("bae", where, [forms["z"], forms["w"]], loose_tol, detail)
 
     return [
-        _measured_entry("roots", where, [rs.max_poly_residual], poly_tol, detail),
-        *gap("root-product", root_product_gap),
-        *gap("root-inversion", inversion_closure_gap),
+        measured("roots", where, [rs.max_poly_residual], poly_tol, detail),
+        *on_roots("root-product", root_product_gap),
+        *on_roots("root-inversion", inversion_closure_gap),
         *_check("bae", where, bae),
         *_check("root-sum", where, lambda: numeric_cross_check(rs, _unwrap(summary).E1)),
     ]
@@ -375,15 +346,16 @@ def _records(config: RunConfig) -> list[dict]:
     """compute's exact records, by L then N; JSON, CSV and table all read these.
 
     A failing route, or under --method both disagreeing routes, is an
-    internal error.
+    internal error; a failed cross-method entry's witness names which.
     """
     bits = config.precision_bits
     records = []
     for L, points in sorted(_run_grid(config, (), with_pair=True).items()):
         summaries = _summaries(points)
         for q, entries, _ in points:
-            if not all(entry.passed for entry in entries):
-                raise AssertionError(f"construction routes disagree at L={L} N={q.params.N}")
+            for entry in entries:
+                if not entry.passed:
+                    raise AssertionError(f"{entry.detail} at L={L} N={q.params.N}")
         constant = extract_A(summaries)
         A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
         for (q, _, _), summary in zip(points[: config.N_max], summaries):

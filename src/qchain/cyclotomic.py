@@ -304,10 +304,14 @@ class CyclotomicNumber:
                 return mpmath.nstr(value.real, digits)
             return mpmath.nstr(value, digits)
 
+    def coeff_strings(self) -> list[str]:
+        """The power-basis coordinates as "NUM/DEN" strings, the exact part of to_dict."""
+        return [format_rational(c) for c in self.coeffs]
+
     def to_dict(self, precision_bits: int = 256) -> dict:
         return {
             "order": self.order,
-            "coeffs": [format_rational(c) for c in self.coeffs],
+            "coeffs": self.coeff_strings(),
             "approx": self.approx_str(precision_bits),
         }
 

@@ -35,7 +35,7 @@ import mpmath
 
 from .cyclotomic import CyclotomicNumber, cyc_cos
 from .qoperator import ChainParams, QPolynomial
-from .report import CheckResult, FalsificationError
+from .report import CheckResult, FalsificationError, exact, gap, listed
 from .wtransform import w_sum
 
 
@@ -90,16 +90,11 @@ def extract_A(summaries: Sequence[WSummary]) -> SpinConstant:
     expected_slope = A * 2 + cyc_cos(2, L)
     if slope != expected_slope:
         raise FalsificationError(
-            f"slope identity fails at L={L}: "
-            f"{(slope - expected_slope).to_dict()['coeffs']}"
+            f"slope identity fails at L={L}: {(slope - expected_slope).coeff_strings()}"
         )
     if not A.is_real():
         raise FalsificationError(f"extracted constant is not real at L={L}")
     return SpinConstant(L=L, A=A, slope=slope)
-
-
-def _fit_failure(name: str, L: int, exc: FalsificationError) -> CheckResult:
-    return CheckResult(name=name, params={"L": L}, passed=False, residual="1", detail=str(exc))
 
 
 def verify_linearity(summaries: Sequence[WSummary], N_max: int) -> list[CheckResult]:
@@ -108,19 +103,12 @@ def verify_linearity(summaries: Sequence[WSummary], N_max: int) -> list[CheckRes
     try:
         constant = extract_A(summaries)
     except FalsificationError as exc:
-        return [_fit_failure("linearity", L, exc)]
+        return [listed("linearity", {"L": L}, [str(exc)])]
     entries = []
     for summary in summaries[:N_max]:
         N = summary.params.N
         difference = summary.E1 - (constant.A + constant.slope * N)
-        entries.append(
-            CheckResult(
-                name="linearity",
-                params={"L": L, "N": N},
-                passed=difference.is_zero(),
-                residual="0" if difference.is_zero() else str(difference.to_dict()["coeffs"]),
-            )
-        )
+        entries.append(exact("linearity", {"L": L, "N": N}, difference))
     return entries
 
 
@@ -132,22 +120,16 @@ def verify_no_finite_size_correction(
     try:
         constant = extract_A(summaries)
     except FalsificationError as exc:
-        return [_fit_failure("finite-size", L, exc)]
+        return [listed("finite-size", {"L": L}, [str(exc)])]
     density = cyc_cos(2, L) * (L - 3) - constant.A * 2
     entries = []
     for summary in summaries[:N_max]:
-        total_diff = summary.energy - density * summary.params.M
-        site_diff = summary.energy_per_site - density
-        passed = total_diff.is_zero() and site_diff.is_zero()
-        entries.append(
-            CheckResult(
-                name="finite-size",
-                params={"L": L, "N": summary.params.N},
-                passed=passed,
-                residual="0" if passed else str(total_diff.to_dict()["coeffs"]),
-                detail="" if passed else "per-site energy drifts with N",
-            )
-        )
+        # the stored per-site energy, which compute writes, is the witness if the total agrees
+        difference = summary.energy - density * summary.params.M
+        if difference.is_zero():
+            difference = summary.energy_per_site - density
+        where = {"L": L, "N": summary.params.N}
+        entries.append(exact("finite-size", where, difference, "per-site energy drifts with N"))
     return entries
 
 
@@ -267,14 +249,6 @@ def crosscheck_closed_forms(
         reference = closed_form_root_sum(L, N, precision_bits)
         mine = summary.E1.embed(precision_bits)
         with mpmath.workprec(precision_bits):
-            gap = abs(mine - reference)
-        entries.append(
-            CheckResult(
-                name="closed-forms",
-                params={"L": L, "N": N},
-                passed=gap < tolerance,
-                residual=mpmath.nstr(gap, 8),
-                detail=f"tolerance {mpmath.nstr(tolerance, 4)}",
-            )
-        )
+            distance = abs(mine - reference)
+        entries.append(gap("closed-forms", {"L": L, "N": N}, distance, tolerance))
     return entries

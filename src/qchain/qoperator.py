@@ -33,9 +33,7 @@ from math import comb
 from .cyclotomic import CyclotomicNumber
 from .linalg import solve_linear_system
 from .rationals import divide_monic, format_rational, integer_scaled, lowest_terms
-from .report import CheckResult
-
-MIN_REPORT_BITS = 64
+from .report import CheckResult, exact, listed
 
 
 @dataclass(frozen=True)
@@ -255,13 +253,7 @@ def verify_structure(q: QPolynomial) -> CheckResult:
             break
     if sign * nums[p] != den:
         problems.append(f"Q(0) = {format_rational(Fraction(sign * nums[p], den))}")
-    return CheckResult(
-        name="structure",
-        params={"L": q.params.L, "N": q.params.N},
-        passed=not problems,
-        residual="0" if not problems else "1",
-        detail="; ".join(problems),
-    )
+    return listed("structure", {"L": q.params.L, "N": q.params.N}, problems)
 
 
 def verify_tq_identity(q: QPolynomial) -> CheckResult:
@@ -301,14 +293,6 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
         if not coefficient.is_zero():
             bad.append((i, coefficient))
 
-    where = {"L": L, "N": params.N}
-    if not bad:
-        return CheckResult(name="tq", params=where, passed=True)
-    degree, witness = bad[0][0], bad[0][1] / den
-    return CheckResult(
-        name="tq",
-        params=where,
-        passed=False,
-        residual=str(witness.to_dict(MIN_REPORT_BITS)["coeffs"]),
-        detail=f"{len(bad)} nonzero coefficients, first at degree {degree}",
-    )
+    degree, witness = bad[0] if bad else (None, CyclotomicNumber(order))
+    detail = f"{len(bad)} nonzero coefficients, first at degree {degree}"
+    return exact("tq", {"L": L, "N": params.N}, witness / den, detail)

@@ -45,7 +45,7 @@ from .cyclotomic import CyclotomicNumber
 from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _product, _scaled_mul
 from .fixedpoint import _to_fixed
 from .qoperator import ChainParams, QPolynomial
-from .report import CheckResult
+from .report import CheckResult, gap
 
 MIN_ROOT_BITS = 128
 MAX_SWEEPS = 200
@@ -497,12 +497,6 @@ def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> CheckResult:
         forward = mpmath.fsum(rs.w_roots, absolute=False)
         backward = mpmath.fsum([1 / w for w in rs.w_roots], absolute=False)
         target = e1.embed(precision + 64)
-        gap = max(abs(forward - target), abs(backward - target))
+        distance = max(abs(forward - target), abs(backward - target))
         tolerance = mpmath.mpf(2) ** -(precision - 40)
-    return CheckResult(
-        name="root-sum",
-        params={"L": rs.params.L, "N": rs.params.N},
-        passed=gap < tolerance,
-        residual=mpmath.nstr(gap, 8),
-        detail=f"tolerance {mpmath.nstr(tolerance, 4)}",
-    )
+    return gap("root-sum", {"L": rs.params.L, "N": rs.params.N}, distance, tolerance)

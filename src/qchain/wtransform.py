@@ -21,7 +21,7 @@ from math import comb
 
 from .cyclotomic import CyclotomicNumber
 from .qoperator import ChainParams, QPolynomial
-from .report import CheckResult, FalsificationError
+from .report import CheckResult, FalsificationError, exact
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,5 @@ def verify_inverse_sum(q: QPolynomial, e1: CyclotomicNumber) -> CheckResult:
     e_top = w_elementary(q, params.p)
     e_second = w_elementary(q, params.p - 1)
     difference = e_second - e1 * e_top
-    passed = difference.is_zero()
-    return CheckResult(
-        name="inverse-sum",
-        params={"L": params.L, "N": params.N},
-        passed=passed,
-        residual="0" if passed else str(difference.to_dict()["coeffs"]),
-        detail="" if passed else "sum of w and sum of 1/w disagree",
-    )
+    where = {"L": params.L, "N": params.N}
+    return exact("inverse-sum", where, difference, "sum of w and sum of 1/w disagree")

@@ -8,7 +8,7 @@ import mpmath
 from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
 from qchain.linalg import solve_linear_system
-from qchain.qoperator import MIN_REPORT_BITS, ChainParams, QPolynomial, admissible_indices, build_q
+from qchain.qoperator import ChainParams, QPolynomial, admissible_indices, build_q
 from qchain.report import CheckResult
 
 
@@ -124,7 +124,7 @@ def tq_oracle(q):
         name="tq",
         params={"L": L, "N": params.N},
         passed=False,
-        residual=str(witness.to_dict(MIN_REPORT_BITS)["coeffs"]),
+        residual=str(witness.to_dict(64)["coeffs"]),
         detail=f"{len(bad)} nonzero coefficients, first at degree {degree}",
     )
 

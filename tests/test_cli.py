@@ -450,11 +450,12 @@ def test_failing_route_two_is_a_cross_method_finding(error, monkeypatch, capsys)
     passed = [line for line in lines if line.startswith("PASS")]
     assert passed and len(passed) + len(failed) == len(lines) - 1
     assert lines[-1] == f"{len(failed)} of {len(lines) - 1} checks FAILED"
-    # compute and table still stop on a route failure
+    # compute and table still stop on a route failure, and name it with its point
     for command in ("compute", "table"):
-        code, out, _ = run([command, "--L", "3", "--N-max", "1", "--method", "both"], capsys)
+        code, out, err = run([command, "--L", "3", "--N-max", "1", "--method", "both"], capsys)
         assert code == 3
         assert out == ""
+        assert err == f"internal error: AssertionError: {witness[1:-1]} at L=3 N=1\n"
 
 
 @pytest.mark.parametrize("error", [SingularMatrixError(2, 3), ConvergenceError(200, "0.125")])
@@ -556,6 +557,25 @@ def test_verify_tamper_reaches_per_L_checks(capsys):
     assert code == 1
     assert "FAIL linearity L=5" in out
     assert "PASS linearity" not in out
+
+
+def test_exact_witnesses_render_no_decimal(monkeypatch, capsys):
+    # exact checks write NUM/DEN coordinates; none of them embeds a field element
+    embedded = []
+    embed = CyclotomicNumber.embed
+
+    def counting(self, *args, **kwargs):
+        embedded.append(self)
+        return embed(self, *args, **kwargs)
+
+    monkeypatch.setattr(CyclotomicNumber, "embed", counting)
+    checks = "structure,tq,linearity,finite-size"
+    argv = ["verify", "--L", "3,5", "--N-max", "2", "--tamper", "1:1/3", "--checks", checks]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    for failed in ("inverse-sum L=5 N=2", "tq L=5 N=2", "linearity L=5", "finite-size L=5"):
+        assert f"FAIL {failed} [" in out
+    assert embedded == []
 
 
 # -- table -------------------------------------------------------------------

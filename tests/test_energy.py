@@ -2,6 +2,7 @@
 
 import pickle
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -99,6 +100,27 @@ def test_linearity_of_root_sum(L, N_max):
     for entry in entries:
         assert entry.passed, entry.line()
         assert entry.residual == "0"
+
+
+def test_failure_witnesses_are_the_exact_differences():
+    # L = 5: Q(zeta_10) has four coordinates; the third summary is N = 3, M = 7
+    first, second, third = summaries_for(5, 3)
+    bump = F(1, 7)
+    e1_bumped = replace(third, E1=third.E1 + bump)
+    entries = verify_linearity([first, second, e1_bumped], 3)
+    assert [entry.residual for entry in entries] == ["0", "0", "['1/7', '0/1', '0/1', '0/1']"]
+    # the energies follow E1 (energy = 2 p cos(2 pi / L) - 2 E1): the total is the witness
+    energy = third.energy - 2 * bump
+    follows = replace(e1_bumped, energy=energy, energy_per_site=energy / third.params.M)
+    entries = verify_no_finite_size_correction([first, second, follows], 3)
+    assert [entry.passed for entry in entries] == [True, True, False]
+    assert entries[2].residual == "['-2/7', '0/1', '0/1', '0/1']"
+    assert entries[2].detail == "per-site energy drifts with N"
+    # only the stored per-site energy is wrong: its difference is the witness
+    site_bumped = replace(third, energy_per_site=third.energy_per_site + bump)
+    entries = verify_no_finite_size_correction([first, second, site_bumped], 3)
+    assert [entry.passed for entry in entries] == [True, True, False]
+    assert entries[2].residual == "['1/7', '0/1', '0/1', '0/1']"
 
 
 @pytest.mark.parametrize("L, N_max", [(3, 6), (5, 5), (7, 4), (9, 3), (11, 2)])

@@ -12,8 +12,9 @@ import pytest
 
 import qchain.roots
 from conftest import bae_oracle, inversion_oracle, poly_residual_oracle, product_oracle
-from qchain.cli import _measured_entry, main
+from qchain.cli import main
 from qchain.qoperator import ChainParams, build_q
+from qchain.report import measured as _measured_entry
 from qchain.roots import (
     ConvergenceError,
     Measured,
