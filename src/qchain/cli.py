@@ -51,7 +51,7 @@ from .qoperator import (
     verify_tq_identity,
 )
 from .rationals import format_rational, parse_rational
-from .report import CheckResult, FalsificationError, listed, measured
+from .report import CheckResult, FalsificationError, gap, listed, measured
 from .roots import (
     MIN_ROOT_BITS,
     ConvergenceError,
@@ -294,12 +294,15 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
         detail = f"z-form {z_form}, w-form {w_form}"
         return measured("bae", where, [forms["z"], forms["w"]], loose_tol, detail)
 
+    def root_sum() -> CheckResult:
+        return gap("root-sum", where, numeric_cross_check(rs, _unwrap(summary).E1), loose_tol)
+
     return [
         measured("roots", where, [rs.max_poly_residual], poly_tol, detail),
         *on_roots("root-product", root_product_gap),
         *on_roots("root-inversion", inversion_closure_gap),
         *_check("bae", where, bae),
-        *_check("root-sum", where, lambda: numeric_cross_check(rs, _unwrap(summary).E1)),
+        *_check("root-sum", where, root_sum),
     ]
 
 
@@ -345,17 +348,18 @@ def _run_grid(
 def _records(config: RunConfig) -> list[dict]:
     """compute's exact records, by L then N; JSON, CSV and table all read these.
 
-    A failing route, or under --method both disagreeing routes, is an
-    internal error; a failed cross-method entry's witness names which.
+    A failed entry (a failing route, or disagreeing routes under --method
+    both) is an internal error naming its witness and point, raised before
+    the summaries are read, as a failed route stores its error there.
     """
     bits = config.precision_bits
     records = []
     for L, points in sorted(_run_grid(config, (), with_pair=True).items()):
-        summaries = _summaries(points)
-        for q, entries, _ in points:
+        for _, entries, _ in points:
             for entry in entries:
                 if not entry.passed:
-                    raise AssertionError(f"{entry.detail} at L={L} N={q.params.N}")
+                    raise AssertionError(f"{entry.detail} at L={L} N={entry.params['N']}")
+        summaries = _summaries(points)
         constant = extract_A(summaries)
         A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
         for (q, _, _), summary in zip(points[: config.N_max], summaries):
@@ -389,21 +393,10 @@ def _records_to_csv(records: list[dict], precision_bits: int) -> str:
     buffer = io.StringIO()
     buffer.write(f"# decimal values derived from exact fields at {precision_bits} bits\n")
     writer = csv.writer(buffer)
-    writer.writerow(["L", "N", "M", "p", "E1", "energy", "energy_per_site", "A", "slope"])
+    fields = ("E1", "energy", "energy_per_site", "A", "slope")
+    writer.writerow(["L", "N", "M", "p", *fields])
     for r in records:
-        writer.writerow(
-            [
-                r["L"],
-                r["N"],
-                r["M"],
-                r["p"],
-                r["E1"]["approx"],
-                r["energy"]["approx"],
-                r["energy_per_site"]["approx"],
-                r["A"]["approx"],
-                r["slope"]["approx"],
-            ]
-        )
+        writer.writerow([r["L"], r["N"], r["M"], r["p"], *(r[field]["approx"] for field in fields)])
     return buffer.getvalue()
 
 
@@ -473,16 +466,10 @@ def cmd_table(config: RunConfig) -> int:
         for r in _records(config)
     ]
     header = ("L", "N", "M", "p", "E1", "energy", "energy/site", "A")
-    widths = [
-        max(len(str(header[i])), max(len(str(r[i])) for r in rows)) for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(str(h).ljust(widths[i]) for i, h in enumerate(header)),
-        "  ".join("-" * widths[i] for i in range(len(header))),
-    ]
-    for r in rows:
-        lines.append("  ".join(str(v).ljust(widths[i]) for i, v in enumerate(r)))
-    return _write_output("\n".join(lines) + "\n", config.output_path)
+    widths = [max(len(str(v)) for v in column) for column in zip(header, *rows)]
+    lines = [header, ["-" * width for width in widths], *rows]
+    text = "".join("  ".join(str(v).ljust(w) for v, w in zip(r, widths)) + "\n" for r in lines)
+    return _write_output(text, config.output_path)
 
 
 def _write_output(text: str, path: str | None) -> int:

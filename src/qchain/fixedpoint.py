@@ -4,8 +4,10 @@ A complex number in fixed point at 2^-bits is a pair of ints (xr, xi)
 worth (xr + i xi) 2^-bits; a unit is 2^-bits.  Each stored part is within
 one unit of the value it stands for: products (_mul) and divisions
 (_divide) round each part down, and conversions truncate (_to_fixed from
-mpmath toward zero, _fixed from a Fraction down).  A complex value is thus
-off by less than 1.5 units, and a multiple of 2^-bits converts exactly.
+mpmath and _rescale from a finer scale, both toward zero, so they read the
+same integers from the same value; _fixed from a Fraction down).  A complex
+value is thus off by less than 1.5 units, and a multiple of 2^-bits
+converts exactly.
 
 _scaled_mul multiplies numbers (r + i i) 2^e that carry an exponent and
 shifts the exact product so that its larger part is keep bits long.
@@ -39,6 +41,11 @@ def _fixed(x: Fraction, bits: int) -> int:
 def _to_fixed(x, bits: int) -> tuple[int, int]:
     """An mpmath number scaled by 2^bits, each part truncated toward zero."""
     return int(mpmath.ldexp(x.real, bits)), int(mpmath.ldexp(x.imag, bits))
+
+
+def _rescale(x: tuple[int, int], shift: int) -> tuple[int, int]:
+    """x divided by 2^shift, shift >= 0, each part truncated toward zero."""
+    return tuple(v >> shift if v >= 0 else -(-v >> shift) for v in x)
 
 
 def _float(xr: int, xi: int, one: int) -> complex:

@@ -16,14 +16,17 @@ that every bound here starts from.  Only the Aberth pair sums run in
 Python floats, since they merely scale each Newton correction.  The
 polynomial residual |Q(z_j)| comes from the same Horner routine as the
 polish, at the polish precision and on the polished fixed-point roots;
-the Bethe-equation residuals, the root product and the inversion closure
-run at one working scale, F = precision_bits + 128 + 2p.  Each of the four
-comes back as a Measured: the residual and an explicit bound on its
-rounding error, derived in the function's docstring and computed in
-integers, so a check passes only when residual + bound is below its
-tolerance.  mpmath computes the seeds, the constants exp and sinh of eta,
-the Moebius images (z_to_w), the root sum, and the conversions between
-stored roots, fixed point and reported mpf values.
+the Bethe-equation residuals, the root product, the inversion closure and
+the root sum run at one working scale, F = precision_bits + 128 + 2p.  Each
+of the first four comes back as a Measured: the residual and an explicit
+bound on its rounding error, derived in the function's docstring and
+computed in integers, so a check passes only when residual + bound is below
+its tolerance.  A RootSet keeps the roots and their Moebius images
+(z_to_w) in this one format at polish_bits, and each measurement reads
+them at F through _rescale, which truncates as _to_fixed does; every bound
+starts from that.  mpmath computes only the seeds, the constants exp and
+sinh of eta, the Moebius pole, the embedding of the exact root sum and the
+reported values.
 
 The Bethe equations are evaluated in both variables: the z-form directly on
 the roots of Q, and the w-form on their Moebius images, with the anisotropy
@@ -43,9 +46,8 @@ import mpmath
 
 from .cyclotomic import CyclotomicNumber
 from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _product, _scaled_mul
-from .fixedpoint import _to_fixed
+from .fixedpoint import _rescale, _to_fixed
 from .qoperator import ChainParams, QPolynomial
-from .report import CheckResult, gap
 
 MIN_ROOT_BITS = 128
 MAX_SWEEPS = 200
@@ -66,10 +68,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class RootSet:
+    """The roots z of Q and their Moebius images w, each an (re, im) int pair at 2^-bits."""
+
     params: ChainParams
     precision_bits: int
-    z_roots: tuple
-    w_roots: tuple
+    bits: int
+    z: tuple
+    w: tuple
     max_poly_residual: Measured
     sweeps: int = 0
     search_bits: int = 0
@@ -77,24 +82,27 @@ class RootSet:
 
 
 def _at_work_scale(rs: RootSet, roots) -> tuple[int, list[tuple[int, int]]]:
-    """F = precision_bits + 128 + 2p, the scale of the Bethe residuals, root
-    product and inversion closure, and the given stored roots at 2^-F."""
+    """F = precision_bits + 128 + 2p, the working scale of the measurements,
+    and the given stored roots at 2^-F, truncated toward zero (_rescale)."""
     F = rs.precision_bits + 128 + 2 * rs.params.p
-    return F, [_to_fixed(v, F) for v in roots]
+    return F, [_rescale(v, rs.bits - F) for v in roots]
 
 
-def z_to_w(z, L: int, a=None):
-    """Moebius image w = (z a - 1)/(z - a), a = exp(-2 pi i / L).
+def z_to_w(z: tuple[int, int], a: tuple[int, int], bits: int) -> tuple[int, int]:
+    """Moebius image w = (z a - 1)/(z - a) of z at 2^-bits, a = exp(-2 pi i / L)
+    at 2^-(bits + 64), in fixed point at 2^-bits.
 
-    Evaluated at the caller's working precision; a root set passes a, made
-    once at that precision.  Points closer to the pole a than 2^-(prec/2)
-    are rejected rather than silently amplified.
+    The product and the division run 64 bits below the unit of z and w, and
+    w is truncated toward zero to 2^-bits.  Points closer to the pole a than
+    2^-(bits//2) are rejected rather than silently amplified.
     """
-    if a is None:
-        a = mpmath.expjpi(mpmath.mpf(-2) / L)
-    if abs(z - a) < mpmath.mpf(2) ** -(mpmath.mp.prec // 2):
+    guard = bits + 64
+    zr, zi = z[0] << 64, z[1] << 64
+    dr, di = zr - a[0], zi - a[1]
+    if dr * dr + di * di < 1 << 2 * (guard - bits // 2):
         raise ValueError("z is too close to the Moebius pole")
-    return (z * a - 1) / (z - a)
+    nr, ni = _mul(zr, zi, *a, guard)
+    return _rescale(_divide(nr - (1 << guard), ni, dr, di, guard), 64)
 
 
 def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
@@ -257,19 +265,15 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     error = (5 * (p + 1) * reach**p, -16 * p - 1 - polish_bits)
     residual = Measured.from_square(worst, 1 << 2 * polish_bits, polish_bits, error)
 
-    with mpmath.workprec(max(53, *(abs(x).bit_length() for x in real + imag))):
-        polished = tuple(
-            mpmath.mpc(mpmath.ldexp(zr, -polish_bits), mpmath.ldexp(zi, -polish_bits))
-            for zr, zi in zip(real, imag)
-        )
-    with mpmath.workprec(polish_bits):
-        pole = mpmath.expjpi(mpmath.mpf(-2) / q.params.L)
-        w_images = tuple(z_to_w(z, q.params.L, pole) for z in polished)
+    with mpmath.workprec(polish_bits + 64):
+        pole = _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / q.params.L), polish_bits + 64)
+    z = tuple(zip(real, imag))
     return RootSet(
         params=q.params,
         precision_bits=precision_bits,
-        z_roots=polished,
-        w_roots=w_images,
+        bits=polish_bits,
+        z=z,
+        w=tuple(z_to_w(x, pole, polish_bits) for x in z),
         max_poly_residual=residual,
         sweeps=sweeps,
         search_bits=search_bits,
@@ -392,8 +396,8 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     """
     params = rs.params
     L, M, p = params.L, params.M, params.p
-    F, z = _at_work_scale(rs, rs.z_roots)
-    _, w = _at_work_scale(rs, rs.w_roots)
+    F, z = _at_work_scale(rs, rs.z)
+    _, w = _at_work_scale(rs, rs.w)
     min_gap = 1 << 2 * (F - F // 2)  # (2^-(F//2))^2 at the scale 2^-2F
     for i in range(p):
         xr, xi = z[i]
@@ -455,7 +459,7 @@ def root_product_gap(rs: RootSet) -> Measured:
     p 2^(7 - low + b); the bound adds 2^(1-F) for the reported square
     root, and is infinite if S could exceed 1/4.
     """
-    F, z = _at_work_scale(rs, rs.z_roots)
+    F, z = _at_work_scale(rs, rs.z)
     p = rs.params.p
     pr, pi, pe, low = _product([(1 << F, 0), *z], F)
     size = (abs(pr) | abs(pi)).bit_length() + pe
@@ -479,24 +483,26 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
     adds 2 units for the reported square root, and is infinite for a root
     below 4 units.
     """
-    F, z = _at_work_scale(rs, rs.z_roots)
-    one = 1 << F
+    F, z = _at_work_scale(rs, rs.z)
     worst = 0
     for zr, zi in z:
-        ir, ii = _divide(one, 0, zr, zi, F)
+        ir, ii = _divide(1 << F, 0, zr, zi, F)
         worst = max(worst, min((ir - kr) ** 2 + (ii - ki) ** 2 for kr, ki in z))
     low = min(abs(zr) | abs(zi) for zr, zi in z).bit_length()
     error = None if low < 3 else (3 * 4 ** max(0, F + 1 - low) + 3, -F)
     return Measured.from_square(worst, 1 << 2 * F, F, error)
 
 
-def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> CheckResult:
-    """Sum of the Moebius images against the exact root sum e1, both directions."""
-    precision = rs.precision_bits
-    with mpmath.workprec(precision + 64):
-        forward = mpmath.fsum(rs.w_roots, absolute=False)
-        backward = mpmath.fsum([1 / w for w in rs.w_roots], absolute=False)
-        target = e1.embed(precision + 64)
-        distance = max(abs(forward - target), abs(backward - target))
-        tolerance = mpmath.mpf(2) ** -(precision - 40)
-    return gap("root-sum", {"L": rs.params.L, "N": rs.params.N}, distance, tolerance)
+def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> mpmath.mpf:
+    """The larger distance of sum_j w_j and of sum_j 1/w_j from the exact root
+    sum e1, both summed at the working scale F with e1 embedded at F + 64
+    bits and truncated, and reported as Measured.from_square reports a value.
+    """
+    F, w = _at_work_scale(rs, rs.w)
+    inverses = [_divide(1 << F, 0, wr, wi, F) for wr, wi in w]
+    er, ei = _to_fixed(e1.embed(F + 64), F)
+    worst = max(
+        (sum(xr for xr, _ in terms) - er) ** 2 + (sum(xi for _, xi in terms) - ei) ** 2
+        for terms in (w, inverses)
+    )
+    return Measured.from_square(worst, 1 << 2 * F, F, None).value

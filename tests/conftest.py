@@ -129,6 +129,19 @@ def tq_oracle(q):
     )
 
 
+def as_mpc(points, bits):
+    """Fixed-point (re, im) int pairs at 2^-bits, such as RootSet.z and .w, as exact mpc values."""
+    with mpmath.workprec(max(53, *(abs(x).bit_length() for point in points for x in point))):
+        return [mpmath.mpc(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits)) for re, im in points]
+
+
+def moebius_oracle(z, L):
+    """w = (z a - 1)/(z - a), a = exp(-2 pi i / L), in mpmath at the caller's
+    precision: the reference for the fixed-point `z_to_w`."""
+    a = mpmath.expjpi(mpmath.mpf(-2) / L)
+    return (z * a - 1) / (z - a)
+
+
 def bae_oracle(rs, bits):
     """Both Bethe forms in mpmath at `bits`, the reference for `bae_residuals_by_form`.
 
@@ -140,8 +153,8 @@ def bae_oracle(rs, bits):
     params = rs.params
     L, M, p = params.L, params.M, params.p
     with mpmath.workprec(bits):
-        z = [mpmath.mpc(v) for v in rs.z_roots]
-        w = [mpmath.mpc(v) for v in rs.w_roots]
+        z = as_mpc(rs.z, rs.bits)
+        w = as_mpc(rs.w, rs.bits)
         eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
         big_a = mpmath.exp((L - 2) * eta)  # 2s = L - 2
         big_b = mpmath.exp(2 * eta)
@@ -178,7 +191,7 @@ def product_oracle(rs, bits):
     """|prod z_j - (-1)^p| in mpmath at `bits`, the reference for `root_product_gap`."""
     with mpmath.workprec(bits):
         prod = mpmath.mpc(1)
-        for z in rs.z_roots:
+        for z in as_mpc(rs.z, rs.bits):
             prod *= z
         return abs(prod - (-1) ** rs.params.p)
 
@@ -187,9 +200,10 @@ def inversion_oracle(rs, bits):
     """max_j min_k |1/z_j - z_k| in mpmath at `bits`, the reference for `inversion_closure_gap`."""
     with mpmath.workprec(bits):
         worst = mpmath.mpf(0)
-        for z in rs.z_roots:
+        roots = as_mpc(rs.z, rs.bits)
+        for z in roots:
             inv = 1 / z
-            worst = max(worst, min(abs(inv - other) for other in rs.z_roots))
+            worst = max(worst, min(abs(inv - other) for other in roots))
         return worst
 
 
@@ -197,4 +211,4 @@ def poly_residual_oracle(q, rs, bits):
     """max_j |Q(z_j)| by mpmath.polyval at `bits`, the reference for `max_poly_residual`."""
     with mpmath.workprec(bits):
         exact = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(q.coefficients())]
-        return max(abs(mpmath.polyval(exact, z)) for z in rs.z_roots)
+        return max(abs(mpmath.polyval(exact, z)) for z in as_mpc(rs.z, rs.bits))

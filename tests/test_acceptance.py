@@ -13,6 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import as_mpc
 from qchain.cyclotomic import cyc_cos
 from qchain.energy import (
     crosscheck_closed_forms,
@@ -213,7 +214,7 @@ def test_criterion_8_numeric_root_validator(capsys):
         for N in GRID_N:
             q = cached_q(L, N)
             rs = find_roots(q, precision_bits=bits)
-            if len(rs.z_roots) != q.params.p:
+            if len(rs.z) != q.params.p:
                 failures.append(f"missing roots at L={L} N={N}")
             if not rs.max_poly_residual.below(poly_bound):
                 failures.append(
@@ -223,7 +224,7 @@ def test_criterion_8_numeric_root_validator(capsys):
             if not (forms["z"].below(pair_bound) and forms["w"].below(pair_bound)):
                 failures.append(f"pair equations at L={L} N={N}: {forms}")
             with mpmath.workprec(bits + 64):
-                gap = abs(mpmath.fsum(rs.w_roots) - w_sum(q).E1.embed(bits + 64))
+                gap = abs(mpmath.fsum(as_mpc(rs.w, rs.bits)) - w_sum(q).E1.embed(bits + 64))
             if not gap < pair_bound:
                 failures.append(f"root sum gap {mpmath.nstr(gap, 5)} at L={L} N={N}")
             if not root_product_gap(rs).below(pair_bound):

@@ -516,7 +516,8 @@ def test_failing_primary_route_is_a_construction_finding(method, route, monkeypa
         code, out, err = run([command, *grid], capsys)
         assert code == 3
         assert out == ""
-        assert err == "internal error: AssertionError: quotient is not monic\n"
+        # the failed construction entry, named with its point, not the stored error bare
+        assert err == f"internal error: AssertionError: {witness[1:-1]} at L=5 N=1\n"
 
 
 def test_roots_detail_reports_search_and_ladder_bits(tmp_path, capsys):

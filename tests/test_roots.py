@@ -11,8 +11,16 @@ import mpmath
 import pytest
 
 import qchain.roots
-from conftest import bae_oracle, inversion_oracle, poly_residual_oracle, product_oracle
+from conftest import (
+    as_mpc,
+    bae_oracle,
+    inversion_oracle,
+    moebius_oracle,
+    poly_residual_oracle,
+    product_oracle,
+)
 from qchain.cli import main
+from qchain.fixedpoint import _to_fixed
 from qchain.qoperator import ChainParams, build_q
 from qchain.report import measured as _measured_entry
 from qchain.roots import (
@@ -33,9 +41,9 @@ F = Fraction
 
 def test_single_root_is_minus_one():
     rs = find_roots(build_q(ChainParams(3, 1)), precision_bits=256)
-    assert len(rs.z_roots) == 1
+    assert len(rs.z) == 1
     with mpmath.workprec(300):
-        assert abs(rs.z_roots[0] + 1) < mpmath.mpf(2) ** -200
+        assert abs(as_mpc(rs.z, rs.bits)[0] + 1) < mpmath.mpf(2) ** -200
 
 
 def test_quadratic_roots_match_radicals():
@@ -45,7 +53,7 @@ def test_quadratic_roots_match_radicals():
             [(-11 + mpmath.sqrt(21)) / 10, (-11 - mpmath.sqrt(21)) / 10],
             key=lambda v: v.real if hasattr(v, "real") else v,
         )
-        got = sorted(rs.z_roots, key=lambda v: v.real)
+        got = sorted(as_mpc(rs.z, rs.bits), key=lambda v: v.real)
         for g, e in zip(got, expected):
             assert abs(g - e) < mpmath.mpf(2) ** -200
 
@@ -54,8 +62,8 @@ def test_poly_residual_bound_on_grid():
     for L, N in ((3, 3), (5, 2), (7, 1), (9, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
         assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
-        assert len(rs.z_roots) == rs.params.p
-        assert len(rs.w_roots) == rs.params.p
+        assert len(rs.z) == rs.params.p
+        assert len(rs.w) == rs.params.p
 
 
 def test_seed_determinism_and_independence():
@@ -64,38 +72,66 @@ def test_seed_determinism_and_independence():
     b = find_roots(q, precision_bits=192, seed=1)
     c = find_roots(q, precision_bits=192, seed=0)
 
+    # same seed: bitwise repeatable
+    assert sorted(a.z) == sorted(c.z)
     with mpmath.workprec(256):
-        # same seed: bitwise repeatable
-        key = lambda r: (r.real, r.imag)
-        for x, y in zip(sorted(a.z_roots, key=key), sorted(c.z_roots, key=key)):
-            assert x == y
         # different starting phases: same root multiset after polishing
-        remaining = list(b.z_roots)
-        for x in a.z_roots:
+        remaining = as_mpc(b.z, b.bits)
+        for x in as_mpc(a.z, a.bits):
             nearest = min(remaining, key=lambda y: abs(x - y))
             assert abs(x - nearest) < mpmath.mpf(2) ** -150
             remaining.remove(nearest)
 
 
+def _pole(L, bits):
+    """a = exp(-2 pi i / L) at 2^-(bits + 64), as find_roots makes it."""
+    with mpmath.workprec(bits + 64):
+        return _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / L), bits + 64)
+
+
+def _units_from(w, exact, bits):
+    """The larger part of w - exact, w at 2^-bits, in units 2^-bits."""
+    return max(
+        abs(w[0] - mpmath.ldexp(exact.real, bits)), abs(w[1] - mpmath.ldexp(exact.imag, bits))
+    )
+
+
+BITS = 256
+
+
 def test_moebius_map_anchors():
-    with mpmath.workprec(256):
-        for L in (3, 5, 7):
-            assert abs(z_to_w(mpmath.mpf(1), L) + 1) < mpmath.mpf(2) ** -240
-        assert abs(z_to_w(mpmath.mpf(-1), 3) - 1) < mpmath.mpf(2) ** -240
+    # z a - 1 and z - a are equal or opposite integers here, so the map is exact
+    one = 1 << BITS
+    for L in (3, 5, 7):
+        assert z_to_w((one, 0), _pole(L, BITS), BITS) == (-one, 0)
+    assert z_to_w((-one, 0), _pole(3, BITS), BITS) == (one, 0)
 
 
 def test_moebius_map_is_an_involution():
-    with mpmath.workprec(256):
-        for L in (3, 5, 7, 11):
-            for z in (mpmath.mpc(2, 1), mpmath.mpc(-1, 3), mpmath.mpc("0.3", "-0.7")):
-                assert abs(z_to_w(z_to_w(z, L), L) - z) < mpmath.mpf(2) ** -220
+    points = [(2, 1), (-1, 3), (Fraction(3, 10), Fraction(-7, 10))]
+    for L in (3, 5, 7, 11):
+        a = _pole(L, BITS)
+        for re, im in points:
+            z = (int(re * 2**BITS), int(im * 2**BITS))
+            w = z_to_w(z, a, BITS)
+            with mpmath.workprec(BITS + 64):
+                # against the mpmath map on the same point, to within the truncation of w
+                assert _units_from(w, moebius_oracle(as_mpc([z], BITS)[0], L), BITS) < 2
+            back = z_to_w(w, a, BITS)
+            # w is within 1.5 units; the second map multiplies that by
+            # |z - a|^2 / |a^2 - 1| < 16 at these points and truncates once more
+            assert max(abs(back[0] - z[0]), abs(back[1] - z[1])) <= 32, (L, re, im)
 
 
 def test_moebius_pole_rejected():
-    with mpmath.workprec(256):
-        pole = mpmath.expjpi(-mpmath.mpf(2) / 5)
-        with pytest.raises(ValueError):
-            z_to_w(pole, 5)
+    a = _pole(5, BITS)
+    pole = (a[0] >> 64, a[1] >> 64)
+    with pytest.raises(ValueError):
+        z_to_w(pole, a, BITS)
+    # the rejection radius is 2^-(BITS//2): half as far is rejected, twice as far maps
+    with pytest.raises(ValueError):
+        z_to_w((pole[0] + (1 << BITS // 2 - 1), pole[1]), a, BITS)
+    z_to_w((pole[0] + (1 << BITS // 2 + 1), pole[1]), a, BITS)
 
 
 def test_bae_residuals_on_grid():
@@ -108,15 +144,7 @@ def test_bae_residuals_on_grid():
 
 def test_bae_rejects_perturbed_roots():
     rs = find_roots(build_q(ChainParams(3, 2)), precision_bits=256)
-    with mpmath.workprec(300):
-        shifted = [r + mpmath.mpf(2) ** -20 for r in rs.z_roots]
-        bad = RootSet(
-            params=rs.params,
-            precision_bits=rs.precision_bits,
-            z_roots=shifted,
-            w_roots=[z_to_w(r, 3) for r in shifted],
-            max_poly_residual=rs.max_poly_residual,
-        )
+    bad = _hand_built(rs, [(zr + (1 << rs.bits - 20), zi) for zr, zi in rs.z])
     assert max(m.value for m in bae_residuals_by_form(bad).values()) > mpmath.mpf(2) ** -64
 
 
@@ -139,8 +167,7 @@ def test_numeric_cross_check_against_exact_sum():
     for L, N in ((3, 2), (5, 1), (7, 1)):
         q = build_q(ChainParams(L, N))
         rs = find_roots(q, precision_bits=256)
-        result = numeric_cross_check(rs, w_sum(q).E1)
-        assert result.passed, result.detail
+        assert numeric_cross_check(rs, w_sum(q).E1) < mpmath.mpf(2) ** -(256 - 40)
 
 
 def test_precision_floor_enforced():
@@ -152,7 +179,7 @@ def test_large_grid_point_converges():
     # deepest point of the acceptance grid; p = 40 coefficients up to ~2^37
     q = build_q(ChainParams(11, 4))
     rs = find_roots(q, precision_bits=192)
-    assert len(rs.z_roots) == 40
+    assert len(rs.z) == 40
     assert rs.max_poly_residual.below(mpmath.mpf(2) ** -168)
 
 
@@ -165,9 +192,9 @@ def test_roots_match_independent_polyroots():
         with mpmath.workprec(256):
             coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(q.coefficients())]
             oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)
-            assert len(oracle) == len(rs.z_roots) == q.params.p
+            assert len(oracle) == len(rs.z) == q.params.p
             remaining = list(oracle)
-            for z in rs.z_roots:
+            for z in as_mpc(rs.z, rs.bits):
                 nearest = min(remaining, key=lambda y: abs(z - y))
                 assert abs(z - nearest) < mpmath.mpf(2) ** -150, (L, N)
                 remaining.remove(nearest)
@@ -217,14 +244,15 @@ def test_fixed_point_measurements_match_mpmath_oracles(L, N):
             assert abs(measured.value - exact) <= measured.bound, (L, N)
 
 
-def _hand_built(rs, z_roots):
-    with mpmath.workprec(2 * rs.precision_bits + 200):
-        w_roots = [z_to_w(z, rs.params.L) for z in z_roots]
+def _hand_built(rs, z):
+    """rs with its roots replaced by the fixed-point points z, at rs.bits."""
+    pole = _pole(rs.params.L, rs.bits)
     return RootSet(
         params=rs.params,
         precision_bits=rs.precision_bits,
-        z_roots=z_roots,
-        w_roots=w_roots,
+        bits=rs.bits,
+        z=tuple(z),
+        w=tuple(z_to_w(x, pole, rs.bits) for x in z),
         max_poly_residual=rs.max_poly_residual,
     )
 
@@ -235,9 +263,9 @@ def test_product_and_inversion_reject_a_wrong_root(change):
     tolerance = mpmath.mpf(2) ** -(256 - 40)
     assert root_product_gap(rs).below(tolerance)
     assert inversion_closure_gap(rs).below(tolerance)
-    roots = list(rs.z_roots)
-    with mpmath.workprec(600):
-        roots[0] = roots[0] + mpmath.mpf(2) ** -20 if change != "negated" else -roots[0]
+    roots = list(rs.z)
+    zr, zi = roots[0]
+    roots[0] = (zr + (1 << rs.bits - 20), zi) if change != "negated" else (-zr, -zi)
     bad = _hand_built(rs, roots)
     for measured in (root_product_gap(bad), inversion_closure_gap(bad)):
         # red even at the lower end of the rounding interval
@@ -271,15 +299,20 @@ def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
                     return _original(*args)
                 monkeypatch.setattr(cls, name, counted)
 
-    def count(fn, rs):
+    def count(fn, *args):
         calls.clear()
-        fn(rs)
+        fn(*args)
         return len(calls)
 
-    small, large = (find_roots(build_q(ChainParams(11, N)), precision_bits=256) for N in (1, 4))
+    qs = [build_q(ChainParams(11, N)) for N in (1, 4)]
+    small, large = (find_roots(q, precision_bits=256) for q in qs)
     assert count(root_product_gap, large) == 0
     assert count(inversion_closure_gap, large) == 0
     assert count(bae_residuals_by_form, small) == count(bae_residuals_by_form, large)
+    # the root sum embeds E1, whose length does not depend on p
+    e1_small, e1_large = (w_sum(q).E1 for q in qs)
+    on_small = count(numeric_cross_check, small, e1_small)
+    assert on_small == count(numeric_cross_check, large, e1_large)
 
 
 def _recording_horner(monkeypatch):
@@ -325,11 +358,8 @@ def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
     assert len(good) > 1 and 72 < good[0] <= 2 * 72
     assert all(a < b <= 2 * a for a, b in zip(good, good[1:]))
     # the stored roots are the last step's fixed-point values
-    with mpmath.workprec(polish + 64):
-        for z in rs.z_roots:
-            for part in (z.real, z.imag):
-                scaled = mpmath.ldexp(part, polish)
-                assert scaled == int(scaled)
+    assert rs.bits == polish
+    assert all(type(part) is int for point in rs.z + rs.w for part in point)
 
 
 def test_float_copies_are_nan_out_of_float_range():
@@ -349,8 +379,8 @@ def test_unusable_float_pair_sums_fall_back_to_the_exact_loop(copy, monkeypatch)
     exact = find_roots(q, precision_bits=256)
     assert exact.search_bits == rs.search_bits
     with mpmath.workprec(600):
-        remaining = list(exact.z_roots)
-        for z in rs.z_roots:
+        remaining = as_mpc(exact.z, exact.bits)
+        for z in as_mpc(rs.z, rs.bits):
             nearest = min(remaining, key=lambda y: abs(z - y))
             assert abs(z - nearest) < mpmath.mpf(2) ** -200
             remaining.remove(nearest)
