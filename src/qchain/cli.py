@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -35,6 +34,7 @@ from typing import Callable
 from . import __version__
 from .energy import (
     CLOSED_FORM_SUMS,
+    SpinConstant,
     WSummary,
     crosscheck_closed_forms,
     extract_A,
@@ -283,7 +283,8 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
     loose_tol = mpmath.mpf(2) ** -(precision - 40)
     ladder = "/".join(map(str, rs.ladder))
-    detail = f"{rs.sweeps} sweeps, search {rs.search_bits} bits, polish {ladder} bits"
+    sweeps = f"{rs.float_sweeps} float and {rs.sweeps} fixed-point sweeps"
+    detail = f"{sweeps}, search {rs.search_bits} bits, polish {ladder} bits"
 
     def on_roots(name: str, measure: Callable) -> list[CheckResult]:
         return _check(name, where, lambda: measured(name, where, [measure(rs)], loose_tol))
@@ -331,6 +332,9 @@ def _run_grid(
     # The pool may start all its workers at once, so it gets no more than tasks.
     workers = min(config.jobs, len(tasks))
     if workers > 1:
+        # imported here, as it costs every run that does not use it time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point, tasks))
     else:
@@ -348,17 +352,23 @@ def _run_grid(
 def _records(config: RunConfig) -> list[dict]:
     """compute's exact records, by L then N; JSON, CSV and table all read these.
 
-    A failed entry (a failing route, or disagreeing routes under --method
-    both) is an internal error naming its witness and point, raised before
-    the summaries are read, as a failed route stores its error there.
+    A failed entry is an internal error naming its point, raised before the
+    summaries are read: a failing primary route raises its own error, which
+    it stores there, and a failed cross-method check (under --method both)
+    an AssertionError with its witness.
     """
     bits = config.precision_bits
     records = []
     for L, points in sorted(_run_grid(config, (), with_pair=True).items()):
-        for _, entries, _ in points:
+        for q, entries, stored in points:
             for entry in entries:
-                if not entry.passed:
-                    raise AssertionError(f"{entry.detail} at L={L} N={entry.params['N']}")
+                if entry.passed:
+                    continue
+                at = f" at L={L} N={entry.params['N']}"
+                if q is None:  # the route's error, stored in place of the summary
+                    stored.args = (f"{stored}{at}",)
+                    raise stored
+                raise AssertionError(entry.detail + at)
         summaries = _summaries(points)
         constant = extract_A(summaries)
         A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
@@ -404,21 +414,35 @@ def _records_to_csv(records: list[dict], precision_bits: int) -> str:
 # verify
 
 
+def _fit(points: list) -> SpinConstant | Exception:
+    """The spin constant fitted once from one L's N = 1, 2 for its per-L
+    checks, or the error that stopped the fit.  A stored failure never
+    reaches those checks: each reads its summaries through _summaries
+    first, which raises it again."""
+    try:
+        return extract_A(_summaries(points[:2]))
+    except FINDING_ERRORS as exc:
+        return exc
+
+
 def cmd_verify(config: RunConfig) -> int:
     per_L = {
-        "linearity": lambda ready: verify_linearity(ready, config.N_max),
-        "finite-size": lambda ready: verify_no_finite_size_correction(ready, config.N_max),
-        "closed-forms": lambda ready: crosscheck_closed_forms(ready, config.precision_bits),
+        "linearity": lambda ready, fit: verify_linearity(ready, fit, config.N_max),
+        "finite-size": lambda ready, fit: verify_no_finite_size_correction(
+            ready, fit, config.N_max
+        ),
+        "closed-forms": lambda ready, _: crosscheck_closed_forms(ready, config.precision_bits),
     }
     selected = [name for name in per_L if CHECKS[name] in config.checks]
     entries: list[CheckResult] = []
     for L, points in _run_grid(config, config.checks, with_pair=bool(selected)).items():
         for _, found, _ in points[: config.N_max]:
             entries.extend(found)
+        fit = _fit(points) if selected else None
         for name in selected:
             if name != "closed-forms" or L in CLOSED_FORM_SUMS:
                 needed = points[:2] if name == "closed-forms" else points
-                entries += _check(name, {"L": L}, lambda: per_L[name](_summaries(needed)))
+                entries += _check(name, {"L": L}, lambda: per_L[name](_summaries(needed), fit))
 
     entries.sort(
         key=lambda e: (

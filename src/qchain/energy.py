@@ -23,7 +23,9 @@ Nothing here builds Q.  groundstate_summary turns one built Q into its
 WSummary (one w_sum per grid point).  The per-L functions below (extract_A,
 verify_linearity, verify_no_finite_size_correction, crosscheck_closed_forms)
 take one L's summaries ordered by N from N = 1, always including N = 2;
-N_max limits the N reported.
+N_max limits the N reported.  verify_linearity and
+verify_no_finite_size_correction also take the one fit of A that
+extract_A made from them, so that the two checks share it.
 """
 
 from __future__ import annotations
@@ -97,13 +99,17 @@ def extract_A(summaries: Sequence[WSummary]) -> SpinConstant:
     return SpinConstant(L=L, A=A, slope=slope)
 
 
-def verify_linearity(summaries: Sequence[WSummary], N_max: int) -> list[CheckResult]:
-    """E_1(N) = A + slope * N exactly for N = 1..N_max, with A from N = 1, 2."""
+def verify_linearity(
+    summaries: Sequence[WSummary], constant: SpinConstant | FalsificationError, N_max: int
+) -> list[CheckResult]:
+    """E_1(N) = A + slope * N exactly for N = 1..N_max.
+
+    constant is extract_A of these summaries, or the FalsificationError it
+    raised, which is then the one failed entry.
+    """
     L = summaries[0].params.L
-    try:
-        constant = extract_A(summaries)
-    except FalsificationError as exc:
-        return [listed("linearity", {"L": L}, [str(exc)])]
+    if isinstance(constant, FalsificationError):
+        return [listed("linearity", {"L": L}, [str(constant)])]
     entries = []
     for summary in summaries[:N_max]:
         N = summary.params.N
@@ -113,14 +119,13 @@ def verify_linearity(summaries: Sequence[WSummary], N_max: int) -> list[CheckRes
 
 
 def verify_no_finite_size_correction(
-    summaries: Sequence[WSummary], N_max: int
+    summaries: Sequence[WSummary], constant: SpinConstant | FalsificationError, N_max: int
 ) -> list[CheckResult]:
-    """Energy per site equals (L-3) cos(2 pi / L) - 2A exactly for every N."""
+    """Energy per site equals (L-3) cos(2 pi / L) - 2A exactly for every N;
+    constant as for verify_linearity."""
     L = summaries[0].params.L
-    try:
-        constant = extract_A(summaries)
-    except FalsificationError as exc:
-        return [listed("finite-size", {"L": L}, [str(exc)])]
+    if isinstance(constant, FalsificationError):
+        return [listed("finite-size", {"L": L}, [str(constant)])]
     density = cyc_cos(2, L) * (L - 3) - constant.A * 2
     entries = []
     for summary in summaries[:N_max]:

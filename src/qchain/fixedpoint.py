@@ -5,9 +5,9 @@ worth (xr + i xi) 2^-bits; a unit is 2^-bits.  Each stored part is within
 one unit of the value it stands for: products (_mul) and divisions
 (_divide) round each part down, and conversions truncate (_to_fixed from
 mpmath and _rescale from a finer scale, both toward zero, so they read the
-same integers from the same value; _fixed from a Fraction down).  A complex
-value is thus off by less than 1.5 units, and a multiple of 2^-bits
-converts exactly.
+same integers from the same value; _fixed from a Fraction or a float
+down).  A complex value is thus off by less than 1.5 units, and a
+multiple of 2^-bits converts exactly.
 
 _scaled_mul multiplies numbers (r + i i) 2^e that carry an exponent and
 shifts the exact product so that its larger part is keep bits long.
@@ -33,9 +33,10 @@ from fractions import Fraction
 import mpmath
 
 
-def _fixed(x: Fraction, bits: int) -> int:
-    """x scaled by 2^bits and rounded down to an integer."""
-    return (x.numerator << bits) // x.denominator
+def _fixed(x: Fraction | float, bits: int) -> int:
+    """x scaled by 2^bits and rounded down to an integer, exactly."""
+    numerator, denominator = x.as_integer_ratio()
+    return (numerator << bits) // denominator
 
 
 def _to_fixed(x, bits: int) -> tuple[int, int]:

@@ -3,16 +3,20 @@
 This module is the one place where roots are actually computed, and it is
 numeric on purpose: nothing here feeds back into the exact pipeline.  Roots
 of Q come from a simultaneous Aberth iteration (all roots at once, updates
-applied in place) at the precision that the size of Q's coefficients calls
-for, then a ladder of Newton steps at doubling precisions (find_roots
-derives both) polishes each root to well above the requested precision, so
-the reported residuals measure the polynomial and the Bethe equations
+applied in place), first in doubles as far as their evaluation noise
+allows, then at the precision that the size of Q's coefficients calls for;
+a ladder of Newton steps at doubling precisions (find_roots derives both
+precisions) then polishes each root to well above the requested precision,
+so the reported residuals measure the polynomial and the Bethe equations
 honestly rather than the evaluation noise.
 
-The search, the polish and the measurements run on plain Python integers,
-in the fixed point of fixedpoint.py, which is several times faster than
-mpmath's mpc at these sizes; its docstring states the rounding convention
-that every bound here starts from.  Only the Aberth pair sums run in
+After the double phase, the search, the polish and the measurements run on
+plain Python integers, in the fixed point of fixedpoint.py, which is
+several times faster than mpmath's mpc at these sizes; its docstring
+states the rounding convention that every bound here starts from.  The
+double phase only moves the points the fixed-point search starts from,
+and that search keeps its own stopping test, so what it hands to the
+ladder does not rest on the doubles.  Its Aberth pair sums also run in
 Python floats, since they merely scale each Newton correction.  The
 polynomial residual |Q(z_j)| comes from the same Horner routine as the
 polish, at the polish precision and on the polished fixed-point roots;
@@ -24,9 +28,9 @@ computed in integers, so a check passes only when residual + bound is below
 its tolerance.  A RootSet keeps the roots and their Moebius images
 (z_to_w) in this one format at polish_bits, and each measurement reads
 them at F through _rescale, which truncates as _to_fixed does; every bound
-starts from that.  mpmath computes only the seeds, the constants exp and
-sinh of eta, the Moebius pole, the embedding of the exact root sum and the
-reported values.
+starts from that.  The seeds are made in doubles (cmath); mpmath computes
+only the constants exp and sinh of eta, the Moebius pole, the embedding of
+the exact root sum and the reported values.
 
 The Bethe equations are evaluated in both variables: the z-form directly on
 the roots of Q, and the w-form on their Moebius images, with the anisotropy
@@ -37,6 +41,7 @@ cyclotomic shortcuts.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -77,6 +82,7 @@ class RootSet:
     w: tuple
     max_poly_residual: Measured
     sweeps: int = 0
+    float_sweeps: int = 0
     search_bits: int = 0
     ladder: tuple = ()
 
@@ -105,6 +111,12 @@ def z_to_w(z: tuple[int, int], a: tuple[int, int], bits: int) -> tuple[int, int]
     return _rescale(_divide(nr - (1 << guard), ni, dr, di, guard), 64)
 
 
+def _pair_sum(points: list[complex], i: int) -> complex:
+    """sum_(j!=i) 1/(z_i - z_j) in Python complex; ZeroDivisionError if two points coincide."""
+    x = points[i]
+    return sum([1 / (x - y) for y in points[:i]]) + sum([1 / (x - y) for y in points[i + 1 :]])
+
+
 def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
     """1 - N sum_(j!=i) 1/(z_i - z_j) in fixed point at 2^-bits, N = Q/Q' at z_i.
 
@@ -114,10 +126,8 @@ def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
     not finite, the sum is taken on the integers instead.
     """
     one = 1 << bits
-    x = floats[i]
     try:
-        pairs = sum([1 / (x - y) for y in floats[:i]]) + sum([1 / (x - y) for y in floats[i + 1 :]])
-        m = 1 - complex(nr / one, ni / one) * pairs
+        m = 1 - complex(nr / one, ni / one) * _pair_sum(floats, i)
         (ar, br), (ai, bi) = m.real.as_integer_ratio(), m.imag.as_integer_ratio()
         return (ar << bits) // br, (ai << bits) // bi
     except (ZeroDivisionError, OverflowError, ValueError):  # inf and nan have no ratio
@@ -131,14 +141,82 @@ def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
     return one - mr, -mi
 
 
+def _float_search(monic: list[Fraction], points: list[complex]) -> tuple[int, list | None]:
+    """Aberth in doubles from points: (sweeps, the points reached), or
+    (sweeps, None) where doubles cannot go on and the seeds are kept.
+
+    A root stops moving once its step is below 2^-45 max(1, |z|), or once
+    |Q(z)| is below the noise of its evaluation (find_roots); a stopped root
+    still counts in the others' pair sums.  The search gives up without
+    raising if a monic coefficient or a seed is out of float range, a value
+    is not finite, or a division by zero (two points coincide, Q' = 0) or an
+    overflow occurs; after MAX_SWEEPS sweeps it hands over what it has.
+    """
+    try:
+        terms = [(c, abs(c)) for c in map(float, reversed(monic[:-1]))]
+    except OverflowError:
+        return 0, None
+    if not all(map(cmath.isfinite, points)):
+        return 0, None
+    p = len(points)
+    noise = 4 * (p + 1) * 2.0**-53
+    z = list(points)
+    moving = [True] * p
+    sweeps = 0
+    try:
+        while any(moving) and sweeps < MAX_SWEEPS:
+            sweeps += 1
+            for i in range(p):
+                if not moving[i]:
+                    continue
+                x = z[i]
+                r = abs(x)
+                v, d, size = 1 + 0j, 0j, 1.0
+                for c, a in terms:
+                    d = d * x + v
+                    v = v * x + c
+                    size = size * r + a
+                if abs(v) <= noise * size:
+                    moving[i] = False
+                    continue
+                n = v / d
+                step = n / (1 - n * _pair_sum(z, i))
+                x -= step
+                if not cmath.isfinite(x):
+                    return sweeps, None
+                z[i] = x
+                moving[i] = abs(step) >= 2.0**-45 * max(1.0, abs(x))
+    except (ZeroDivisionError, OverflowError):
+        return sweeps, None
+    return sweeps, z
+
+
 def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> RootSet:
     """All p roots of Q, polished well past precision_bits.
 
     Initial guesses sit on a circle of radius equal to the p-th root of the
     Cauchy coefficient bound (the roots of these palindromic polynomials
     live in an annulus around the unit circle) with a seed-controlled phase
-    offset.  Aberth runs with a cap of 200 sweeps, then a Newton ladder
+    offset; the radius comes from the logarithms of the bound's integers,
+    so no bound overflows.  Aberth runs in doubles (_float_search), then in
+    fixed point, each with a cap of MAX_SWEEPS sweeps, then a Newton ladder
     polishes each root.
+
+    Double phase.  Horner's rule in doubles, u = 2^-53, computes Q(z) to
+    within gamma_2p sum_k |c_k| |z|^k, gamma_n = n u / (1 - n u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 5.1), for real
+    data.  A complex product errs by at most about twice a real one, and
+    rounding each monic coefficient to a double adds u |c_k| |z|^k per
+    term, so 4 (p+1) u sum_k |c_k| |z|^k bounds the noise; the sum is
+    taken in the same Horner loop.  Once |Q(z)| is below it the computed
+    value says nothing of the root's position, so the root stops moving;
+    it also stops once its step is below 2^-45 max(1, |z|), far inside
+    its Newton basin.  Stopped roots still count in the others' pair sums.
+    The points reached go to the fixed-point search exactly (_fixed), or
+    its seeds do, when the doubles cannot run (a coefficient or seed out of
+    float range, a value not finite, a division by zero).  That search's
+    own test below decides when it stops, so the double phase changes where
+    it starts, not how good its roots are when it stops.
 
     Search precision.  The monic coefficients are below 2^noise_bits, the
     bit length of the Cauchy bound, so at 2^-F a Horner pass over p + 1 of
@@ -181,15 +259,22 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     margin = (bound.numerator // bound.denominator).bit_length() + p.bit_length() + 24
     F = search_bits = margin + 72
 
-    with mpmath.workprec(F):
-        radius = (mpmath.mpf(bound.numerator) / bound.denominator) ** (mpmath.mpf(1) / p)
-        offset = random.Random(seed).random() * 2 * mpmath.pi / p
-        seeds = [radius * mpmath.exp(1j * (2 * mpmath.pi * k / p + offset)) for k in range(p)]
-        real = [int(mpmath.ldexp(z.real, F)) for z in seeds]
-        imag = [int(mpmath.ldexp(z.imag, F)) for z in seeds]
+    # the seeds, on the circle of radius bound^(1/p) = 2^(shift + frac), are made
+    # in doubles at radius 2^frac and shifted into fixed point, whatever the bound
+    log2_radius = (math.log2(bound.numerator) - math.log2(bound.denominator)) / p
+    shift = int(log2_radius)
+    offset = random.Random(seed).random() * 2 * math.pi / p
+    seeds = [cmath.rect(2 ** (log2_radius - shift), 2 * math.pi * k / p + offset) for k in range(p)]
+    real = [_fixed(z.real, F + shift) for z in seeds]
+    imag = [_fixed(z.imag, F + shift) for z in seeds]
 
     one = 1 << F
     floats = [_float(zr, zi, one) for zr, zi in zip(real, imag)]
+    float_sweeps, reached = _float_search(monic, floats)
+    if reached is not None:
+        floats = reached
+        real = [_fixed(z.real, F) for z in reached]
+        imag = [_fixed(z.imag, F) for z in reached]
     fixed = [_fixed(c, F) for c in monic]
     target = Fraction(1, 1 << 2 * (F - margin))
     stall_floor = Fraction(1, 1 << 96)
@@ -276,6 +361,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         w=tuple(z_to_w(x, pole, polish_bits) for x in z),
         max_poly_residual=residual,
         sweeps=sweeps,
+        float_sweeps=float_sweeps,
         search_bits=search_bits,
         ladder=tuple(ladder),
     )

@@ -166,7 +166,7 @@ def test_criterion_6_no_finite_size_correction(capsys):
         for N, summary in zip(GRID_N, summaries):
             if summary.E1 != constant.A + constant.slope * N:
                 failures.append(f"extrapolation misses at L={L} N={N}")
-        entries = verify_no_finite_size_correction(summaries, max(GRID_N))
+        entries = verify_no_finite_size_correction(summaries, constant, max(GRID_N))
         failures.extend(e.line() for e in entries if not e.passed)
         e1_values = [summary.E1 for summary in summaries]
         diffs = {tuple((e1_values[i + 1] - e1_values[i]).coeffs) for i in range(3)}

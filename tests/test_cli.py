@@ -1,10 +1,13 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+import os
 import pickle
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -17,6 +20,8 @@ from qchain.wtransform import w_sum
 from qchain.cyclotomic import CyclotomicNumber
 from qchain.rationals import integer_scaled, parse_rational
 from qchain.roots import ConvergenceError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -123,11 +128,17 @@ def test_jobs_capped_at_task_count(monkeypatch, capsys):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("qchain.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     argv = ["--L", "3", "--N-max", "2", "--jobs", "64"]
     assert run(["verify", *argv, "--checks", "structure"], capsys)[0] == 0
     assert run(["compute", *argv], capsys)[0] == 0
     assert started == [2, 2]
+
+
+def test_process_pool_is_imported_only_when_used():
+    code = "import sys, qchain.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_jobs_do_not_change_output(tmp_path, capsys):
@@ -271,7 +282,11 @@ def test_huge_tamper_delta_is_a_finding(capsys):
         for N in (1, 2):
             assert sum(line.split()[1:4] == [check, "L=3", f"N={N}"] for line in lines) == 1
     assert any(line.startswith("FAIL root-sum L=3 N=2 ") for line in lines)
-    assert lines[-1] == "9 of 12 checks FAILED"
+    # the search finds both roots of the bumped Q at N = 2, near -10^400 and
+    # -10^-400, within a tolerance scaled by its 10^400 coefficient; every
+    # other root check fails at both points
+    assert "PASS roots L=3 N=2" in lines
+    assert lines[-1] == "8 of 12 checks FAILED"
 
 
 def _failing_linear_system(params):
@@ -516,8 +531,8 @@ def test_failing_primary_route_is_a_construction_finding(method, route, monkeypa
         code, out, err = run([command, *grid], capsys)
         assert code == 3
         assert out == ""
-        # the failed construction entry, named with its point, not the stored error bare
-        assert err == f"internal error: AssertionError: {witness[1:-1]} at L=5 N=1\n"
+        # the route's own error, named once and with its point
+        assert err == f"internal error: {witness[1:-1]} at L=5 N=1\n"
 
 
 def test_roots_detail_reports_search_and_ladder_bits(tmp_path, capsys):
@@ -529,7 +544,9 @@ def test_roots_detail_reports_search_and_ladder_bits(tmp_path, capsys):
     (entry,) = [e for e in json.loads(report_path.read_text())["entries"]
                 if e["check"] == "roots" and e["params"] == {"L": 3, "N": 2}]
     # p = 2: polish at 2 * 256 + 128 + 2p bits
-    assert entry["detail"] == "5 sweeps, search 100 bits, polish 105/182/336/644 bits"
+    assert entry["detail"] == (
+        "5 float and 2 fixed-point sweeps, search 100 bits, polish 105/182/336/644 bits"
+    )
 
 
 def test_stored_w_sum_failure_stays_out_of_unselected_checks(capsys):

@@ -22,6 +22,7 @@ from qchain.energy import (
     verify_no_finite_size_correction,
 )
 from qchain.qoperator import ChainParams, build_q
+from qchain.report import FalsificationError
 from qchain.wtransform import w_sum
 
 F = Fraction
@@ -29,6 +30,22 @@ F = Fraction
 
 def _sqrt5():
     return cyc_cos(1, 5) * 4 - 1
+
+
+def _with_fit(check, summaries, N_max):
+    """A per-L check on summaries with A fitted from them, as verify runs it."""
+    return check(summaries, extract_A(summaries), N_max)
+
+
+@pytest.mark.parametrize("check", [verify_linearity, verify_no_finite_size_correction])
+def test_failed_fit_is_the_one_failed_entry(check):
+    first, second = summaries_for(5)
+    bumped = [first, replace(second, E1=second.E1 + F(1, 3))]
+    with pytest.raises(FalsificationError) as caught:
+        extract_A(bumped)
+    (entry,) = check(bumped, caught.value, 2)
+    assert not entry.passed and entry.params == {"L": 5}
+    assert entry.detail == str(caught.value)
 
 
 def test_energy_anchors_small_chains():
@@ -95,7 +112,7 @@ def test_A_agrees_with_published_N0_limit():
 
 @pytest.mark.parametrize("L, N_max", [(3, 6), (5, 5), (7, 4), (9, 3)])
 def test_linearity_of_root_sum(L, N_max):
-    entries = verify_linearity(summaries_for(L, N_max), N_max)
+    entries = _with_fit(verify_linearity, summaries_for(L, N_max), N_max)
     assert len(entries) == N_max
     for entry in entries:
         assert entry.passed, entry.line()
@@ -107,25 +124,25 @@ def test_failure_witnesses_are_the_exact_differences():
     first, second, third = summaries_for(5, 3)
     bump = F(1, 7)
     e1_bumped = replace(third, E1=third.E1 + bump)
-    entries = verify_linearity([first, second, e1_bumped], 3)
+    entries = _with_fit(verify_linearity, [first, second, e1_bumped], 3)
     assert [entry.residual for entry in entries] == ["0", "0", "['1/7', '0/1', '0/1', '0/1']"]
     # the energies follow E1 (energy = 2 p cos(2 pi / L) - 2 E1): the total is the witness
     energy = third.energy - 2 * bump
     follows = replace(e1_bumped, energy=energy, energy_per_site=energy / third.params.M)
-    entries = verify_no_finite_size_correction([first, second, follows], 3)
+    entries = _with_fit(verify_no_finite_size_correction, [first, second, follows], 3)
     assert [entry.passed for entry in entries] == [True, True, False]
     assert entries[2].residual == "['-2/7', '0/1', '0/1', '0/1']"
     assert entries[2].detail == "per-site energy drifts with N"
     # only the stored per-site energy is wrong: its difference is the witness
     site_bumped = replace(third, energy_per_site=third.energy_per_site + bump)
-    entries = verify_no_finite_size_correction([first, second, site_bumped], 3)
+    entries = _with_fit(verify_no_finite_size_correction, [first, second, site_bumped], 3)
     assert [entry.passed for entry in entries] == [True, True, False]
     assert entries[2].residual == "['1/7', '0/1', '0/1', '0/1']"
 
 
 @pytest.mark.parametrize("L, N_max", [(3, 6), (5, 5), (7, 4), (9, 3), (11, 2)])
 def test_per_site_energy_is_size_independent(L, N_max):
-    entries = verify_no_finite_size_correction(summaries_for(L, N_max), N_max)
+    entries = _with_fit(verify_no_finite_size_correction, summaries_for(L, N_max), N_max)
     assert len(entries) == N_max
     for entry in entries:
         assert entry.passed, entry.line()
@@ -133,7 +150,7 @@ def test_per_site_energy_is_size_independent(L, N_max):
 
 def test_per_site_density_values():
     # (L - 3) cos(2 pi / L) - 2 A, spot values
-    assert verify_no_finite_size_correction(summaries_for(3, 2), 2)[0].passed
+    assert _with_fit(verify_no_finite_size_correction, summaries_for(3, 2), 2)[0].passed
     assert summary_at(3, 5).energy_per_site == -1
     per_site5 = summary_at(5, 3).energy_per_site
     assert per_site5 * 2 == -(_sqrt5() + 3)

@@ -55,6 +55,13 @@ def test_fixed_rounds_a_fraction_down(num, den, bits):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), bits)
+def test_fixed_rounds_a_float_down(x, bits):
+    # the float search hands its points over through the same routine
+    assert _rounded_down(_fixed(x, bits), Fraction(x) * 2**bits)
+
+
+@settings(max_examples=300, deadline=None)
 @given(parts, parts, st.integers(-500, 100), st.integers(-500, 100), bits)
 def test_to_fixed_truncates_within_one_unit(re_man, im_man, re_exp, im_exp, bits):
     with mpmath.workprec(320):

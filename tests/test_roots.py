@@ -4,6 +4,7 @@ The quadratic (3,2) chain is the main oracle: its roots are
 (-11 +- sqrt 21)/10, small enough to verify against mpmath.sqrt directly.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -214,9 +215,9 @@ def test_sweep_cap_raises_convergence_error(monkeypatch, capsys):
     assert failures and all("ConvergenceError" in line for line in failures)
 
 
-# Sweep counts of the search at noise_bits + bitlen(p) + 96 bits with float
-# pair sums; the measurements must not change the roots they measure.
-SWEEPS = {(3, 2): 5, (5, 3): 8, (7, 2): 9, (9, 2): 9, (11, 4): 14}
+# Sweep counts of the search, (float, fixed point at noise_bits + bitlen(p) + 96
+# bits); the measurements must not change the roots they measure.
+SWEEPS = {(3, 2): (5, 2), (5, 3): (7, 2), (7, 2): (9, 2), (9, 2): (8, 2), (11, 4): (13, 2)}
 
 
 @pytest.mark.parametrize("L,N", sorted(SWEEPS))
@@ -225,7 +226,7 @@ def test_fixed_point_measurements_match_mpmath_oracles(L, N):
     # kernel's scale, so their own rounding is far below the kernel's bound
     q = build_q(ChainParams(L, N))
     rs = find_roots(q, precision_bits=256)
-    assert rs.sweeps == SWEEPS[L, N]
+    assert (rs.float_sweeps, rs.sweeps) == SWEEPS[L, N]
     p = q.params.p
     work = 256 + 128 + 2 * p + 64
     polish = 2 * 256 + 128 + 2 * p + 64
@@ -369,18 +370,77 @@ def test_float_copies_are_nan_out_of_float_range():
     assert math.isnan(value.real) and math.isnan(value.imag)
 
 
-@pytest.mark.parametrize("copy", [0j, complex(math.nan, math.nan)], ids=["coincident", "nan"])
-def test_unusable_float_pair_sums_fall_back_to_the_exact_loop(copy, monkeypatch):
-    q = build_q(ChainParams(7, 2))
-    rs = find_roots(q, precision_bits=256)
-    # every float copy the same point (each float pair sum divides by zero)
-    # or out of float range: every pair sum is taken on the integers
-    monkeypatch.setattr(qchain.roots, "_float", lambda xr, xi, one: copy)
-    exact = find_roots(q, precision_bits=256)
-    assert exact.search_bits == rs.search_bits
+def _assert_same_roots(a, b):
+    """The root sets a and b hold the same multiset of roots to within 2^-200."""
     with mpmath.workprec(600):
-        remaining = as_mpc(exact.z, exact.bits)
-        for z in as_mpc(rs.z, rs.bits):
+        remaining = as_mpc(b.z, b.bits)
+        for z in as_mpc(a.z, a.bits):
             nearest = min(remaining, key=lambda y: abs(z - y))
             assert abs(z - nearest) < mpmath.mpf(2) ** -200
             remaining.remove(nearest)
+
+
+@pytest.mark.parametrize(
+    "copy,float_sweeps", [(0j, 1), (complex(math.nan, math.nan), 0)], ids=["coincident", "nan"]
+)
+def test_unusable_float_pair_sums_fall_back_to_the_exact_loop(copy, float_sweeps, monkeypatch):
+    q = build_q(ChainParams(7, 2))
+    rs = find_roots(q, precision_bits=256)
+    # every float copy the same point (the float search meets a zero pair
+    # difference in its first sweep, and each float pair sum divides by zero)
+    # or out of float range (the float search never starts): the fixed-point
+    # search starts from the seeds and takes every pair sum on the integers
+    monkeypatch.setattr(qchain.roots, "_float", lambda xr, xi, one: copy)
+    exact = find_roots(q, precision_bits=256)
+    assert exact.float_sweeps == float_sweeps
+    assert exact.search_bits == rs.search_bits
+    _assert_same_roots(rs, exact)
+
+
+def _monic(q):
+    return [c / q.coefficients()[-1] for c in q.coefficients()]
+
+
+def test_float_search_gives_up_without_raising():
+    q = build_q(ChainParams(7, 2))
+    p = q.params.p
+    points = [cmath.rect(2, 2 * math.pi * k / p) for k in range(p)]
+    search = qchain.roots._float_search
+    assert search(_monic(q), points)[1] is not None
+    # a zero pair difference: two points the same
+    assert search(_monic(q), [points[0], *points[:-1]]) == (1, None)
+    # a point that is not finite
+    assert search(_monic(q), [complex(math.inf, 0), *points[1:]]) == (0, None)
+
+
+def test_coefficients_beyond_float_range_keep_the_seeds():
+    # the bump of verify --tamper 1:1<400 zeros> at (3, 2); see test_cli
+    q = build_q(ChainParams(3, 2)).with_coefficient_bump(1, F(10**400))
+    assert qchain.roots._float_search(_monic(q), [1j, -1j]) == (0, None)
+    rs = find_roots(q, precision_bits=256)
+    assert rs.float_sweeps == 0 and rs.sweeps > 0
+
+
+def test_seed_radius_beyond_float_range():
+    # e_0 = 1 -> 10^-401 makes Q = 1 + 10^-401 z: its root, and the seed radius, is -10^401
+    q = build_q(ChainParams(3, 1)).with_coefficient_bump(0, F(1, 10**401) - 1)
+    rs = find_roots(q, precision_bits=256)
+    assert rs.float_sweeps == 0
+    with mpmath.workprec(1600):
+        (z,) = as_mpc(rs.z, rs.bits)
+        assert abs(z / mpmath.mpf(10) ** 401 + 1) < mpmath.mpf(2) ** -200
+
+
+def test_fixed_point_search_recovers_from_a_bad_float_handover(monkeypatch):
+    q = build_q(ChainParams(9, 2))
+    rs = find_roots(q, precision_bits=256)
+    search = qchain.roots._float_search
+
+    def perturbed(monic, points):
+        sweeps, reached = search(monic, points)
+        return sweeps, [z * complex(1.2, 0.2) + 0.1 for z in reached]
+
+    monkeypatch.setattr(qchain.roots, "_float_search", perturbed)
+    bad = find_roots(q, precision_bits=256)
+    assert bad.float_sweeps == rs.float_sweeps and bad.sweeps > rs.sweeps
+    _assert_same_roots(rs, bad)
