@@ -45,7 +45,7 @@ from .roots import (
     root_product_gap,
     z_to_w,
 )
-from .wtransform import WSymmetrics, verify_inverse_sum, w_elementary, w_sum
+from .wtransform import verify_inverse_sum, w_elementary, w_sum
 
 __all__ = [
     "CLOSED_FORM_SUMS",
@@ -60,7 +60,6 @@ __all__ = [
     "SingularMatrixError",
     "SpinConstant",
     "WSummary",
-    "WSymmetrics",
     "admissible_indices",
     "bae_residuals_by_form",
     "build_q",

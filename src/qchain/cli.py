@@ -8,16 +8,17 @@ points' summaries.  CHECKS names every check verify reports, in report
 order, and _check runs each one.
 
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
-2 invalid configuration, 3 internal error.  In verify one rule makes a
-finding: an error in FINDING_ERRORS raised inside a check is that check's
-FAIL, with the error as its witness.  A failing primary route (route one,
-or route two under --method linear-system) is a failed construction check,
-the point runs no other check, and its L's per-L checks fail with the same
-witness; under --method both a failing route two is a failed cross-method
-check, and the point's other checks run on route one's Q.  compute and
-table report no findings: a failing route, or disagreeing routes under
---method both, exits 3.  The default verification grid is L in
-{3, 5, 7, 9, 11} with N up to 4.
+2 invalid configuration, 3 internal error.  One rule makes a finding: an
+error in FINDING_ERRORS raised inside a check is that check's FAIL, and
+_finding writes its witness.  A failing primary route (route one, or route two
+under --method linear-system) is a failed construction check, the point
+runs no other check, and its L's per-L checks fail with the same witness;
+under --method both a failing route two is a failed cross-method check,
+and the point's other checks run on route one's Q.  compute and table
+report no findings: a failing route, or disagreeing routes under
+--method both, exits 3 and prints the failed entry's witness with its
+point.  The default verification grid is L in {3, 5, 7, 9, 11} with N up
+to 4.
 """
 
 from __future__ import annotations
@@ -203,7 +204,10 @@ FINDING_ERRORS = (ArithmeticError, AssertionError, FalsificationError, Convergen
 
 
 def _finding(name: str, params: dict, exc: Exception) -> CheckResult:
-    return listed(name, params, [f"{type(exc).__name__}: {exc}"])
+    """The failed entry for an error raised in check name: a FalsificationError's
+    message is the witness, any other error's its type and message."""
+    witness = str(exc) if isinstance(exc, FalsificationError) else f"{type(exc).__name__}: {exc}"
+    return listed(name, params, [witness])
 
 
 def _check(name: str, where: dict, check: Callable, *args) -> list[CheckResult]:
@@ -215,8 +219,8 @@ def _check(name: str, where: dict, check: Callable, *args) -> list[CheckResult]:
     return found if isinstance(found, list) else [found]
 
 
-def _unwrap(found: WSummary | Exception) -> WSummary:
-    """A point's summary, or its w_sum failure raised again for the check that needs it."""
+def _unwrap(found: WSummary | SpinConstant | Exception) -> WSummary | SpinConstant:
+    """A stored summary or fit, or the failure stored in its place raised again."""
     if isinstance(found, Exception):
         raise found
     return found
@@ -349,26 +353,22 @@ def _run_grid(
 # compute
 
 
+class PointFailed(Exception):
+    """A failed entry in compute or table: its witness with its point."""
+
+
 def _records(config: RunConfig) -> list[dict]:
     """compute's exact records, by L then N; JSON, CSV and table all read these.
 
-    A failed entry is an internal error naming its point, raised before the
-    summaries are read: a failing primary route raises its own error, which
-    it stores there, and a failed cross-method check (under --method both)
-    an AssertionError with its witness.
+    A failed entry raises PointFailed before the summaries are read.
     """
     bits = config.precision_bits
     records = []
     for L, points in sorted(_run_grid(config, (), with_pair=True).items()):
-        for q, entries, stored in points:
+        for _, entries, _ in points:
             for entry in entries:
-                if entry.passed:
-                    continue
-                at = f" at L={L} N={entry.params['N']}"
-                if q is None:  # the route's error, stored in place of the summary
-                    stored.args = (f"{stored}{at}",)
-                    raise stored
-                raise AssertionError(entry.detail + at)
+                if not entry.passed:
+                    raise PointFailed(f"{entry.detail} at L={L} N={entry.params['N']}")
         summaries = _summaries(points)
         constant = extract_A(summaries)
         A, slope = constant.A.to_dict(bits), constant.slope.to_dict(bits)
@@ -416,9 +416,9 @@ def _records_to_csv(records: list[dict], precision_bits: int) -> str:
 
 def _fit(points: list) -> SpinConstant | Exception:
     """The spin constant fitted once from one L's N = 1, 2 for its per-L
-    checks, or the error that stopped the fit.  A stored failure never
-    reaches those checks: each reads its summaries through _summaries
-    first, which raises it again."""
+    checks, or the error that stopped the fit.  Each check reads its
+    summaries through _summaries first and the fit through _unwrap after,
+    so a stored summary failure wins over the fit's."""
     try:
         return extract_A(_summaries(points[:2]))
     except FINDING_ERRORS as exc:
@@ -427,9 +427,9 @@ def _fit(points: list) -> SpinConstant | Exception:
 
 def cmd_verify(config: RunConfig) -> int:
     per_L = {
-        "linearity": lambda ready, fit: verify_linearity(ready, fit, config.N_max),
+        "linearity": lambda ready, fit: verify_linearity(ready, _unwrap(fit), config.N_max),
         "finite-size": lambda ready, fit: verify_no_finite_size_correction(
-            ready, fit, config.N_max
+            ready, _unwrap(fit), config.N_max
         ),
         "closed-forms": lambda ready, _: crosscheck_closed_forms(ready, config.precision_bits),
     }
@@ -574,9 +574,11 @@ def main(argv: list[str] | None = None) -> int:
     command = {"compute": cmd_compute, "verify": cmd_verify, "table": cmd_table}[args.command]
     try:
         return command(config)
+    except PointFailed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
     except Exception as exc:  # noqa: BLE001 - map anything unexpected to exit 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    return 3
 
 
 if __name__ == "__main__":

@@ -4,11 +4,13 @@ Every verification routine returns CheckResult entries rather than booleans,
 so a failure carries the exact (or high-precision) residual that witnessed
 it.  FalsificationError is reserved for identities whose failure would refute
 the finite-size statements this package checks; callers report it as a
-finding instead of swallowing it.
+finding instead of swallowing it, and since it names the identity that
+failed, its message alone is the witness (cli._finding).
 
 Four builders make every CheckResult, one per kind of evidence:
 - listed: fails when it names a problem; residual "1" (else "0"), detail
-  the problems joined by "; ".  structure, cross-method, a raised error.
+  the problems joined by "; ".  structure, cross-method, a raised error
+  (cli._finding).
 - exact: a field-element difference that must vanish; residual its
   "NUM/DEN" coordinates (else "0"), detail what a nonzero one means.
   tq, inverse-sum, linearity, finite-size.

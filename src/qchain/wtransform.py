@@ -16,26 +16,15 @@ statements this package verifies and raises FalsificationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .cyclotomic import CyclotomicNumber
-from .qoperator import ChainParams, QPolynomial
+from .qoperator import QPolynomial
 from .report import CheckResult, FalsificationError, exact
 
 
-@dataclass(frozen=True)
-class WSymmetrics:
-    """E_1 of the w variables with its exact cosine-sum numerator/denominator."""
-
-    params: ChainParams
-    E1: CyclotomicNumber
-    numerator: CyclotomicNumber
-    denominator: CyclotomicNumber
-
-
-def w_sum(q: QPolynomial) -> WSymmetrics:
-    """Sum of the w variables as an exact field element.
+def w_sum(q: QPolynomial) -> CyclotomicNumber:
+    """E_1, the sum of the w variables, as an exact field element.
 
     numerator   = 2 sum_(k<p) (-1)^k (p-k) cos(pi (2k+2-p)/L) e_k
     denominator =   sum_(k<=p) (-1)^k cos(pi (p-2k)/L) e_k
@@ -69,7 +58,7 @@ def w_sum(q: QPolynomial) -> WSymmetrics:
         raise FalsificationError(
             f"root sum is not conjugation-fixed at L={L} N={params.N}"
         )
-    return WSymmetrics(params=params, E1=e1, numerator=numerator, denominator=denominator)
+    return e1
 
 
 def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:

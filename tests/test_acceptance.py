@@ -140,7 +140,7 @@ def test_criterion_5_structural_identities(capsys):
             structure = verify_structure(q)
             if not structure.passed:
                 failures.append(structure.line())
-            e1 = w_sum(q).E1
+            e1 = w_sum(q)
             if not e1.is_real():
                 failures.append(f"root sum not real at L={L} N={N}")
             inverse = verify_inverse_sum(q, e1)
@@ -224,7 +224,7 @@ def test_criterion_8_numeric_root_validator(capsys):
             if not (forms["z"].below(pair_bound) and forms["w"].below(pair_bound)):
                 failures.append(f"pair equations at L={L} N={N}: {forms}")
             with mpmath.workprec(bits + 64):
-                gap = abs(mpmath.fsum(as_mpc(rs.w, rs.bits)) - w_sum(q).E1.embed(bits + 64))
+                gap = abs(mpmath.fsum(as_mpc(rs.w, rs.bits)) - w_sum(q).embed(bits + 64))
             if not gap < pair_bound:
                 failures.append(f"root sum gap {mpmath.nstr(gap, 5)} at L={L} N={N}")
             if not root_product_gap(rs).below(pair_bound):

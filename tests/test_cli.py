@@ -16,6 +16,8 @@ from qchain import cli
 from qchain.cli import main
 from qchain.linalg import SingularMatrixError
 from qchain.qoperator import ChainParams, QPolynomial, q_closed_form, q_linear_system
+from qchain.energy import extract_A, groundstate_summary
+from qchain.report import FalsificationError
 from qchain.wtransform import w_sum
 from qchain.cyclotomic import CyclotomicNumber
 from qchain.rationals import integer_scaled, parse_rational
@@ -438,9 +440,7 @@ def test_disagreeing_routes_fail_verify_and_stop_compute(monkeypatch, capsys):
         code, out, err = run([command, *grid, "--method", "both"], capsys)
         assert code == 3
         assert out == ""
-        assert err == (
-            "internal error: AssertionError: construction routes disagree at L=3 N=1\n"
-        )
+        assert err == "internal error: construction routes disagree at L=3 N=1\n"
 
 
 @pytest.mark.parametrize(
@@ -465,12 +465,13 @@ def test_failing_route_two_is_a_cross_method_finding(error, monkeypatch, capsys)
     passed = [line for line in lines if line.startswith("PASS")]
     assert passed and len(passed) + len(failed) == len(lines) - 1
     assert lines[-1] == f"{len(failed)} of {len(lines) - 1} checks FAILED"
-    # compute and table still stop on a route failure, and name it with its point
+    # compute and table still stop on a route failure, and print its witness,
+    # the error's type named once, with its point
     for command in ("compute", "table"):
         code, out, err = run([command, "--L", "3", "--N-max", "1", "--method", "both"], capsys)
         assert code == 3
         assert out == ""
-        assert err == f"internal error: AssertionError: {witness[1:-1]} at L=3 N=1\n"
+        assert err == f"internal error: {witness[1:-1]} at L=3 N=1\n"
 
 
 @pytest.mark.parametrize("error", [SingularMatrixError(2, 3), ConvergenceError(200, "0.125")])
@@ -565,6 +566,56 @@ def test_stored_w_sum_failure_stays_out_of_unselected_checks(capsys):
     assert {line.split()[1] for line in lines[:-1]} == {"cross-method", "tq", "linearity"}
     (linearity,) = [line for line in lines if " linearity " in line]
     assert linearity.startswith("FAIL linearity L=3 [ZeroDivisionError: ")
+
+
+@pytest.mark.parametrize(
+    "error, witness",
+    [(FalsificationError("x"), "[x]"), (ValueError("y"), "[ValueError: y]")],
+)
+def test_one_witness_rule_for_a_raised_error(error, witness, monkeypatch, capsys):
+    # a FalsificationError names the identity that failed; any other error its type
+    def raising(q):
+        raise error
+
+    monkeypatch.setattr("qchain.cli.verify_tq_identity", raising)
+    code, out, _ = run(["verify", "--L", "3", "--N-max", "1", "--checks", "tq"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS cross-method L=3 N=1",
+        f"FAIL tq L=3 N=1 {witness}",
+        "1 of 2 checks FAILED",
+    ]
+
+
+def test_failed_fit_is_the_one_failed_entry(monkeypatch, capsys):
+    argv = ["verify", "--L", "5", "--N-max", "3", "--tamper", "1:1/3"]
+    argv += ["--checks", "linearity,finite-size"]
+    bump = Fraction(1, 3)
+    bumped = [q_closed_form(ChainParams(5, N)).with_coefficient_bump(1, bump) for N in (1, 2)]
+    with pytest.raises(FalsificationError) as caught:
+        extract_A([groundstate_summary(q) for q in bumped])
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    # the slope identity names itself, once for each per-L check
+    assert failed == [
+        f"FAIL linearity L=5 [{caught.value}]",
+        f"FAIL finite-size L=5 [{caught.value}]",
+    ]
+    # a stored summary failure in that L still wins over the failed fit
+    def failing_at_N3(q):
+        if q.params.N == 3:
+            raise ZeroDivisionError("pole at N=3")
+        return groundstate_summary(q)
+
+    monkeypatch.setattr("qchain.cli.groundstate_summary", failing_at_N3)
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == [
+        "FAIL linearity L=5 [ZeroDivisionError: pole at N=3]",
+        "FAIL finite-size L=5 [ZeroDivisionError: pole at N=3]",
+    ]
 
 
 def test_verify_tamper_reaches_per_L_checks(capsys):

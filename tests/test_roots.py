@@ -168,7 +168,7 @@ def test_numeric_cross_check_against_exact_sum():
     for L, N in ((3, 2), (5, 1), (7, 1)):
         q = build_q(ChainParams(L, N))
         rs = find_roots(q, precision_bits=256)
-        assert numeric_cross_check(rs, w_sum(q).E1) < mpmath.mpf(2) ** -(256 - 40)
+        assert numeric_cross_check(rs, w_sum(q)) < mpmath.mpf(2) ** -(256 - 40)
 
 
 def test_precision_floor_enforced():
@@ -311,7 +311,7 @@ def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
     assert count(inversion_closure_gap, large) == 0
     assert count(bae_residuals_by_form, small) == count(bae_residuals_by_form, large)
     # the root sum embeds E1, whose length does not depend on p
-    e1_small, e1_large = (w_sum(q).E1 for q in qs)
+    e1_small, e1_large = (w_sum(q) for q in qs)
     on_small = count(numeric_cross_check, small, e1_small)
     assert on_small == count(numeric_cross_check, large, e1_large)
 

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import q_at
-from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
+from qchain.cyclotomic import cyc_cos
 from qchain.qoperator import ChainParams, build_q
 from qchain.report import FalsificationError
 from qchain.wtransform import verify_inverse_sum, w_elementary, w_sum
@@ -30,40 +29,22 @@ def test_sqrt5_helper():
 
 
 def test_single_root_chain():
-    ws = w_sum(build_q(ChainParams(3, 1)))
-    assert ws.E1 == 1
-    assert ws.numerator == ws.denominator
+    assert w_sum(build_q(ChainParams(3, 1))) == 1
 
 
 def test_two_root_chain_rationals():
-    # roots z = (-11 +- sqrt 21)/10 map to w with w_1 + w_2 = 3/2;
-    # numerator and denominator were summed by hand
-    ws = w_sum(build_q(ChainParams(3, 2)))
-    assert ws.E1 == F(3, 2)
-    assert ws.numerator == F(9, 5)
-    assert ws.denominator == F(6, 5)
+    # roots z = (-11 +- sqrt 21)/10 map to w with w_1 + w_2 = 3/2
+    assert w_sum(build_q(ChainParams(3, 2))) == F(3, 2)
 
 
 def test_golden_ratio_chain():
-    ws = w_sum(build_q(ChainParams(5, 1)))
-    assert ws.E1 * 4 == _sqrt5() * 7 + 5
-
-
-def test_denominator_is_q_at_pole_up_to_phase():
-    # Q(exp(-2 pi i / L)) = zeta^(-p) * denominator
-    for L, N in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
-        q = build_q(ChainParams(L, N))
-        ws = w_sum(q)
-        value = q_at(q, zeta_power(-2, L))
-        if isinstance(value, Fraction):
-            value = CyclotomicNumber.from_rational(value, 2 * L)
-        assert value == zeta_power(-q.params.p, L) * ws.denominator
+    assert w_sum(build_q(ChainParams(5, 1))) * 4 == _sqrt5() * 7 + 5
 
 
 def test_sum_is_real_on_grid():
     for L in (3, 5, 7, 9):
         for N in (1, 2):
-            assert w_sum(build_q(ChainParams(L, N))).E1.is_real()
+            assert w_sum(build_q(ChainParams(L, N))).is_real()
 
 
 def test_elementary_zeroth_is_one():
@@ -74,7 +55,7 @@ def test_elementary_zeroth_is_one():
 def test_elementary_first_agrees_with_cosine_sums():
     for L, N in ((3, 2), (5, 1), (7, 1), (21, 1), (21, 2)):
         q = build_q(ChainParams(L, N))
-        assert w_elementary(q, 1) == w_sum(q).E1
+        assert w_elementary(q, 1) == w_sum(q)
 
 
 def test_elementary_top_is_root_product():
@@ -95,7 +76,7 @@ def test_elementary_alpha_range_checked():
 @pytest.mark.parametrize("key", [(3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
 def test_inverse_sum_identity(key):
     q = build_q(ChainParams(*key))
-    result = verify_inverse_sum(q, w_sum(q).E1)
+    result = verify_inverse_sum(q, w_sum(q))
     assert result.passed, result.detail
     assert result.residual == "0"
 
@@ -105,7 +86,7 @@ def test_broken_coefficients_are_caught():
     # identity; both escalate rather than pass silently
     q = build_q(ChainParams(5, 1)).with_coefficient_bump(1, F(1, 3))
     try:
-        result = verify_inverse_sum(q, w_sum(q).E1)
+        result = verify_inverse_sum(q, w_sum(q))
     except FalsificationError:
         return
     assert not result.passed
@@ -114,6 +95,6 @@ def test_broken_coefficients_are_caught():
 def test_real_sum_after_symmetric_bump():
     # a palindrome-preserving bump keeps E1 real but moves its value
     q = build_q(ChainParams(3, 2)).with_coefficient_bump(1, F(1, 5))
-    ws = w_sum(q)
-    assert ws.E1.is_real()
-    assert ws.E1 != F(3, 2)
+    e1 = w_sum(q)
+    assert e1.is_real()
+    assert e1 != F(3, 2)
