@@ -21,7 +21,9 @@ from qchain.energy import (
     verify_linearity,
     verify_no_finite_size_correction,
 )
+from qchain.cli import _check, _unwrap
 from qchain.qoperator import ChainParams, build_q
+from qchain.report import FalsificationError
 from qchain.wtransform import w_sum
 
 F = Fraction
@@ -34,6 +36,20 @@ def _sqrt5():
 def _with_fit(check, summaries, N_max):
     """A per-L check on summaries with A fitted from them, as verify runs it."""
     return check(summaries, extract_A(summaries), N_max)
+
+
+@pytest.mark.parametrize("check", [verify_linearity, verify_no_finite_size_correction])
+def test_failed_fit_is_the_one_failed_entry(check):
+    # verify stores the fit's error in place of the fit and raises it again
+    # inside the per-L check, which then yields one failed entry for that L
+    first, second = summaries_for(5)
+    bumped = [first, replace(second, E1=second.E1 + F(1, 3))]
+    with pytest.raises(FalsificationError) as caught:
+        extract_A(bumped)
+    fit = caught.value
+    (entry,) = _check(check.__name__, {"L": 5}, lambda: check(bumped, _unwrap(fit), 2))
+    assert not entry.passed and entry.params == {"L": 5}
+    assert entry.detail == str(caught.value)
 
 
 def test_energy_anchors_small_chains():
