@@ -198,8 +198,8 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 # grid points
 
 
-# SingularMatrixError is a ValueError and ZeroDivisionError an ArithmeticError;
-# a route's own exactness checks raise AssertionError or ArithmeticError.
+# A route's own exactness checks raise AssertionError or ArithmeticError
+# (ZeroDivisionError among them); ValueError is an input a check rejects.
 FINDING_ERRORS = (ArithmeticError, AssertionError, FalsificationError, ConvergenceError, ValueError)
 
 

@@ -1,15 +1,15 @@
-"""Exact solver for square integer linear systems.
+"""Exact solver for square integer linear systems; its one caller is field
+inversion (CyclotomicNumber.inverse).
 
 A system A x = b comes in as augmented integer rows [A | b] and is
 eliminated with fraction-free (Bareiss) updates, so every intermediate entry
 is an integer and the single division per update is exact.  The pivot in
 each column is the nonzero candidate with the smallest bit size, which keeps
-intermediate growth down where entry sizes vary widely, as in the
-power-of-exponent rows of Q's divisibility conditions.
+intermediate growth down: the first nonzero candidate made w_sum and the
+inverse-sum check 25-35% slower at (L, N) = (31, 6), (41, 6) and (51, 12).
 With d the last pivot, back-substitution computes y = d x in integers and
 checks sum a y = d b on the input rows; the solution is returned as d and y,
-never as Fractions.  Q's M x M divisibility system and field inversion
-share it.
+never as Fractions.
 """
 
 from __future__ import annotations

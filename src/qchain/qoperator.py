@@ -14,11 +14,12 @@ it by (z-1)^(2N+1) in integer long division; a nonzero remainder doubles as
 a transcription check, and the scale is Q's denominator.  Route two (linear
 system) imposes the vanishing of a binomial convolution of the e_k at every
 admissible index.  Those p conditions say that (1+x)^M sum_k e_k x^k lives
-on M+1 fixed exponents, so route two solves for it there from M integer
-divisibility conditions, divides by (1+x)^M in its own synthetic-division
-loop and substitutes the result into every admissible condition; the
-solver's last pivot is Q's denominator.  The two routes must agree
-coefficient by coefficient, which is equality of the reduced forms.
+on M+1 fixed exponents, where divisibility by (1+x)^M is a Vandermonde
+system with a one-dimensional kernel: the divided-difference weights of
+those nodes, which read nothing of route one.  Route two writes them in
+integers, divides by (1+x)^M in its own synthetic-division loop and
+substitutes the result into every admissible condition.  The two routes
+must agree coefficient by coefficient, which is equality of reduced forms.
 
 The functional three-term identity satisfied by Q (verify_tq_identity) is
 checked as an exact polynomial identity over Q(zeta_2L), never numerically.
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
 from .cyclotomic import CyclotomicNumber
-from .linalg import solve_linear_system
 from .rationals import divide_monic, format_rational, integer_scaled, lowest_terms
 from .report import CheckResult, exact, listed
 
@@ -181,30 +181,32 @@ def admissible_indices(params: ChainParams) -> list[int]:
 
 
 def q_linear_system(params: ChainParams) -> QPolynomial:
-    """Build Q by solving the vanishing conditions exactly, as an M x M system.
+    """Build Q from the vanishing conditions through their one-dimensional kernel.
 
     Condition ell says that P(x) = (1+x)^M E(x), with E(x) = sum_j e_j x^j,
     has no x^ell term, so P is supported on the M+1 excluded exponents
     s = L*k and L*k + (L-1)/2, and P_0 = e_0 = 1.  P is a multiple of
     (1+x)^M exactly when it vanishes to order M at x = -1, which on that
-    support reads sum_s P_s (-1)^s s^i = 0 for i < M: M integer conditions
-    on the other M coefficients, solved as d and y = d P_s.  M synthetic
-    divisions of d P by (1+x), each remainder checked, leave the integer
-    numerators d e_0..d e_p over d.  The e_k are then substituted into
-    every admissible condition, Q's defining system, as the acceptance
-    test.
+    support reads sum_s P_s (-1)^s s^i = 0 for i < M.  With the node
+    products w_s = prod_(t != s) (s - t), sum_s s^i / w_s is the divided
+    difference of y^i over the M+1 nodes, zero for every i < M, and the
+    kernel is one-dimensional: (-1)^s P_s = w_0 / w_s, or over
+    d = lcm(|w_s|) the integers d P_s = (-1)^s w_0 (d / w_s), d P_0 = d.
+    These weights hold for any Vandermonde kernel and read only the nodes,
+    never route one's product weights.  M synthetic divisions of d P by
+    (1+x), each remainder checked, leave the numerators d e_0..d e_p over
+    d, and substituting the e_k into every admissible condition, Q's
+    defining system, is the acceptance test.
     """
     L, N, M, p = params.L, params.N, params.M, params.p
     half = (L - 1) // 2
-    # the excluded exponents but s = 0, where P_0 = 1 goes to the right-hand side
-    support = sorted({L * k for k in range(1, N + 1)} | {L * k + half for k in range(N + 1)})
-    rows = [[(-1) ** s * s**i for s in support] + [-1 if i == 0 else 0] for i in range(M)]
-    d, y = solve_linear_system(rows)
+    nodes = {L * k for k in range(N + 1)} | {L * k + half for k in range(N + 1)}
+    products = {s: prod(s - t for t in nodes if t != s) for s in nodes}
+    d = lcm(*products.values())
 
     nums = [0] * (L * N + half + 1)
-    nums[0] = d
-    for s, coefficient in zip(support, y):
-        nums[s] = coefficient
+    for s, w in products.items():
+        nums[s] = (-1) ** s * products[0] * (d // w)
     for _ in range(M):
         # a = (1+x) q gives q_i = a_i - q_(i-1); what is left in the top entry is the remainder
         for i in range(1, len(nums)):

@@ -9,6 +9,7 @@ from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
 from qchain.linalg import solve_linear_system
 from qchain.qoperator import ChainParams, QPolynomial, admissible_indices, build_q
+from qchain.rationals import divide_monic
 from qchain.report import CheckResult
 
 
@@ -63,6 +64,28 @@ def linear_system_oracle(params):
         rows.append(row)
     d, y = solve_linear_system(rows)
     return QPolynomial(params, (d, *y), d)
+
+
+def support_system_oracle(params):
+    """Q from the M x (M+1) power-row system on the support of (1+x)^M E(x).
+
+    The reference for `q_linear_system`, which writes the same kernel in
+    closed form: P(x) = (1+x)^M E(x) lives on the M+1 excluded exponents
+    with P_0 = e_0 = 1, and sum_s P_s (-1)^s s^i = 0 for i < M is solved
+    for the other M coefficients by Bareiss.  E is then the exact quotient
+    of P by (1+x)^M, by long division.
+    """
+    L, N, M = params.L, params.N, params.M
+    half = (L - 1) // 2
+    # the excluded exponents but s = 0, where P_0 = 1 goes to the right-hand side
+    support = sorted({L * k for k in range(1, N + 1)} | {L * k + half for k in range(N + 1)})
+    rows = [[(-1) ** s * s**i for s in support] + [-1 if i == 0 else 0] for i in range(M)]
+    d, y = solve_linear_system(rows)
+    numerator = [0] * (L * N + half + 1)
+    numerator[0] = d
+    for s, coefficient in zip(support, y):
+        numerator[s] = coefficient
+    return QPolynomial(params, tuple(divide_monic(numerator, [comb(M, i) for i in range(M + 1)])), d)
 
 
 def _cyclo_convolve(a, b, order):

@@ -7,15 +7,14 @@ route) and are frozen here as the primary oracle.
 
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_fractions, linear_system_oracle, q_at, tq_oracle
+from conftest import count_fractions, linear_system_oracle, q_at, support_system_oracle, tq_oracle
 from qchain.cyclotomic import zeta_power
-from qchain.linalg import SingularMatrixError, solve_linear_system
 from qchain.qoperator import (
     ChainParams,
     QPolynomial,
@@ -84,40 +83,37 @@ def test_build_q_dispatch():
         build_q(params, "newton")
 
 
+@pytest.mark.parametrize(
+    "key", [(L, N) for L in (3, 5, 7, 9, 11) for N in range(1, 7)] + [(31, 6), (51, 12)]
+)
+def test_routes_agree_with_the_support_system_oracle(key):
+    # route two's closed-form kernel against Bareiss on the M x (M+1) power rows
+    params = ChainParams(*key)
+    assert q_closed_form(params) == q_linear_system(params) == support_system_oracle(params)
+
+
+@pytest.mark.parametrize("key", [(5, 48), (11, 48), (21, 32)])
+def test_routes_agree_at_large_n(key):
+    params = ChainParams(*key)
+    assert q_closed_form(params) == q_linear_system(params)
+
+
 @pytest.mark.parametrize("key", [(31, 6), (51, 12)])
-def test_linear_system_solves_m_conditions(key, monkeypatch):
-    # route two's solver sees the M divisibility conditions, never the p x p system
-    sizes = []
+def test_linear_system_makes_no_linear_solve(key, monkeypatch):
+    def no_elimination(rows, ncols):
+        raise AssertionError("route two eliminated a system")
 
-    def recording(rows):
-        sizes.append((len(rows), len(rows[0])))
-        return solve_linear_system(rows)
-
-    monkeypatch.setattr("qchain.qoperator.solve_linear_system", recording)
+    monkeypatch.setattr("qchain.linalg._eliminate", no_elimination)
     params = ChainParams(*key)
     assert q_linear_system(params) == q_closed_form(params)
-    assert sizes == [(params.M, params.M + 1)]
 
 
 def test_linear_system_rejects_a_bumped_solution(monkeypatch):
-    def bumped(rows):
-        d, y = solve_linear_system(rows)
-        y[len(y) // 2] += 1
-        return d, y
-
-    monkeypatch.setattr("qchain.qoperator.solve_linear_system", bumped)
+    # node products off by one put P off the kernel
+    monkeypatch.setattr("qchain.qoperator.prod", lambda factors: prod(factors) + 1)
     for key in ((3, 1), (5, 2), (11, 3)):
         with pytest.raises(AssertionError):
             q_linear_system(ChainParams(*key))
-
-
-def test_linear_system_passes_on_a_singular_solve(monkeypatch):
-    def singular(rows):
-        raise SingularMatrixError(len(rows) - 1, len(rows))
-
-    monkeypatch.setattr("qchain.qoperator.solve_linear_system", singular)
-    with pytest.raises(SingularMatrixError):
-        q_linear_system(ChainParams(5, 2))
 
 
 def test_admissible_count_identity():
