@@ -288,7 +288,8 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     loose_tol = mpmath.mpf(2) ** -(precision - 40)
     ladder = "/".join(map(str, rs.ladder))
     sweeps = f"{rs.float_sweeps} float and {rs.sweeps} fixed-point sweeps"
-    detail = f"{sweeps}, search {rs.search_bits} bits, polish {ladder} bits"
+    bits = f"search {rs.search_bits} bits, polish {ladder} bits, stored at {rs.bits} bits"
+    detail = f"{sweeps}, {bits}"
 
     def on_roots(name: str, measure: Callable) -> list[CheckResult]:
         return _check(name, where, lambda: measured(name, where, [measure(rs)], loose_tol))

@@ -6,9 +6,9 @@ of Q come from a simultaneous Aberth iteration (all roots at once, updates
 applied in place), first in doubles as far as their evaluation noise
 allows, then at the precision that the size of Q's coefficients calls for;
 a ladder of Newton steps at doubling precisions (find_roots derives both
-precisions) then polishes each root to well above the requested precision,
-so the reported residuals measure the polynomial and the Bethe equations
-honestly rather than the evaluation noise.
+precisions) then polishes each root to one unit of the scale
+F = precision_bits + 128, so the reported residuals measure the polynomial
+and the Bethe equations honestly rather than the evaluation noise.
 
 After the double phase, the search, the polish and the measurements run on
 plain Python integers, in the fixed point of fixedpoint.py, which is
@@ -18,19 +18,19 @@ double phase only moves the points the fixed-point search starts from,
 and that search keeps its own stopping test, so what it hands to the
 ladder does not rest on the doubles.  Its Aberth pair sums also run in
 Python floats, since they merely scale each Newton correction.  The
-polynomial residual |Q(z_j)| comes from the same Horner routine as the
-polish, at the polish precision and on the polished fixed-point roots;
-the Bethe-equation residuals, the root product, the inversion closure and
-the root sum run at one working scale, F = precision_bits + 128 + 2p.  Each
-of the first four comes back as a Measured: the residual and an explicit
-bound on its rounding error, derived in the function's docstring and
-computed in integers, so a check passes only when residual + bound is below
-its tolerance.  A RootSet keeps the roots and their Moebius images
-(z_to_w) in this one format at polish_bits, and each measurement reads
-them at F through _rescale, which truncates as _to_fixed does; every bound
-starts from that.  The seeds are made in doubles (cmath); mpmath computes
-only the constants exp and sinh of eta, the Moebius pole, the embedding of
-the exact root sum and the reported values.
+roots are stored at one scale, F, set once in find_roots: the last Newton
+step's points truncated to 2^-F (_rescale), and their Moebius images
+(z_to_w) at F.  Every measurement reads them as stored, at F, and none
+rescales them: the polynomial residual |Q(z_j)| (the polish's Horner
+routine), the Bethe-equation residuals, the root product, the inversion
+closure and the root sum.  Each of the first four comes back as a
+Measured: the residual and an explicit bound on its rounding error,
+derived in the function's docstring and computed in integers, so a check
+passes only when residual + bound is below its tolerance; a scale too low
+for some chain thus turns its checks red rather than hiding an error.
+The seeds are made in doubles (cmath); mpmath computes only the constants
+exp and sinh of eta, the Moebius pole, the embedding of the exact root sum
+and the reported values.
 
 The Bethe equations are evaluated in both variables: the z-form directly on
 the roots of Q, and the w-form on their Moebius images, with the anisotropy
@@ -73,7 +73,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class RootSet:
-    """The roots z of Q and their Moebius images w, each an (re, im) int pair at 2^-bits."""
+    """The roots z of Q and their Moebius images w, each an (re, im) int pair at
+    2^-bits, bits the one scale F that find_roots sets and every measurement reads."""
 
     params: ChainParams
     precision_bits: int
@@ -85,13 +86,6 @@ class RootSet:
     float_sweeps: int = 0
     search_bits: int = 0
     ladder: tuple = ()
-
-
-def _at_work_scale(rs: RootSet, roots) -> tuple[int, list[tuple[int, int]]]:
-    """F = precision_bits + 128 + 2p, the working scale of the measurements,
-    and the given stored roots at 2^-F, truncated toward zero (_rescale)."""
-    F = rs.precision_bits + 128 + 2 * rs.params.p
-    return F, [_rescale(v, rs.bits - F) for v in roots]
 
 
 def z_to_w(z: tuple[int, int], a: tuple[int, int], bits: int) -> tuple[int, int]:
@@ -219,13 +213,13 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     it starts, not how good its roots are when it stops.
 
     Search precision.  The monic coefficients are below 2^noise_bits, the
-    bit length of the Cauchy bound, so at 2^-F a Horner pass over p + 1 of
+    bit length of the Cauchy bound, so at 2^-S a Horner pass over p + 1 of
     them errs by up to about (p+1) 2^noise_bits units, and a correction is
-    sound to 2^-(F - margin), margin = noise_bits + bitlen(p) + 24 (the 24
+    sound to 2^-(S - margin), margin = noise_bits + bitlen(p) + 24 (the 24
     for |Q'| below 1 and the correction's own rounding).  The search stops
-    once every step, relative to max(1, |z|), is below 2^-(F - margin), or
+    once every step, relative to max(1, |z|), is below 2^-(S - margin), or
     when steps below 2^-48 stop halving three sweeps running.  So at
-    F = margin + 72 = noise_bits + bitlen(p) + 96 its roots are good to 72
+    S = margin + 72 = noise_bits + bitlen(p) + 96 its roots are good to 72
     bits, or 48 after a stall: far inside their Newton basins.
 
     The search keeps Aberth's pair sums: from the double phase's points,
@@ -235,19 +229,39 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     doubles; in integers it ran about 25% and 50% slower at (21, 4), (11, 8).
 
     Newton ladder.  A Newton step from a root good to a bits lands within
-    about 2^-2a if it runs at 2a + margin bits or more.  So the last step
-    runs at exactly polish_bits = 2 precision_bits + 128 + 2p and reaches
-    its noise floor 2^-(polish_bits - margin) from half as many good bits;
-    each earlier one runs at half the next one's good bits plus margin,
-    back to the first within reach of the search's 72 (or 48).  The steps
-    use Q's plain coefficients truncated to their precision (Newton does
-    not depend on Q's scale); the stored roots are exactly the last step's
-    fixed-point values.
+    about 2^-2a if it runs at 2a + margin bits or more.  The roots are
+    stored and measured at one scale, F = precision_bits + 128, so the last
+    step runs at exactly F + margin: from a root good to F/2 bits or more
+    it lands within its noise floor 2^-(F + margin - margin), one unit of
+    2^-F.  Each earlier step runs at half the next one's good bits plus
+    margin, back to the first within reach of the search's 72 (or 48).  The
+    steps use Q's plain coefficients truncated to their precision (Newton
+    does not depend on Q's scale).  The stored roots are the last step's
+    points truncated once to 2^-F (_rescale), so each is within a unit or
+    two of a root of Q.  That loses nothing a measurement reads: every
+    measurement reads the roots at 2^-F, where a longer ladder would only
+    change bits that the truncation drops, and its bound allows each root
+    the 1.5 units of that truncation.
+
+    Why F = precision_bits + 128 suffices.  The root checks' tolerances are
+    2^-(precision_bits - 40), and 2^-(precision_bits - 24) (1 + max |c_k|)
+    for |Q(z_j)|, so one unit 2^-F sits 168 bits under the first and at
+    least 152 under the second.  A residual at roots within a couple of
+    units of Q's, with its rounding bound, is some number of units that
+    grows with p and with the spread of the roots.  At precision_bits = 256
+    the largest, the w-form's bound, is 2^72 units at (L, N) = (11, 8),
+    2^58 at (21, 4), 2^69 at (31, 6), 2^70 at (41, 6) and 2^83 at (51, 8)
+    (p = 76, 85, 188, 253, 416); the z-form's stays below 2^68, |Q|'s below
+    2^91 (against the larger tolerance), the product's below 2^16 and the
+    inversion's below 2^6.  So at least 85 bits separate residual + bound
+    from the tolerance at those points; at (51, 12), p = 612, the w-form's
+    bound is 2^102 units and 66 bits remain.  A chain that needed more
+    would turn its check red, not pass.
 
     max_poly_residual is max_j |Q(z_j)| at the stored roots, evaluated by
-    _horner on Q's coefficients truncated to polish_bits, with its rounding
-    bound.  In units 2^-polish_bits each coefficient is low by less than 1
-    and each Horner step truncates both parts, an error below 1.5 that the
+    _horner at F on Q's coefficients truncated to F, with its rounding
+    bound.  In units 2^-F each coefficient is low by less than 1 and each
+    Horner step truncates both parts, an error below 1.5 that the
     remaining steps multiply by z^k, so the computed value is within
     2.5 sum_(k<=p) |z|^k <= 2.5 (p+1) max(1, |z|)^p units of |Q(z_j)|;
     max(1, |z|) is rounded up to a multiple of 2^-16, and the bound adds
@@ -263,7 +277,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     monic = [c / lead for c in coeffs]
     bound = 1 + max(abs(c) for c in monic[:-1])
     margin = (bound.numerator // bound.denominator).bit_length() + p.bit_length() + 24
-    F = search_bits = margin + 72
+    S = search_bits = margin + 72
 
     # the seeds, on the circle of radius bound^(1/p) = 2^(shift + frac), are made
     # in doubles at radius 2^frac and shifted into fixed point, whatever the bound
@@ -271,18 +285,18 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     shift = int(log2_radius)
     offset = random.Random(seed).random() * 2 * math.pi / p
     seeds = [cmath.rect(2 ** (log2_radius - shift), 2 * math.pi * k / p + offset) for k in range(p)]
-    real = [_fixed(z.real, F + shift) for z in seeds]
-    imag = [_fixed(z.imag, F + shift) for z in seeds]
+    real = [_fixed(z.real, S + shift) for z in seeds]
+    imag = [_fixed(z.imag, S + shift) for z in seeds]
 
-    one = 1 << F
+    one = 1 << S
     floats = [_float(zr, zi, one) for zr, zi in zip(real, imag)]
     float_sweeps, reached = _float_search(monic, floats)
     if reached is not None:
         floats = reached
-        real = [_fixed(z.real, F) for z in reached]
-        imag = [_fixed(z.imag, F) for z in reached]
-    fixed = [_fixed(c, F) for c in monic]
-    target = Fraction(1, 1 << 2 * (F - margin))
+        real = [_fixed(z.real, S) for z in reached]
+        imag = [_fixed(z.imag, S) for z in reached]
+    fixed = [_fixed(c, S) for c in monic]
+    target = Fraction(1, 1 << 2 * (S - margin))
     stall_floor = Fraction(1, 1 << 96)
     worst = Fraction(1)
     previous = None
@@ -291,18 +305,18 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         top, bottom = 0, 1
         for i in range(p):
             zr, zi = real[i], imag[i]
-            vr, vi, dr, di = _horner(fixed, zr, zi, F)
+            vr, vi, dr, di = _horner(fixed, zr, zi, S)
             if vr == vi == 0:
                 continue
             if dr == di == 0:
-                real[i] += 1 << (F - F // 3)
+                real[i] += 1 << (S - S // 3)
                 floats[i] = _float(real[i], zi, one)
                 if top < bottom:
                     top, bottom = 1, 1
                 continue
-            nr, ni = _divide(vr, vi, dr, di, F)
-            mr, mi = _aberth_denominator(nr, ni, i, real, imag, floats, F)
-            sr, si = (nr, ni) if mr == mi == 0 else _divide(nr, ni, mr, mi, F)
+            nr, ni = _divide(vr, vi, dr, di, S)
+            mr, mi = _aberth_denominator(nr, ni, i, real, imag, floats, S)
+            sr, si = (nr, ni) if mr == mi == 0 else _divide(nr, ni, mr, mi, S)
             zr -= sr
             zi -= si
             real[i], imag[i] = zr, zi
@@ -326,14 +340,15 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
             worst_step = mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
             raise ConvergenceError(MAX_SWEEPS, mpmath.nstr(worst_step, 5))
 
-    good = F - margin if worst < target else 48
-    polish_bits = 2 * precision_bits + 128 + 2 * p
-    ladder = [polish_bits]
+    good = S - margin if worst < target else 48
+    F = precision_bits + 128  # the one scale of the stored roots and the measurements
+    ladder = [F + margin]
     while ladder[0] - margin > 2 * good:
         ladder.insert(0, (ladder[0] - margin + 1) // 2 + margin)
+    at = S
     for bits in ladder:
         plain = [_fixed(c, bits) for c in coeffs]
-        up, down = max(bits - F, 0), max(F - bits, 0)
+        up, down = max(bits - at, 0), max(at - bits, 0)
         for i in range(p):
             zr, zi = (real[i] << up) >> down, (imag[i] << up) >> down
             vr, vi, dr, di = _horner(plain, zr, zi, bits)
@@ -342,29 +357,29 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
                 zr -= sr
                 zi -= si
             real[i], imag[i] = zr, zi
-        F = bits
+        at = bits
+    z = tuple(_rescale(x, margin) for x in zip(real, imag))
 
-    # |Q| at the stored roots, which are exactly these fixed-point values;
-    # plain holds Q's coefficients truncated to the last step, polish_bits
+    # |Q| at the stored roots, on Q's coefficients truncated to F
+    plain = [_fixed(c, F) for c in coeffs]
     worst = 0
     reach = 1 << 16  # 2^16 max(1, |z_j|), rounded up
-    for zr, zi in zip(real, imag):
-        vr, vi, _, _ = _horner(plain, zr, zi, polish_bits)
+    for zr, zi in z:
+        vr, vi, _, _ = _horner(plain, zr, zi, F)
         worst = max(worst, vr * vr + vi * vi)
-        reach = max(reach, math.isqrt((zr * zr + zi * zi) >> (2 * polish_bits - 32)) + 1)
+        reach = max(reach, math.isqrt((zr * zr + zi * zi) >> (2 * F - 32)) + 1)
     # 2.5 (p+1) (reach / 2^16)^p units
-    error = (5 * (p + 1) * reach**p, -16 * p - 1 - polish_bits)
-    residual = Measured.from_square(worst, 1 << 2 * polish_bits, polish_bits, error)
+    error = (5 * (p + 1) * reach**p, -16 * p - 1 - F)
+    residual = Measured.from_square(worst, 1 << 2 * F, F, error)
 
-    with mpmath.workprec(polish_bits + 64):
-        pole = _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / q.params.L), polish_bits + 64)
-    z = tuple(zip(real, imag))
+    with mpmath.workprec(F + 64):
+        pole = _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / q.params.L), F + 64)
     return RootSet(
         params=q.params,
         precision_bits=precision_bits,
-        bits=polish_bits,
+        bits=F,
         z=z,
-        w=tuple(z_to_w(x, pole, polish_bits) for x in z),
+        w=tuple(z_to_w(x, pole, F) for x in z),
         max_poly_residual=residual,
         sweeps=sweeps,
         float_sweeps=float_sweeps,
@@ -460,15 +475,16 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     returns a Measured; the worst residual of a root set is the max of the
     two.
 
-    Everything runs in fixed point at the working scale F (_at_work_scale).
-    Roots closer than 2^-(F//2) are rejected first, by an exact comparison
-    of squared distances.  Per root the residual is |X| / |Y| with
-    X = a^M den - b^M num and Y = b^M den, the powers and products keeping
-    F + 1 significant bits and an exponent (_product); one division, taken
-    at the end on the worst |X|^2 / |Y|^2.
+    Everything runs in fixed point at the roots' scale F = rs.bits, on the
+    stored roots as they are.  Roots closer than 2^-(F//2) are rejected
+    first, by an exact comparison of squared distances.  Per root the
+    residual is |X| / |Y| with X = a^M den - b^M num and Y = b^M den, the
+    powers and products keeping F + 1 significant bits and an exponent
+    (_product); one division, taken at the end on the worst |X|^2 / |Y|^2.
 
-    Rounding bound.  In units u = 2^-F the stored roots are truncated by
-    less than 1.5 and the constants are within 2 (_constants).  With m a
+    Rounding bound.  In units u = 2^-F the stored roots are within 1.5 of
+    the last Newton step's points (find_roots truncated them to F) and the
+    constants within 2 (_constants); the bound holds at either.  With m a
     power of two above 1 and every |root| (_scale_bound), a factor of the
     z-form errs by at most e = 7m (z B truncated: 2m + 3; less a root:
     2m + 4.5) and one of the w-form by at most e = 25m^2 (c w truncated:
@@ -488,8 +504,7 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     """
     params = rs.params
     L, M, p = params.L, params.M, params.p
-    F, z = _at_work_scale(rs, rs.z)
-    _, w = _at_work_scale(rs, rs.w)
+    F, z, w = rs.bits, rs.z, rs.w
     min_gap = 1 << 2 * (F - F // 2)  # (2^-(F//2))^2 at the scale 2^-2F
     for i in range(p):
         xr, xi = z[i]
@@ -540,18 +555,18 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
 def root_product_gap(rs: RootSet) -> Measured:
     """|prod z_j - (-1)^p|; the product must match Q(0) = 1.
 
-    The roots are truncated to the working scale u = 2^-F and multiplied in
-    order, keeping F + 1 significant bits (_product).  A root is off by
-    less than 1.5 units, a relative error below 3/|z_j| (|z_j| in units),
-    and each product adds one below 1.5 * 2^-F; with low the smallest bit
-    length of a root or 2^F, each of the 2p terms is below 2^(3-low), their
-    sum S below p 2^(4-low), and the product P has relative error
-    rho <= 2S once S <= 1/4.  The gap moves by at most
-    |P - P~| <= 2 rho |P~|, which the bit position b of P~ bounds by
-    p 2^(7 - low + b); the bound adds 2^(1-F) for the reported square
+    The stored roots, at u = 2^-F, are multiplied in order, keeping F + 1
+    significant bits (_product).  A root is within 1.5 units of the last
+    Newton step's point (find_roots truncated it to F), a relative error
+    below 3/|z_j| (|z_j| in units), and each product adds one below
+    1.5 * 2^-F; with low the smallest bit length of a root or 2^F, each of
+    the 2p terms is below 2^(3-low), their sum S below p 2^(4-low), and the
+    product P has relative error rho <= 2S once S <= 1/4.  The gap moves by
+    at most |P - P~| <= 2 rho |P~|, which the bit position b of P~ bounds
+    by p 2^(7 - low + b); the bound adds 2^(1-F) for the reported square
     root, and is infinite if S could exceed 1/4.
     """
-    F, z = _at_work_scale(rs, rs.z)
+    F, z = rs.bits, rs.z
     p = rs.params.p
     pr, pi, pe, low = _product([(1 << F, 0), *z], F)
     size = (abs(pr) | abs(pi)).bit_length() + pe
@@ -566,16 +581,16 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
     """How far the root multiset is from being closed under z -> 1/z:
     max_j min_k |1/z_j - z_k|.
 
-    Each 1/z_j is one division at the working scale u = 2^-F, and the scan
-    compares exact squared distances.  A root is truncated by less than 1.5
-    units, which moves 1/z_j by less than 3 u / |z_j|^2 while |z_j| >= 3u;
-    the division rounds each part down, less than 1.5 units more.  Every
-    distance is then within 3 4^(F+1-b) + 3 units of its exact value, b the
-    smallest bit length of a root, and so is the max of the mins; the bound
-    adds 2 units for the reported square root, and is infinite for a root
-    below 4 units.
+    Each 1/z_j is one division at the roots' scale u = 2^-F = 2^-rs.bits,
+    and the scan compares exact squared distances.  A stored root is less
+    than 1.5 units from the last Newton step's point (find_roots), which
+    moves 1/z_j by less than 3 u / |z_j|^2 while |z_j| >= 3u; the division
+    rounds each part down, less than 1.5 units more.  Every distance is then
+    within 3 4^(F+1-b) + 3 units of its exact value, b the smallest bit
+    length of a root, and so is the max of the mins; the bound adds 2 units
+    for the reported square root, and is infinite for a root below 4 units.
     """
-    F, z = _at_work_scale(rs, rs.z)
+    F, z = rs.bits, rs.z
     worst = 0
     for zr, zi in z:
         ir, ii = _divide(1 << F, 0, zr, zi, F)
@@ -587,10 +602,11 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
 
 def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> mpmath.mpf:
     """The larger distance of sum_j w_j and of sum_j 1/w_j from the exact root
-    sum e1, both summed at the working scale F with e1 embedded at F + 64
-    bits and truncated, and reported as Measured.from_square reports a value.
+    sum e1, both summed at the roots' scale F = rs.bits with e1 embedded at
+    F + 64 bits and truncated, and reported as Measured.from_square reports
+    a value.
     """
-    F, w = _at_work_scale(rs, rs.w)
+    F, w = rs.bits, rs.w
     inverses = [_divide(1 << F, 0, wr, wi, F) for wr, wi in w]
     er, ei = _to_fixed(e1.embed(F + 64), F)
     worst = max(

@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import qchain.cli
 import qchain.roots
 from conftest import (
     as_mpc,
@@ -21,6 +22,7 @@ from conftest import (
     product_oracle,
 )
 from qchain.cli import main
+from qchain.energy import groundstate_summary
 from qchain.fixedpoint import _to_fixed
 from qchain.qoperator import ChainParams, build_q
 from qchain.report import measured as _measured_entry
@@ -227,9 +229,7 @@ def test_fixed_point_measurements_match_mpmath_oracles(L, N):
     q = build_q(ChainParams(L, N))
     rs = find_roots(q, precision_bits=256)
     assert (rs.float_sweeps, rs.sweeps) == SWEEPS[L, N]
-    p = q.params.p
-    work = 256 + 128 + 2 * p + 64
-    polish = 2 * 256 + 128 + 2 * p + 64
+    work = rs.bits + 64
     forms = bae_residuals_by_form(rs)
     oracle = bae_oracle(rs, work)
     pairs = [
@@ -237,12 +237,38 @@ def test_fixed_point_measurements_match_mpmath_oracles(L, N):
         (forms["w"], oracle["w"]),
         (root_product_gap(rs), product_oracle(rs, work)),
         (inversion_closure_gap(rs), inversion_oracle(rs, work)),
-        (rs.max_poly_residual, poly_residual_oracle(q, rs, polish)),
+        (rs.max_poly_residual, poly_residual_oracle(q, rs, work)),
     ]
-    with mpmath.workprec(polish):
+    with mpmath.workprec(work):
         for measured, exact in pairs:
             assert 0 < measured.bound < mpmath.mpf(2) ** -300
             assert abs(measured.value - exact) <= measured.bound, (L, N)
+
+
+@pytest.mark.parametrize("L,N", [(21, 4), (11, 8)])
+def test_root_measurements_keep_64_bits_under_their_tolerances(L, N, monkeypatch):
+    # each root residual plus its rounding bound, at the scale the roots are
+    # stored at, sits at least 2^64 below the tolerance verify gives it, so a
+    # scale lowered too far fails here before it fails a user's check
+    seen = []
+
+    def recording(builder):
+        def record(name, where, found, tolerance, *rest):
+            values = found if isinstance(found, list) else [Measured(found, mpmath.mpf(0))]
+            seen.extend((name, m, tolerance) for m in values)
+            return builder(name, where, found, tolerance, *rest)
+
+        return record
+
+    monkeypatch.setattr(qchain.cli, "measured", recording(qchain.cli.measured))
+    monkeypatch.setattr(qchain.cli, "gap", recording(qchain.cli.gap))
+    q = build_q(ChainParams(L, N))
+    entries = qchain.cli._root_entries(q, 256, groundstate_summary(q))
+    assert all(entry.passed for entry in entries)
+    names = ["roots", "root-product", "root-inversion", "bae", "bae", "root-sum"]
+    assert [name for name, _, _ in seen] == names
+    for name, m, tolerance in seen:
+        assert m.value + m.bound < tolerance * mpmath.mpf(2) ** -64, name
 
 
 def _hand_built(rs, z):
@@ -345,21 +371,22 @@ def test_search_runs_at_the_noise_derived_precision(monkeypatch):
 def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
     q = build_q(ChainParams(11, 4))
     p = q.params.p
-    polish = 2 * 256 + 128 + 2 * p
+    F = 256 + 128
     calls = _recording_horner(monkeypatch)
     rs = find_roots(q, precision_bits=256)
     # p roots per search sweep, per ladder step and in the residual pass
     runs = calls[::p]
     assert calls == [bits for bits in runs for _ in range(p)]
-    assert runs == [rs.search_bits] * rs.sweeps + list(rs.ladder) + [polish]
-    assert rs.ladder[-1] == polish
-    # the good bits (precision less the search's margin) at most double per step
+    # the ladder ends at F + margin; the residual pass runs at F on the stored roots
     margin = rs.search_bits - 72
+    assert runs == [rs.search_bits] * rs.sweeps + list(rs.ladder) + [F]
+    assert rs.ladder[-1] == F + margin
+    # the good bits (precision less the search's margin) at most double per step
     good = [bits - margin for bits in rs.ladder]
     assert len(good) > 1 and 72 < good[0] <= 2 * 72
     assert all(a < b <= 2 * a for a, b in zip(good, good[1:]))
-    # the stored roots are the last step's fixed-point values
-    assert rs.bits == polish
+    # the stored roots are the last step's fixed-point values truncated to F
+    assert rs.bits == F
     assert all(type(part) is int for point in rs.z + rs.w for part in point)
 
 
