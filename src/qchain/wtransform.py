@@ -61,47 +61,64 @@ def w_sum(q: QPolynomial) -> CyclotomicNumber:
     return e1
 
 
-def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
-    """E_alpha of the w variables from the general double-sum expansion.
+def _expansion(q: QPolynomial, alphas: tuple[int, ...]) -> tuple[CyclotomicNumber, list]:
+    """Q(a), and the double sum S_alpha with E_alpha = S_alpha / Q(a) for each alpha.
 
-    E_alpha = Q(a)^-1 sum_k sum_j (-1)^k a^(k+p-alpha-2j)
-              C(p-k, p-alpha-j) C(k, j) e_k,   a = exp(-2 pi i / L),
-
-    with j running over max(0, k-alpha)..min(k, p-alpha).  Since a^m =
-    zeta^(-2m), the double sum and Q(a) are each collected in integer
-    buckets by zeta exponent and reduced once.  E_0 comes out as exactly 1,
-    which is a built-in consistency check of the expansion.
+    Both over Q's denominator; one pass over k serves every alpha.  Since
+    a^m = zeta^(-2m), each sum is collected in integer buckets by zeta
+    exponent and reduced once.  Q(a) = 0 raises ZeroDivisionError.
     """
     params = q.params
     L, p, order = params.L, params.p, params.field_order
-    if not 0 <= alpha <= p:
-        raise ValueError(f"alpha must be in 0..{p}, got {alpha}")
     den, nums = q.den, q.nums
 
-    acc, at_pole = [0] * order, [0] * order
+    at_pole, sums = [0] * order, [[0] * order for _ in alphas]
     for k in range(p + 1):
+        sign = (-1) ** k
         # Q(a) = sum_k (-1)^k e_k a^(p-k)
-        at_pole[-2 * (p - k) % order] += (-1) ** k * nums[k]
-        for j in range(max(0, k - alpha), min(k, p - alpha) + 1):
-            weight = comb(p - k, p - alpha - j) * comb(k, j) * nums[k]
-            acc[-2 * (k + p - alpha - 2 * j) % order] += (-1) ** k * weight
+        at_pole[-2 * (p - k) % order] += sign * nums[k]
+        for alpha, acc in zip(alphas, sums):
+            for j in range(max(0, k - alpha), min(k, p - alpha) + 1):
+                weight = comb(p - k, p - alpha - j) * comb(k, j) * nums[k]
+                acc[-2 * (k + p - alpha - 2 * j) % order] += sign * weight
 
     denominator = CyclotomicNumber(order, at_pole, den)
     if denominator.is_zero():
         raise ZeroDivisionError(
             f"Q vanishes at the Moebius pole for L={L} N={params.N}"
         )
-    return CyclotomicNumber(order, acc, den) / denominator
+    return denominator, [CyclotomicNumber(order, acc, den) for acc in sums]
+
+
+def w_elementary(q: QPolynomial, alpha: int) -> CyclotomicNumber:
+    """E_alpha of the w variables from the general double-sum expansion.
+
+    E_alpha = Q(a)^-1 sum_k sum_j (-1)^k a^(k+p-alpha-2j)
+              C(p-k, p-alpha-j) C(k, j) e_k,   a = exp(-2 pi i / L),
+
+    with j running over max(0, k-alpha)..min(k, p-alpha); the double sum
+    and Q(a) come from _expansion.  E_0 comes out as exactly 1, which is a
+    built-in consistency check of the expansion.
+    """
+    p = q.params.p
+    if not 0 <= alpha <= p:
+        raise ValueError(f"alpha must be in 0..{p}, got {alpha}")
+    at_pole, (numerator,) = _expansion(q, (alpha,))
+    return numerator / at_pole
 
 
 def verify_inverse_sum(q: QPolynomial, e1: CyclotomicNumber) -> CheckResult:
     """Exact identity E_(p-1) = E_1 * E_p (sum of w equals sum of 1/w).
 
-    e1 is the root sum of this q, as w_sum computed it.
+    e1 is the root sum of this q, as w_sum computed it.  Both sides share
+    the factor 1/Q(a), so the check tests S_(p-1) - E_1 S_p = 0 on the
+    double sums and divides by Q(a) only to report a nonzero difference,
+    which is then E_(p-1) - E_1 E_p itself.
     """
     params = q.params
-    e_top = w_elementary(q, params.p)
-    e_second = w_elementary(q, params.p - 1)
-    difference = e_second - e1 * e_top
+    at_pole, (s_top, s_second) = _expansion(q, (params.p, params.p - 1))
+    difference = s_second - e1 * s_top
+    if not difference.is_zero():
+        difference = difference / at_pole
     where = {"L": params.L, "N": params.N}
     return exact("inverse-sum", where, difference, "sum of w and sum of 1/w disagree")

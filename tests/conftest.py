@@ -5,9 +5,9 @@ from math import comb
 
 import mpmath
 
-from qchain.cyclotomic import CyclotomicNumber, cyc_cos, zeta_power
+from qchain.cyclotomic import CyclotomicNumber, _reduce, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
-from qchain.linalg import solve_linear_system
+from qchain.linalg import SingularMatrixError, solve_linear_system
 from qchain.qoperator import ChainParams, QPolynomial, admissible_indices, build_q
 from qchain.rationals import divide_monic
 from qchain.report import CheckResult
@@ -43,6 +43,25 @@ def q_at(q, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
+
+
+def field_inverse_oracle(x):
+    """x^-1 from x's full phi x phi integer multiplication matrix.
+
+    The reference for `CyclotomicNumber.inverse`, which solves in the real
+    subfield: column j is nums * zeta^j reduced by the power table, and
+    Bareiss solves (columns) y = den e_0, so x^-1 = y / d.
+    """
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero in cyclotomic field")
+    dim = len(x.nums)
+    columns = [_reduce(x.order, [0] * j + list(x.nums)) for j in range(dim)]
+    rhs = [x.den] + [0] * (dim - 1)
+    try:
+        d, y = solve_linear_system([[*row, b] for row, b in zip(zip(*columns), rhs)])
+    except SingularMatrixError:
+        raise AssertionError("modulus not coprime to nonzero element")
+    return CyclotomicNumber(x.order, y, d)
 
 
 def linear_system_oracle(params):

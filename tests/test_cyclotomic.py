@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_fractions
-from qchain.cyclotomic import CyclotomicNumber, cyc_cos, cyclotomic_polynomial, zeta_power
+from conftest import count_fractions, field_inverse_oracle
+from qchain import cyclotomic
+from qchain.cyclotomic import CyclotomicNumber, _real_data, cyc_cos, cyclotomic_polynomial, zeta_power
 from qchain.rationals import divide_monic, format_rational, parse_rational
 
 # n -> ascending coefficients, frozen from the standard table
@@ -121,6 +122,83 @@ def test_field_arithmetic_makes_no_fraction(monkeypatch):
     assert not made
     monkeypatch.undo()
     assert a * a.inverse() == 1
+
+
+# -- inversion in the real subfield --------------------------------------------
+
+INVERSE_L = (3, 5, 7, 9, 15, 21, 25, 27, 33, 45, 51)
+
+
+def _from_real_row(row, L):
+    """c_0 + sum_k c_k (zeta^k + zeta^-k) for a row of (k, c_k) pairs."""
+    value = CyclotomicNumber.zero(2 * L)
+    for k, c in row:
+        value = value + (CyclotomicNumber.one(2 * L) if k == 0 else zeta_power(k, L) + zeta_power(-k, L)) * c
+    return value
+
+
+@pytest.mark.parametrize("L", INVERSE_L)
+def test_real_rows_reproduce_zeta_m_plus_zeta_minus_m(L):
+    # every m < order, order 6 (h = 1, where real elements are rational) included
+    order = 2 * L
+    h, rows = _real_data(order)
+    assert h == _totient(order) // 2
+    assert len(rows) == order
+    for m, row in enumerate(rows):
+        assert all(0 <= k < h for k, _ in row)
+        assert _from_real_row(row, L) == zeta_power(m, L) + zeta_power(-m, L), m
+
+
+def test_real_rows_in_the_rational_fields():
+    # phi = 1: zeta = 1 or -1, so zeta^m + zeta^-m = 2 zeta^m
+    assert _real_data(1) == (1, (((0, 2),),))
+    assert _real_data(2) == (1, (((0, 2),), ((0, -2),)))
+    for order in (1, 2):
+        x = CyclotomicNumber.from_rational(Fraction(-3, 7), order)
+        assert x.inverse() == Fraction(-7, 3)
+
+
+HUGE = st.integers(-(2**200), 2**200)
+DENOMINATORS = st.sampled_from((1, 2, 3, 7, 12, 2**31 - 1, 3**40, 2**64 + 13))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_inverse_matches_the_full_field_oracle(data):
+    L = data.draw(st.sampled_from(INVERSE_L))
+    order = 2 * L
+    dim = _totient(order)
+    nums = data.draw(st.lists(HUGE, min_size=dim, max_size=dim))
+    dens = data.draw(st.lists(DENOMINATORS, min_size=dim, max_size=dim))
+    x = CyclotomicNumber(order, [Fraction(c, d) for c, d in zip(nums, dens)])
+    if data.draw(st.booleans()):
+        x = x + x.conjugate()  # a real element
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    assert inv == field_inverse_oracle(x)
+    assert x * inv == 1
+    _assert_canonical(inv)
+
+
+@pytest.mark.parametrize("L", (3, 5, 21, 51))
+def test_inverse_solves_one_h_by_h_system(monkeypatch, L):
+    order = 2 * L
+    h = _totient(order) // 2
+    shapes, solve = [], cyclotomic.solve_linear_system
+
+    def recording(rows):
+        shapes.append((len(rows), {len(row) for row in rows}))
+        return solve(rows)
+
+    monkeypatch.setattr(cyclotomic, "solve_linear_system", recording)
+    non_real = _random_element(random.Random(L), order) + zeta_power(1, L)
+    real = non_real + non_real.conjugate()
+    assert not non_real.is_real() and real.is_real()
+    for x in (real, non_real):
+        shapes.clear()
+        assert x * x.inverse() == 1
+        assert shapes == [(h, {h + 1})]
 
 
 def test_inverse_of_zero_raises():

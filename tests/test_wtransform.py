@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from qchain.cyclotomic import cyc_cos
+from qchain.cyclotomic import CyclotomicNumber, cyc_cos
 from qchain.qoperator import ChainParams, build_q
-from qchain.report import FalsificationError
+from qchain.report import FalsificationError, exact
 from qchain.wtransform import verify_inverse_sum, w_elementary, w_sum
 
 F = Fraction
@@ -98,3 +98,27 @@ def test_real_sum_after_symmetric_bump():
     e1 = w_sum(q)
     assert e1.is_real()
     assert e1 != F(3, 2)
+
+
+def test_inverse_sum_divides_only_a_nonzero_difference(monkeypatch):
+    # a passing point tests the numerators and makes no field inversion
+    q = build_q(ChainParams(21, 2))
+    e1 = w_sum(q)
+
+    def no_inverse(self):
+        raise AssertionError("inverse called")
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", no_inverse)
+    assert verify_inverse_sum(q, e1).passed
+
+
+@pytest.mark.parametrize("key", [(3, 2), (5, 2), (7, 1)])
+def test_inverse_sum_witness_is_the_divided_difference(key):
+    # under a tamper the witness is E_(p-1) - E_1 E_p, built from w_elementary
+    params = ChainParams(*key)
+    q = build_q(params).with_coefficient_bump(1, F(1, 3))
+    e1 = w_sum(build_q(params))
+    expected = w_elementary(q, params.p - 1) - e1 * w_elementary(q, params.p)
+    got = verify_inverse_sum(q, e1)
+    assert not got.passed
+    assert got == exact("inverse-sum", {"L": params.L, "N": params.N}, expected, "sum of w and sum of 1/w disagree")
