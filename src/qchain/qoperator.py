@@ -18,11 +18,17 @@ on M+1 fixed exponents, where divisibility by (1+x)^M is a Vandermonde
 system with a one-dimensional kernel: the divided-difference weights of
 those nodes, which read nothing of route one.  Route two writes them in
 integers, divides by (1+x)^M in its own synthetic-division loop and
-substitutes the result into every admissible condition.  The two routes
-must agree coefficient by coefficient, which is equality of reduced forms.
+multiplies the result back by (1+x)^M (_times_one_plus_x, the one routine
+that forms this product) to test every admissible condition.  The two
+routes must agree coefficient by coefficient, which is equality of reduced
+forms.
 
 The functional three-term identity satisfied by Q (verify_tq_identity) is
 checked as an exact polynomial identity over Q(zeta_2L), never numerically.
+Its coefficient of z^(M+p-m) is coefficient m of the same product (1+x)^M
+E(x) times a field constant c(m) that vanishes exactly on the excluded
+exponents, so tq is a check on the Q under test, equivalent to route two's
+admissible conditions, and not an independent derivation of Q.
 """
 
 from __future__ import annotations
@@ -180,6 +186,22 @@ def admissible_indices(params: ChainParams) -> list[int]:
     return ells
 
 
+def _times_one_plus_x(nums: tuple[int, ...] | list[int], M: int) -> list[int]:
+    """Coefficients of (1+x)^M sum_k nums[k] x^k, ascending, len(nums) + M of them.
+
+    M in-place passes a_i += a_(i-1), each a multiplication by (1+x), run
+    from the top down; route two's division loop, q_i = a_i - q_(i-1) run
+    from the bottom up, is its mirror image.  Entry m is the binomial
+    convolution sum_k C(M, m-k) nums[k] that route two's admissible
+    conditions and the tq identity both read.
+    """
+    out = [*nums] + [0] * M
+    for top in range(len(nums), len(out)):
+        for i in range(top, 0, -1):
+            out[i] += out[i - 1]
+    return out
+
+
 def q_linear_system(params: ChainParams) -> QPolynomial:
     """Build Q from the vanishing conditions through their one-dimensional kernel.
 
@@ -195,10 +217,12 @@ def q_linear_system(params: ChainParams) -> QPolynomial:
     These weights hold for any Vandermonde kernel and read only the nodes,
     never route one's product weights.  M synthetic divisions of d P by
     (1+x), each remainder checked, leave the numerators d e_0..d e_p over
-    d, and substituting the e_k into every admissible condition, Q's
-    defining system, is the acceptance test.
+    d.  The acceptance test is Q's defining system itself: _times_one_plus_x
+    multiplies the quotient back by (1+x)^M, and the product must vanish at
+    every admissible index.  verify_tq_identity reads the same product, so
+    on the Q under test the tq identity and these conditions are one fact.
     """
-    L, N, M, p = params.L, params.N, params.M, params.p
+    L, N, M = params.L, params.N, params.M
     half = (L - 1) // 2
     nodes = {L * k for k in range(N + 1)} | {L * k + half for k in range(N + 1)}
     products = {s: prod(s - t for t in nodes if t != s) for s in nodes}
@@ -214,9 +238,9 @@ def q_linear_system(params: ChainParams) -> QPolynomial:
         if nums.pop():
             raise AssertionError("division by (1+x) leaves a remainder")
 
-    binomials = [comb(M, i) for i in range(M + 1)]
+    product = _times_one_plus_x(nums, M)
     for ell in admissible_indices(params):
-        if sum(binomials[ell - j] * nums[j] for j in range(max(0, ell - M), min(p, ell) + 1)):
+        if product[ell]:
             raise AssertionError(f"condition at index {ell} fails")
     return QPolynomial(params, tuple(nums), d)
 
@@ -269,32 +293,42 @@ def verify_tq_identity(q: QPolynomial) -> CheckResult:
 
     must vanish identically, where Q_c(z) = prod_j (z - c z_j) expands as
     sum_k (-1)^k c^k e_k z^(p-k) directly from the coefficients (the roots
-    themselves are never needed).  With the e_k read as integers over den and
-    -2 cos(h pi / L) = -zeta^h - zeta^-h, each coefficient of z^i is summed
-    in integer buckets by zeta exponent and reduced once.  The check is
+    themselves are never needed).
+
+    Derivation.  The z^i coefficient of (z - c)^M Q_c(z) sums, over k, the
+    z^a term of (z - c)^M times the z^(p-k) term of Q_c, a = i - p + k:
+    C(M, a) (-c)^(M-a) (-1)^k c^k e_k = (-1)^m C(M, m-k) c^m e_k with
+    m = M + p - i, since M - a + k = m and C(M, a) = C(M, m-k).  The power
+    of the shift c depends on m alone, so with -2 cos(h pi / L) = -zeta^h -
+    zeta^-h the coefficient of z^(M+p-m) in the combination is
+
+        (-1)^m S_m c(m),  c(m) = zeta^(2m-h) + zeta^(h-2m) - zeta^h - zeta^-h,
+
+    where S_m = sum_k C(M, m-k) e_k is coefficient m of (1+x)^M E(x), read
+    from _times_one_plus_x on the integer numerators, over den.  A field
+    element is built only where S_m != 0, from the four zeta buckets of
+    (-1)^m S_m c(m), and exact field arithmetic decides whether it is zero.
+    c(m) vanishes exactly when m = 0 or h (mod L), which are route two's
+    excluded exponents, so the identity holds exactly when the Q under test
+    satisfies route two's admissible conditions.  This check therefore tests
+    the Q it is given, which a tamper bumps; it is equivalent to those
+    conditions, not an independent derivation of Q.  The check is
     coefficient-by-coefficient equality to zero; there is no tolerance.
     """
     params = q.params
     L, M, p = params.L, params.M, params.p
     order, half = params.field_order, (L - 1) // 2
-    den, nums = q.den, q.nums
-    # (sign, zeta exponent of the prefactor term, zeta exponent of the shift)
-    terms = [(-1, half, 0), (-1, -half, 0), (1, -half, 2), (1, half, -2)]
 
     bad = []
-    for i in range(M + p + 1):
-        # z^a of (z - c)^M times z^(p-k) of Q_c: C(M, a) (-c)^(M-a+k) e_k
-        buckets = [0] * order
-        for k in range(max(0, p - i), min(p, M + p - i) + 1):
-            a = i - p + k
-            power = M - a + k
-            weight = (-1) ** power * comb(M, a) * nums[k]
-            for sign, exponent, step in terms:
-                buckets[(exponent + step * power) % order] += sign * weight
-        coefficient = CyclotomicNumber(order, buckets)
-        if not coefficient.is_zero():
-            bad.append((i, coefficient))
+    for i, s in enumerate(reversed(_times_one_plus_x(q.nums, M))):
+        if s:
+            m, buckets = M + p - i, [0] * order
+            for exponent, sign in ((2 * m - half, 1), (half - 2 * m, 1), (half, -1), (-half, -1)):
+                buckets[exponent % order] += sign * (-1) ** m * s
+            coefficient = CyclotomicNumber(order, buckets)
+            if not coefficient.is_zero():
+                bad.append((i, coefficient))
 
     degree, witness = bad[0] if bad else (None, CyclotomicNumber(order))
     detail = f"{len(bad)} nonzero coefficients, first at degree {degree}"
-    return exact("tq", {"L": L, "N": params.N}, witness / den, detail)
+    return exact("tq", {"L": L, "N": params.N}, witness / q.den, detail)

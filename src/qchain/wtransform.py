@@ -6,12 +6,13 @@ characteristic polynomial of the w_j against Q's coefficients turns every
 elementary symmetric function E_alpha of the w_j into an exact element of
 Q(zeta_2L), with a common denominator Q(a); no root is ever computed.
 
-Two independent expressions are kept for the first symmetric function E_1
-(the root sum):  the production path uses real cosine sums for numerator and
-denominator (the unimodular prefactors cancel in the ratio), and the general
-double-sum form (w_elementary) serves as a cross-check path.  The root sum
-must come out fixed under conjugation; a complex value would falsify the
-statements this package verifies and raises FalsificationError.
+The root sum E_1 (w_sum) uses real cosine sums for numerator and
+denominator (the unimodular prefactors cancel in the ratio); it must come
+out fixed under conjugation, and a complex value would falsify the
+statements this package verifies and raises FalsificationError.  The
+general double-sum form of any E_alpha (w_elementary) is the library and
+test form; no command calls it.  It shares _expansion with
+verify_inverse_sum, the check that E_(p-1) = E_1 E_p.
 """
 
 from __future__ import annotations

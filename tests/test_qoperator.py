@@ -7,17 +7,18 @@ route) and are frozen here as the primary oracle.
 
 import pickle
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_fractions, linear_system_oracle, q_at, support_system_oracle, tq_oracle
-from qchain.cyclotomic import zeta_power
+from qchain.cyclotomic import CyclotomicNumber, zeta_power
 from qchain.qoperator import (
     ChainParams,
     QPolynomial,
+    _times_one_plus_x,
     admissible_indices,
     build_q,
     q_closed_form,
@@ -116,6 +117,41 @@ def test_linear_system_rejects_a_bumped_solution(monkeypatch):
             q_linear_system(ChainParams(*key))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=40), st.integers(0, 30))
+def test_times_one_plus_x_is_the_binomial_convolution(nums, M):
+    product = _times_one_plus_x(nums, M)
+    plain = [0] * (len(nums) + M)
+    for k, c in enumerate(nums):
+        for i in range(M + 1):
+            plain[k + i] += comb(M, i) * c
+    assert product == plain
+    # route two's division loop undoes it, every remainder zero
+    for _ in range(M):
+        for i in range(1, len(product)):
+            product[i] -= product[i - 1]
+        assert product.pop() == 0
+    assert product == nums
+
+
+def test_linear_system_rejects_a_bumped_product(monkeypatch):
+    # the acceptance test reads the admissible coefficients from _times_one_plus_x
+    original = _times_one_plus_x
+    for key in ((3, 1), (5, 2), (11, 3)):
+        params = ChainParams(*key)
+        ells = admissible_indices(params)
+        ell = ells[len(ells) // 2]
+
+        def bumped(nums, M, ell=ell):
+            product = original(nums, M)
+            product[ell] += 1
+            return product
+
+        monkeypatch.setattr("qchain.qoperator._times_one_plus_x", bumped)
+        with pytest.raises(AssertionError, match=f"^condition at index {ell} fails$"):
+            q_linear_system(params)
+
+
 def test_admissible_count_identity():
     # full index range minus the two excluded arithmetic progressions
     for L in (3, 5, 7, 9, 11):
@@ -205,21 +241,54 @@ def test_tq_identity_rejects_any_bump(delta):
         assert result.residual != "0"
 
 
-@pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 21, 31, 51])
 def test_tq_matches_field_arithmetic_oracle(L):
-    # the default grid: untouched Q, and one bump per point at a k that
-    # moves with N; passed, residual and detail must match the oracle's
-    for N in range(1, 5):
+    # the default grid and one point each at L = 21, 31, 51: untouched Q, and
+    # bumps at both ends and at an interior k that moves with N; passed,
+    # residual and detail must match the oracle's
+    for N in {21: [2], 31: [1], 51: [1]}.get(L, range(1, 5)):
         q = build_q(ChainParams(L, N))
-        k = 1 + (L * N) % q.params.p
-        for candidate in (q, q.with_coefficient_bump(k, F(1, 3))):
+        p = q.params.p
+        bumps = [q.with_coefficient_bump(k, F(1, 3)) for k in (0, 1 + (L * N) % p, p)]
+        for candidate in (q, *bumps):
             fast, slow = verify_tq_identity(candidate), tq_oracle(candidate)
             assert (fast.passed, fast.residual, fast.detail) == (
                 slow.passed,
                 slow.residual,
                 slow.detail,
             )
-        assert fast.passed is False
+            assert fast.passed is (candidate is q)
+
+
+@pytest.mark.parametrize("L", range(3, 52, 2))
+def test_tq_constant_vanishes_on_the_excluded_exponents(L):
+    # c(m) = zeta^(2m-h) + zeta^(h-2m) - zeta^h - zeta^-h in exact field
+    # arithmetic is zero exactly at m = 0 or h (mod L), route two's excluded
+    # exponents, so the tq coefficients vanish exactly on Q's support
+    h = (L - 1) // 2
+    for m in range(2 * L):
+        c = zeta_power(2 * m - h, L) + zeta_power(h - 2 * m, L) - zeta_power(h, L) - zeta_power(-h, L)
+        assert c.is_zero() is (m % L in (0, h)), m
+
+
+@pytest.mark.parametrize("key", [(5, 2), (11, 3), (21, 2), (51, 4)])
+def test_tq_builds_field_elements_only_on_the_support(key, monkeypatch):
+    # one field element per nonzero coefficient of (1+x)^M E(x), which an
+    # untampered Q has only on the 2(N+1) excluded exponents, plus the
+    # zero witness and its quotient by den that form the result
+    q = build_q(ChainParams(*key))
+    made = []
+    original = CyclotomicNumber.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CyclotomicNumber, "__init__", counting)
+    result = verify_tq_identity(q)
+    monkeypatch.undo()
+    assert result.passed
+    assert len(made) <= 2 * (q.params.N + 1) + 2
 
 
 def test_bump_helper_is_pure():
