@@ -69,8 +69,11 @@ def _divide(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
     return ((xr * yr + xi * yi) << bits) // norm, ((xi * yr - xr * yi) << bits) // norm
 
 
-def _horner(coeffs: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, int, int]:
-    """Q(z) and Q'(z) in fixed point at 2^-bits: (Re Q, Im Q, Re Q', Im Q').
+def _horner(
+    coeffs: list[int], zr: int, zi: int, bits: int, slope: bool = True
+) -> tuple[int, int, int, int]:
+    """Q(z) and Q'(z) in fixed point at 2^-bits: (Re Q, Im Q, Re Q', Im Q'),
+    Q' left at 0 unless slope; Q comes out the same either way.
 
     The coefficients are real, ascending, and scaled like z = zr + i zi.
     Each complex product takes three integer products (Gauss's trick); the
@@ -81,8 +84,9 @@ def _horner(coeffs: list[int], zr: int, zi: int, bits: int) -> tuple[int, int, i
     ar, ai = coeffs[-1], 0
     dr = di = 0
     for c in reversed(coeffs[:-1]):
-        t1, t2 = dr * zr, di * zi
-        dr, di = ((t1 - t2) >> bits) + ar, (((dr + di) * zs - t1 - t2) >> bits) + ai
+        if slope:
+            t1, t2 = dr * zr, di * zi
+            dr, di = ((t1 - t2) >> bits) + ar, (((dr + di) * zs - t1 - t2) >> bits) + ai
         t1, t2 = ar * zr, ai * zi
         ar, ai = ((t1 - t2) >> bits) + c, ((ar + ai) * zs - t1 - t2) >> bits
     return ar, ai, dr, di
@@ -102,14 +106,27 @@ def _scaled_mul(xr: int, xi: int, xe: int, yr: int, yi: int, ye: int, keep: int)
 def _product(factors, bits: int) -> tuple[int, int, int, int]:
     """The product of factors in fixed point at 2^-bits, multiplied in order
     by _scaled_mul keeping bits + 1 significant bits, the first taken
-    exactly: (r, i, e) as there, and the smallest bit length of a factor."""
+    exactly: (r, i, e) as there, and the smallest bit length of a factor.
+
+    The loop is _scaled_mul written out, each factor's exponent being
+    -bits, and returns exactly what the calls would."""
     it = iter(factors)
     pr, pi = next(it)
     pe = -bits
+    keep = bits + 1
     small = abs(pr) | abs(pi)
     for fr, fi in it:
-        small = min(small, abs(fr) | abs(fi))
-        pr, pi, pe = _scaled_mul(pr, pi, pe, fr, fi, -bits, bits + 1)
+        size = abs(fr) | abs(fi)
+        if size < small:
+            small = size
+        t1, t2 = pr * fr, pi * fi
+        pr, pi = t1 - t2, (pr + pi) * (fr + fi) - t1 - t2
+        s = (abs(pr) | abs(pi)).bit_length() - keep
+        if s >= 0:
+            pr, pi = pr >> s, pi >> s
+        else:
+            pr, pi = pr << -s, pi << -s
+        pe += s - bits
     return pr, pi, pe, small.bit_length()
 
 

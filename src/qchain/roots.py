@@ -2,29 +2,29 @@
 
 This module is the one place where roots are actually computed, and it is
 numeric on purpose: nothing here feeds back into the exact pipeline.  Roots
-of Q come from a simultaneous Aberth iteration (all roots at once, updates
-applied in place), first in doubles as far as their evaluation noise
-allows, then at the precision that the size of Q's coefficients calls for;
-a ladder of Newton steps at doubling precisions (find_roots derives both
-precisions) then polishes each root to one unit of the scale
-F = precision_bits + 128, so the reported residuals measure the polynomial
-and the Bethe equations honestly rather than the evaluation noise.
+of Q are found on its multiple P = (z-1)^M Q, formed from Q's own integers,
+which has 2(N+1) terms where Q has p + 1 and is far better conditioned at
+the roots (find_roots).  A simultaneous Aberth iteration (all roots at
+once, updates applied in place) runs in doubles as far as its evaluation
+noise allows; where its own rounding bounds certify the points it reached,
+a ladder of Newton steps at doubling precisions polishes them, else an
+Aberth search in fixed point runs first.  The ladder ends at one unit of
+the scale F = precision_bits + 128, so the reported residuals measure the
+polynomial and the Bethe equations honestly rather than the evaluation
+noise.
 
 After the double phase, the search, the polish and the measurements run on
 plain Python integers, in the fixed point of fixedpoint.py, which is
 several times faster than mpmath's mpc at these sizes; its docstring
 states the rounding convention that every bound here starts from.  The
-double phase only moves the points the fixed-point search starts from,
-and that search keeps its own stopping test, so what it hands to the
-ladder does not rest on the doubles.  Its Aberth pair sums also run in
-Python floats, since they merely scale each Newton correction.  The
-roots are stored at one scale, F, set once in find_roots: the last Newton
-step's points truncated to 2^-F (_rescale), and their Moebius images
-(z_to_w) at F.  Every measurement reads them as stored, at F, and none
-rescales them: the polynomial residual |Q(z_j)| (the polish's Horner
-routine), the Bethe-equation residuals, the root product, the inversion
-closure and the root sum.  Each of the first four comes back as a
-Measured: the residual and an explicit bound on its rounding error,
+Aberth pair sums run in Python floats, since they merely scale each
+Newton correction.  The roots are stored at one scale, F, set once in
+find_roots: the last Newton step's points truncated to 2^-F (_rescale),
+and their Moebius images (z_to_w) at F.  Every measurement reads them as
+stored, at F, and none rescales them: the polynomial residual |Q(z_j)|
+(dense Horner on Q's own coefficients), the Bethe-equation residuals, the
+root product, the inversion closure and the root sum.  Each of the first
+four comes back as a Measured: the residual and an explicit bound on its rounding error,
 derived in the function's docstring and computed in integers, so a check
 passes only when residual + bound is below its tolerance; a scale too low
 for some chain thus turns its checks red rather than hiding an error.
@@ -46,6 +46,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import mpmath
 
@@ -54,8 +55,12 @@ from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _produ
 from .fixedpoint import _rescale, _to_fixed
 from .qoperator import ChainParams, QPolynomial
 
+if TYPE_CHECKING:
+    from .multiple import _Multiple
+
 MIN_ROOT_BITS = 128
 MAX_SWEEPS = 200
+HANDOVER_BITS = 24
 
 
 class ConvergenceError(RuntimeError):
@@ -135,25 +140,60 @@ def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
     return one - mr, -mi
 
 
-def _float_search(monic: list[Fraction], points: list[complex]) -> tuple[int, list | None]:
+def _float_corrector(monic: list[Fraction], multiple: _Multiple | None):
+    """x -> (N, bound): Q/Q' at x in doubles and a bound on its error, from P
+    where _trusted vouches for it, else by Horner's rule on the monic Q.
+    Raises OverflowError where a monic coefficient is out of float range.
+
+    Horner's rule in doubles, u = 2^-53, computes Q(x) to within gamma_2p
+    sum_k |c_k| |x|^k, gamma_n = n u / (1 - n u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 5.1), for real data.  A
+    complex product errs by at most about twice a real one, and rounding
+    each monic coefficient to a double adds u |c_k| |x|^k per term, so
+    4 (p+1) u sum_k |c_k| |x|^k bounds the noise, and that over |Q'| bounds
+    N's; the sum is taken in the same Horner loop.
+    """
+    terms = [(c, abs(c)) for c in map(float, reversed(monic[:-1]))]
+    noise = 4 * len(monic) * 2.0**-53
+
+    def correction(x: complex):
+        if multiple is not None:
+            found = multiple.float_correction(x, HANDOVER_BITS)
+            if found is not None:
+                return found
+        r = abs(x)
+        v, d, size = 1 + 0j, 0j, 1.0
+        for c, a in terms:
+            d = d * x + v
+            v = v * x + c
+            size = size * r + a
+        return v / d, noise * size / abs(d)
+
+    return correction
+
+
+def _float_search(
+    monic: list[Fraction], points: list[complex], multiple: _Multiple | None = None
+) -> tuple[int, list | None]:
     """Aberth in doubles from points: (sweeps, the points reached), or
     (sweeps, None) where doubles cannot go on and the seeds are kept.
 
     A root stops moving once its step is below 2^-45 max(1, |z|), or once
-    |Q(z)| is below the noise of its evaluation (find_roots); a stopped root
-    still counts in the others' pair sums.  The search gives up without
-    raising if a monic coefficient or a seed is out of float range, a value
-    is not finite, or a division by zero (two points coincide, Q' = 0) or an
-    overflow occurs; after MAX_SWEEPS sweeps it hands over what it has.
+    its correction N is within N's own error bound (_float_corrector): the
+    computed value then says nothing more of the root's position.  A
+    stopped root still counts in the others' pair sums.  The search gives
+    up without raising if a monic coefficient or a seed is out of float
+    range, a value is not finite, or a division by zero (two points
+    coincide, Q' = 0) or an overflow occurs; after MAX_SWEEPS sweeps it
+    hands over what it has.
     """
     try:
-        terms = [(c, abs(c)) for c in map(float, reversed(monic[:-1]))]
+        correction = _float_corrector(monic, multiple)
     except OverflowError:
         return 0, None
     if not all(map(cmath.isfinite, points)):
         return 0, None
     p = len(points)
-    noise = 4 * (p + 1) * 2.0**-53
     z = list(points)
     moving = [True] * p
     sweeps = 0
@@ -164,16 +204,10 @@ def _float_search(monic: list[Fraction], points: list[complex]) -> tuple[int, li
                 if not moving[i]:
                     continue
                 x = z[i]
-                r = abs(x)
-                v, d, size = 1 + 0j, 0j, 1.0
-                for c, a in terms:
-                    d = d * x + v
-                    v = v * x + c
-                    size = size * r + a
-                if abs(v) <= noise * size:
+                n, bound = correction(x)
+                if abs(n) <= bound:
                     moving[i] = False
                     continue
-                n = v / d
                 step = n / (1 - n * _pair_sum(z, i))
                 x -= step
                 if not cmath.isfinite(x):
@@ -185,6 +219,74 @@ def _float_search(monic: list[Fraction], points: list[complex]) -> tuple[int, li
     return sweeps, z
 
 
+def _handover_bits(correction, points: list[complex]) -> int:
+    """The bits, relative to max(1, |z|), that one more correction certifies
+    for every point: -log2 of the worst (|N| + its bound) / max(1, |z|),
+    at most 52; 0 unless each such reach is below a quarter of the
+    distance to the nearest other point."""
+    worst = 0.0
+    try:
+        for i, x in enumerate(points):
+            n, bound = correction(x)
+            reach = abs(n) + bound
+            others = points[:i] + points[i + 1 :]
+            if others and not 4 * reach < min(abs(x - y) for y in others):
+                return 0
+            worst = max(worst, reach / max(1.0, abs(x)))
+    except (ZeroDivisionError, OverflowError):
+        return 0
+    return 52 if not worst else min(52, int(-math.log2(worst)))
+
+
+def _fixed_search(fraction, real, imag, floats, S: int, margin: int) -> tuple[int, int]:
+    """Aberth in fixed point at 2^-S on real + i imag, in place: (sweeps,
+    the bits the roots are good to); see find_roots."""
+    p = len(real)
+    one = 1 << S
+    target = Fraction(1, 1 << 2 * (S - margin))
+    stall_floor = Fraction(1, 1 << 96)
+    worst = Fraction(1)
+    previous = None
+    stalled = 0
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        top, bottom = 0, 1
+        for i in range(p):
+            zr, zi = real[i], imag[i]
+            vr, vi, dr, di = fraction(zr, zi, S)
+            if vr == vi == 0:
+                continue
+            if dr == di == 0:
+                real[i] += 1 << (S - S // 3)
+                floats[i] = _float(real[i], zi, one)
+                if top < bottom:
+                    top, bottom = 1, 1
+                continue
+            nr, ni = _divide(vr, vi, dr, di, S)
+            mr, mi = _aberth_denominator(nr, ni, i, real, imag, floats, S)
+            sr, si = (nr, ni) if mr == mi == 0 else _divide(nr, ni, mr, mi, S)
+            zr -= sr
+            zi -= si
+            real[i], imag[i] = zr, zi
+            floats[i] = _float(zr, zi, one)
+            size = sr * sr + si * si
+            scale = max(one * one, zr * zr + zi * zi)
+            if size * bottom > top * scale:
+                top, bottom = size, scale
+        worst = Fraction(top, bottom)
+        if worst < target:
+            return sweeps, S - margin
+        if worst < stall_floor and previous is not None and 4 * worst > previous:
+            stalled += 1
+            if stalled >= 3:
+                return sweeps, 48
+        else:
+            stalled = 0
+        previous = worst
+    with mpmath.workprec(53):
+        worst_step = mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
+        raise ConvergenceError(MAX_SWEEPS, mpmath.nstr(worst_step, 5))
+
+
 def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> RootSet:
     """All p roots of Q, polished well past precision_bits.
 
@@ -192,41 +294,47 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     Cauchy coefficient bound (the roots of these palindromic polynomials
     live in an annulus around the unit circle) with a seed-controlled phase
     offset; the radius comes from the logarithms of the bound's integers,
-    so no bound overflows.  Aberth runs in doubles (_float_search), then in
-    fixed point, each with a cap of MAX_SWEEPS sweeps, then a Newton ladder
-    polishes each root.
+    so no bound overflows.  Aberth runs in doubles (_float_search), then,
+    unless the hand-over below passes, in fixed point (_fixed_search), each
+    with a cap of MAX_SWEEPS sweeps; then a Newton ladder polishes each root.
 
-    Double phase.  Horner's rule in doubles, u = 2^-53, computes Q(z) to
-    within gamma_2p sum_k |c_k| |z|^k, gamma_n = n u / (1 - n u) (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 5.1), for real
-    data.  A complex product errs by at most about twice a real one, and
-    rounding each monic coefficient to a double adds u |c_k| |z|^k per
-    term, so 4 (p+1) u sum_k |c_k| |z|^k bounds the noise; the sum is
-    taken in the same Horner loop.  Once |Q(z)| is below it the computed
-    value says nothing of the root's position, so the root stops moving;
-    it also stops once its step is below 2^-45 max(1, |z|), far inside
-    its Newton basin.  Stopped roots still count in the others' pair sums.
-    The points reached go to the fixed-point search exactly (_fixed), or
-    its seeds do, when the doubles cannot run (a coefficient or seed out of
-    float range, a value not finite, a division by zero).  That search's
-    own test below decides when it stops, so the double phase changes where
-    it starts, not how good its roots are when it stops.
+    Q's multiple.  Where P = (z-1)^M Q has fewer nonzero terms than Q (from
+    L = 5 on, 2(N+1) against p + 1), every phase takes its Newton
+    corrections Q/Q' from P's terms, at O(N + log L) products each, except
+    where the evaluation's own rounding bound refuses them, near P's
+    M-fold zero at z = 1; Q's dense Horner gives those, and all of them on
+    Q's dense path (multiple.py derives the terms, the correction and the
+    bound).
 
-    Search precision.  The monic coefficients are below 2^noise_bits, the
-    bit length of the Cauchy bound, so at 2^-S a Horner pass over p + 1 of
-    them errs by up to about (p+1) 2^noise_bits units, and a correction is
-    sound to 2^-(S - margin), margin = noise_bits + bitlen(p) + 24 (the 24
-    for |Q'| below 1 and the correction's own rounding).  The search stops
-    once every step, relative to max(1, |z|), is below 2^-(S - margin), or
-    when steps below 2^-48 stop halving three sweeps running.  So at
-    S = margin + 72 = noise_bits + bitlen(p) + 96 its roots are good to 72
-    bits, or 48 after a stall: far inside their Newton basins.
+    Double phase.  A root stops moving once its correction N is within
+    its rounding bound eps (_float_corrector), when the computed value says
+    nothing more of its position, or once its step is below 2^-45
+    max(1, |z|); stopped roots still count in the others' pair sums.  P is
+    evaluated in 1/z where |z| > 1, so p = 416 does not overflow (scaling
+    in multiple.py).  The points reached go to fixed point exactly
+    (_fixed), or the seeds do, when doubles cannot run (a coefficient or
+    seed out of float range, a value not finite, a division by zero).
 
-    The search keeps Aberth's pair sums: from the double phase's points,
-    plain Newton steps let roots merge at (L, N) = (11, 8), (31, 6) and
-    (41, 6), missing 4, 38 and 53 roots after 58, 74 and 52 sweeps (Aberth:
-    9, 19 and 21).  The sums only scale each correction, so it takes them in
-    doubles; in integers it ran about 25% and 50% slower at (21, 4), (11, 8).
+    Hand-over.  One more correction at each point reached puts a root of Q
+    within about |N| + eps of it.  If each such reach is below a quarter of
+    the distance to the nearest other point, the least -log2(reach /
+    max(1, |z|)) (40 to 47 bits on the CI grids) is what the ladder starts
+    from, and no fixed-point sweep runs (_handover_bits).  Otherwise, and
+    on Q's dense path always, the fixed-point search runs, on the same
+    corrections, keeping Aberth's pair sums in doubles (plain Newton from
+    the double phase's points merged roots at (11, 8), (31, 6), (41, 6)).
+
+    Search precision.  On P, the monic coefficients are below 2^bits(C),
+    C = 1 + max |c_j| over the lower terms, so at 2^-S an evaluation errs
+    by up to kappa T 2^bits(C) units at |z| <= 1, and a correction is sound
+    to 2^-(S - margin), margin = bits(C) + bits(T (deg + 2T)) + 24, the 24
+    for |Q'| |z-1|^M below 1 and the correction's own rounding; on Q's
+    dense path margin = bits(Q's Cauchy bound) + bits(p) + 24, the same
+    reasoning for p + 1 terms.  At (51, 8) P's margin is 53, Q's 107.  The
+    search stops once every step, relative to max(1, |z|), is below
+    2^-(S - margin), or when steps below 2^-48 stop halving three sweeps
+    running.  So at S = margin + 72 its roots are good to 72 bits, or 48
+    after a stall: far inside their Newton basins.
 
     Newton ladder.  A Newton step from a root good to a bits lands within
     about 2^-2a if it runs at 2a + margin bits or more.  The roots are
@@ -234,9 +342,11 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     step runs at exactly F + margin: from a root good to F/2 bits or more
     it lands within its noise floor 2^-(F + margin - margin), one unit of
     2^-F.  Each earlier step runs at half the next one's good bits plus
-    margin, back to the first within reach of the search's 72 (or 48).  The
-    steps use Q's plain coefficients truncated to their precision (Newton
-    does not depend on Q's scale).  The stored roots are the last step's
+    margin, back to the first within reach of the hand-over's bits or the
+    search's 72 (or 48).  Each root keeps for the whole ladder the route,
+    P or Q, that the rounding-bound test chose at its first step: the test
+    is blind to the precision but for dG's 2^-B term, and the root moves
+    by under 2^-good after it.  The stored roots are the last step's
     points truncated once to 2^-F (_rescale), so each is within a unit or
     two of a root of Q.  That loses nothing a measurement reads: every
     measurement reads the roots at 2^-F, where a longer ladder would only
@@ -277,6 +387,12 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     monic = [c / lead for c in coeffs]
     bound = 1 + max(abs(c) for c in monic[:-1])
     margin = (bound.numerator // bound.denominator).bit_length() + p.bit_length() + 24
+    dense_margin = margin
+    from .multiple import _multiple  # only root searches compile it
+
+    multiple = _multiple(q)
+    if multiple is not None:
+        margin = multiple.margin
     S = search_bits = margin + 72
 
     # the seeds, on the circle of radius bound^(1/p) = 2^(shift + frac), are made
@@ -288,70 +404,48 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     real = [_fixed(z.real, S + shift) for z in seeds]
     imag = [_fixed(z.imag, S + shift) for z in seeds]
 
-    one = 1 << S
-    floats = [_float(zr, zi, one) for zr, zi in zip(real, imag)]
-    float_sweeps, reached = _float_search(monic, floats)
+    floats = [_float(zr, zi, 1 << S) for zr, zi in zip(real, imag)]
+    float_sweeps, reached = _float_search(monic, floats, multiple)
+    good = 0
     if reached is not None:
         floats = reached
         real = [_fixed(z.real, S) for z in reached]
         imag = [_fixed(z.imag, S) for z in reached]
-    fixed = [_fixed(c, S) for c in monic]
-    target = Fraction(1, 1 << 2 * (S - margin))
-    stall_floor = Fraction(1, 1 << 96)
-    worst = Fraction(1)
-    previous = None
-    stalled = 0
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        top, bottom = 0, 1
-        for i in range(p):
-            zr, zi = real[i], imag[i]
-            vr, vi, dr, di = _horner(fixed, zr, zi, S)
-            if vr == vi == 0:
-                continue
-            if dr == di == 0:
-                real[i] += 1 << (S - S // 3)
-                floats[i] = _float(real[i], zi, one)
-                if top < bottom:
-                    top, bottom = 1, 1
-                continue
-            nr, ni = _divide(vr, vi, dr, di, S)
-            mr, mi = _aberth_denominator(nr, ni, i, real, imag, floats, S)
-            sr, si = (nr, ni) if mr == mi == 0 else _divide(nr, ni, mr, mi, S)
-            zr -= sr
-            zi -= si
-            real[i], imag[i] = zr, zi
-            floats[i] = _float(zr, zi, one)
-            size = sr * sr + si * si
-            scale = max(one * one, zr * zr + zi * zi)
-            if size * bottom > top * scale:
-                top, bottom = size, scale
-        worst = Fraction(top, bottom)
-        if worst < target:
-            break
-        if worst < stall_floor and previous is not None and 4 * worst > previous:
-            stalled += 1
-            if stalled >= 3:
-                break
-        else:
-            stalled = 0
-        previous = worst
-    else:
-        with mpmath.workprec(53):
-            worst_step = mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
-            raise ConvergenceError(MAX_SWEEPS, mpmath.nstr(worst_step, 5))
+        if multiple is not None:
+            good = _handover_bits(_float_corrector(monic, multiple), reached)
 
-    good = S - margin if worst < target else 48
+    # Q/Q' at 2^-bits from the monic Q at up more bits, which its margin needs
+    up = max(0, dense_margin - margin)
+    truncated = {}
+
+    def dense(zr: int, zi: int, bits: int):
+        at = bits + up
+        if at not in truncated:
+            truncated[at] = [_fixed(c, at) for c in monic]
+        return _horner(truncated[at], zr << up, zi << up, at)
+
+    def fraction(zr: int, zi: int, bits: int):
+        return (multiple and multiple.fraction(zr, zi, bits)) or dense(zr, zi, bits)
+
+    sweeps = 0
+    if good < HANDOVER_BITS:
+        sweeps, good = _fixed_search(fraction, real, imag, floats, S, margin)
+
     F = precision_bits + 128  # the one scale of the stored roots and the measurements
     ladder = [F + margin]
     while ladder[0] - margin > 2 * good:
         ladder.insert(0, (ladder[0] - margin + 1) // 2 + margin)
+    on_p = [multiple is not None] * p  # decided per root at the first step
     at = S
     for bits in ladder:
-        plain = [_fixed(c, bits) for c in coeffs]
-        up, down = max(bits - at, 0), max(at - bits, 0)
+        shift_up, down = max(bits - at, 0), max(at - bits, 0)
         for i in range(p):
-            zr, zi = (real[i] << up) >> down, (imag[i] << up) >> down
-            vr, vi, dr, di = _horner(plain, zr, zi, bits)
+            zr, zi = (real[i] << shift_up) >> down, (imag[i] << shift_up) >> down
+            found = on_p[i] and multiple.fraction(zr, zi, bits, check=bits == ladder[0])
+            if not found:
+                on_p[i] = False
+                found = dense(zr, zi, bits)
+            vr, vi, dr, di = found
             if (vr or vi) and (dr or di):
                 sr, si = _divide(vr, vi, dr, di, bits)
                 zr -= sr
@@ -365,7 +459,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     worst = 0
     reach = 1 << 16  # 2^16 max(1, |z_j|), rounded up
     for zr, zi in z:
-        vr, vi, _, _ = _horner(plain, zr, zi, F)
+        vr, vi, _, _ = _horner(plain, zr, zi, F, slope=False)
         worst = max(worst, vr * vr + vi * vi)
         reach = max(reach, math.isqrt((zr * zr + zi * zi) >> (2 * F - 32)) + 1)
     # 2.5 (p+1) (reach / 2^16)^p units

@@ -129,3 +129,20 @@ def test_measured_value_is_low_by_less_than_its_term_and_never_high(num, den, bi
     # the bound is the caller's error plus that term, exactly
     assert _exact(measured.bound) == n * Fraction(2) ** e + Fraction(2) ** (1 - bits)
     assert Measured.from_square(num, den, bits, None).bound == mpmath.inf
+
+
+def _product_by_steps(factors, bits):
+    """_product as a loop of _scaled_mul calls, the reference for its fused loop."""
+    pr, pi = factors[0]
+    pe = -bits
+    for fr, fi in factors[1:]:
+        pr, pi, pe = _scaled_mul(pr, pi, pe, fr, fi, -bits, bits + 1)
+    return pr, pi, pe, min((abs(fr) | abs(fi)).bit_length() for fr, fi in factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(parts, parts), min_size=1, max_size=12), st.integers(1, 200))
+def test_fused_product_equals_the_scaled_mul_steps(factors, bits):
+    # the Bethe forms and the root product read _product; fusing its loop
+    # must not change a bit of what they measure
+    assert _product(factors, bits) == _product_by_steps(factors, bits)

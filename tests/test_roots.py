@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import qchain.cli
+import qchain.multiple
 import qchain.roots
 from conftest import (
     as_mpc,
@@ -23,8 +24,8 @@ from conftest import (
 )
 from qchain.cli import main
 from qchain.energy import groundstate_summary
-from qchain.fixedpoint import _to_fixed
-from qchain.qoperator import ChainParams, build_q
+from qchain.fixedpoint import _divide, _fixed, _horner, _to_fixed
+from qchain.qoperator import ChainParams, _times_one_plus_x, build_q
 from qchain.report import measured as _measured_entry
 from qchain.roots import (
     ConvergenceError,
@@ -217,9 +218,11 @@ def test_sweep_cap_raises_convergence_error(monkeypatch, capsys):
     assert failures and all("ConvergenceError" in line for line in failures)
 
 
-# Sweep counts of the search, (float, fixed point at noise_bits + bitlen(p) + 96
-# bits); the measurements must not change the roots they measure.
-SWEEPS = {(3, 2): (5, 2), (5, 3): (7, 2), (7, 2): (9, 2), (9, 2): (8, 2), (11, 4): (13, 2)}
+# Sweep counts of the search, (float, fixed point at search_bits); the
+# measurements must not change the roots they measure.  At L = 3, P = (z-1)^M Q
+# has more terms than Q, so Q's dense path runs the fixed-point search; from
+# L = 5 on the double phase on P hands its roots straight to the ladder.
+SWEEPS = {(3, 2): (5, 2), (5, 3): (7, 0), (7, 2): (9, 0), (9, 2): (8, 0), (11, 4): (13, 0)}
 
 
 @pytest.mark.parametrize("L,N", sorted(SWEEPS))
@@ -342,29 +345,42 @@ def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
     assert on_small == count(numeric_cross_check, large, e1_large)
 
 
-def _recording_horner(monkeypatch):
-    """Patch the Horner routine to record the precision of every call."""
+def _recording(monkeypatch, name="_horner", module=qchain.roots):
+    """Patch a Horner routine where module calls it, to record the precision of every call."""
     calls = []
-    horner = qchain.roots._horner
+    horner = getattr(module, name)
 
-    def recording(coeffs, zr, zi, bits):
+    def recording(coeffs, zr, zi, bits, **slope):
         calls.append(bits)
-        return horner(coeffs, zr, zi, bits)
+        return horner(coeffs, zr, zi, bits, **slope)
 
-    monkeypatch.setattr(qchain.roots, "_horner", recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 def test_search_runs_at_the_noise_derived_precision(monkeypatch):
+    # the search precision comes from the coefficient bound of P = (z-1)^M Q,
+    # read from Q's own integers; with the hand-over refused, the fixed-point
+    # search runs on P's terms at that precision
     q = build_q(ChainParams(21, 4))
-    p = q.params.p
+    p, M = q.params.p, q.params.M
+    product = _times_one_plus_x(q.nums, M)
+    terms = [Fraction(c, product[0]) for c in product if c]
+    deg, count = p + M, len(terms)
+    top = 1 + max(abs(c) for c in terms[1:])
+    noise_bits = math.floor(top).bit_length() + (count * (deg + 2 * count)).bit_length()
     coeffs = q.coefficients()
     cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
-    noise_bits = math.floor(math.log2(cauchy)) + 1
-    calls = _recording_horner(monkeypatch)
+    monkeypatch.setattr(qchain.roots, "_handover_bits", lambda correction, points: 0)
+    sparse = _recording(monkeypatch, "_sparse_horner", qchain.multiple)
+    dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
-    assert rs.search_bits == noise_bits + p.bit_length() + 96 < 128 + 2 * p
-    assert calls[: rs.sweeps * p] == [rs.search_bits] * (rs.sweeps * p)
+    assert count == 2 * (q.params.N + 1)
+    assert rs.search_bits == noise_bits + 96 < math.floor(cauchy).bit_length() + p.bit_length() + 96
+    assert rs.sweeps > 0
+    assert sparse[: rs.sweeps * p] == [rs.search_bits] * (rs.sweeps * p)
+    # Q's dense coefficients are read only by the residual pass, at F
+    assert dense == [256 + 128] * p
     assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
 
 
@@ -372,18 +388,23 @@ def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
     q = build_q(ChainParams(11, 4))
     p = q.params.p
     F = 256 + 128
-    calls = _recording_horner(monkeypatch)
+    sparse = _recording(monkeypatch, "_sparse_horner", qchain.multiple)
+    dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
-    # p roots per search sweep, per ladder step and in the residual pass
-    runs = calls[::p]
-    assert calls == [bits for bits in runs for _ in range(p)]
-    # the ladder ends at F + margin; the residual pass runs at F on the stored roots
+    # the double phase hands over: p roots per ladder step on P, then the
+    # residual pass on Q's dense coefficients at F on the stored roots
+    assert rs.sweeps == 0
+    runs = sparse[::p]
+    assert sparse == [bits for bits in runs for _ in range(p)]
+    assert runs == list(rs.ladder)
+    assert dense == [F] * p
+    # the ladder ends at F + margin
     margin = rs.search_bits - 72
-    assert runs == [rs.search_bits] * rs.sweeps + list(rs.ladder) + [F]
     assert rs.ladder[-1] == F + margin
-    # the good bits (precision less the search's margin) at most double per step
+    # the good bits (precision less the margin) start from the hand-over's
+    # certified bits and at most double per step
     good = [bits - margin for bits in rs.ladder]
-    assert len(good) > 1 and 72 < good[0] <= 2 * 72
+    assert len(good) > 1 and qchain.roots.HANDOVER_BITS < good[0] <= 2 * 52
     assert all(a < b <= 2 * a for a, b in zip(good, good[1:]))
     # the stored roots are the last step's fixed-point values truncated to F
     assert rs.bits == F
@@ -463,11 +484,158 @@ def test_fixed_point_search_recovers_from_a_bad_float_handover(monkeypatch):
     rs = find_roots(q, precision_bits=256)
     search = qchain.roots._float_search
 
-    def perturbed(monic, points):
-        sweeps, reached = search(monic, points)
+    def perturbed(monic, points, *multiple):
+        sweeps, reached = search(monic, points, *multiple)
         return sweeps, [z * complex(1.2, 0.2) + 0.1 for z in reached]
 
     monkeypatch.setattr(qchain.roots, "_float_search", perturbed)
     bad = find_roots(q, precision_bits=256)
     assert bad.float_sweeps == rs.float_sweeps and bad.sweeps > rs.sweeps
     _assert_same_roots(rs, bad)
+
+
+def _corrections(q, zr, zi, bits):
+    """Q/Q' at z = (zr + i zi) 2^-bits as (from P's terms or None, from dense
+    _horner), each at 2^-bits, and the bound 2^(margin - bits) (max(1, |z|) +
+    |Q/Q'|) that find_roots takes the sparse correction to, margin P's."""
+    multiple = qchain.multiple._multiple(q)
+    coeffs = q.coefficients()
+    cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    up = max(0, math.floor(cauchy).bit_length() + q.params.p.bit_length() + 24 - multiple.margin)
+    plain = [_fixed(c / coeffs[-1], bits + up) for c in coeffs]
+    vr, vi, dr, di = _horner(plain, zr << up, zi << up, bits + up)
+    dense = _divide(vr, vi, dr, di, bits)
+    fraction = multiple.fraction(zr, zi, bits)
+    sparse = None if fraction is None else _divide(*fraction, bits)
+    size = max(1 << bits, math.isqrt(zr * zr + zi * zi)) + math.isqrt(dense[0] ** 2 + dense[1] ** 2)
+    return sparse, dense, size >> (bits - multiple.margin)
+
+
+DEFAULT_SPARSE = [(L, N) for L in (5, 7, 9, 11) for N in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("L,N", DEFAULT_SPARSE)
+def test_sparse_correction_matches_dense_horner_within_its_bound(L, N):
+    # at every root of the default grid, and 2^-10 away from it, the Newton
+    # correction from P's terms is trusted and agrees with dense Horner on Q
+    # (run at the larger margin's precision, as find_roots' fallback runs it)
+    # to within the two corrections' stated bounds
+    q = build_q(ChainParams(L, N))
+    rs = find_roots(q, precision_bits=256)
+    bits = 256
+    for zr, zi in rs.z:
+        zr, zi = zr >> rs.bits - bits, zi >> rs.bits - bits
+        for dr in (0, 1 << bits - 10):
+            sparse, dense, bound = _corrections(q, zr + dr, zi, bits)
+            assert sparse is not None, (L, N)
+            assert max(abs(sparse[0] - dense[0]), abs(sparse[1] - dense[1])) <= 2 * bound
+
+
+@pytest.mark.parametrize("L,N", [(5, 1), (7, 2), (11, 4), (21, 4)])
+def test_sparse_correction_falls_back_near_its_zero_at_one(L, N):
+    # P has an M-fold zero at z = 1, where its evaluation cancels: walking in
+    # toward 1, the sparse correction is trusted only while its rounding bound
+    # allows, and is never off dense Horner's by more than the bounds while it is
+    q = build_q(ChainParams(L, N))
+    multiple = qchain.multiple._multiple(q)
+    bits = 256
+    trusted = []
+    for k in range(1, 41):
+        for angle in (0.5, 2.0):
+            z = 1 + 2.0**-k * cmath.exp(1j * angle)
+            zr, zi = _fixed(z.real, bits), _fixed(z.imag, bits)
+            sparse, dense, bound = _corrections(q, zr, zi, bits)
+            trusted.append(sparse is not None)
+            if sparse is not None:
+                assert max(abs(sparse[0] - dense[0]), abs(sparse[1] - dense[1])) <= 2 * bound
+            assert (multiple.float_correction(z, qchain.roots.HANDOVER_BITS) is not None) <= (k < 30)
+    # far out it is trusted, close in it falls back, and it switches once
+    assert trusted[0] and not trusted[-1]
+    assert trusted == sorted(trusted, reverse=True)
+
+
+def test_bumped_q_is_read_for_its_own_multiple(monkeypatch):
+    # P is formed from the Q under test.  At (5, 2) a bump spreads over M + 1
+    # more terms of P, leaving it no sparser than Q: Q's dense path runs,
+    # including the fixed-point search on Q's own coefficients
+    q = build_q(ChainParams(5, 2)).with_coefficient_bump(1, F(1, 3))
+    assert qchain.multiple._multiple(q) is None
+    dense = _recording(monkeypatch)
+    rs = find_roots(q, precision_bits=256)
+    coeffs = q.coefficients()
+    cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    assert rs.search_bits == math.floor(cauchy).bit_length() + q.params.p.bit_length() + 96
+    assert rs.sweeps > 0 and dense[: q.params.p] == [rs.search_bits] * q.params.p
+    # at (11, 4) P stays sparser than Q, and carries the bump's terms: the
+    # roots found are those of the bumped Q, not of the chain's
+    q = build_q(ChainParams(11, 4))
+    bumped = q.with_coefficient_bump(1, F(1, 3))
+    count = 2 * (q.params.N + 1)
+    assert len(qchain.multiple._multiple(q).terms) == count
+    assert count < len(qchain.multiple._multiple(bumped).terms) <= count + q.params.M + 1
+    rs = find_roots(bumped, precision_bits=256)
+    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
+    assert max(m.value for m in bae_residuals_by_form(rs).values()) > mpmath.mpf(2) ** -64
+
+
+@pytest.mark.parametrize("L,N", [(5, 2), (7, 1), (9, 4), (11, 3)])
+def test_minus_one_at_odd_p_is_a_converged_root(L, N):
+    # Q is palindromic, so at odd p Q(-1) = 0, and z = -1 is exact in doubles
+    # and in fixed point: the correction there is within its own bound, the
+    # double phase keeps a point placed on it, and a stored root sits there
+    q = build_q(ChainParams(L, N))
+    assert q.params.p % 2 == 1
+    assert sum(q.nums) == 0  # Q(-1) = (-1)^p sum_k e_k
+    multiple = qchain.multiple._multiple(q)
+    n, bound = multiple.float_correction(-1 + 0j, qchain.roots.HANDOVER_BITS)
+    assert abs(n) <= bound
+    p = q.params.p
+    points = [-1 + 0j] + [cmath.rect(1.5, 2 * math.pi * (k + 0.5) / p) for k in range(p - 1)]
+    _, reached = qchain.roots._float_search(_monic(q), points, multiple)
+    assert reached[0] == -1
+    bits = 256
+    sparse, dense, bound = _corrections(q, -1 << bits, 0, bits)
+    assert sparse is not None and max(map(abs, sparse)) <= bound
+    rs = find_roots(q, precision_bits=256)
+    assert min(abs(zr + (1 << rs.bits)) + abs(zi) for zr, zi in rs.z) <= 2
+
+
+def test_handover_certifies_only_separated_points_near_roots():
+    # the hand-over reads one more correction per point: at a converged
+    # double phase it certifies HANDOVER_BITS or more; a point moved off its
+    # root by 2^-20 caps the bits near 20; two points on one root certify none
+    q = build_q(ChainParams(11, 3))
+    multiple = qchain.multiple._multiple(q)
+    p = q.params.p
+    seeds = [cmath.rect(1.1, 2 * math.pi * (k + 0.3) / p) for k in range(p)]
+    _, reached = qchain.roots._float_search(_monic(q), seeds, multiple)
+    correction = qchain.roots._float_corrector(_monic(q), multiple)
+    good = qchain.roots._handover_bits(correction, reached)
+    assert qchain.roots.HANDOVER_BITS <= good <= 52
+    moved = [reached[0] + 2.0**-20, *reached[1:]]
+    assert 17 <= qchain.roots._handover_bits(correction, moved) <= 21
+    merged = [reached[1], *reached[1:]]
+    assert qchain.roots._handover_bits(correction, merged) == 0
+
+
+def test_ladder_takes_q_for_the_roots_whose_first_step_p_refuses(monkeypatch):
+    # a root whose first ladder step finds P's correction refused by its
+    # rounding bound takes every step on Q's dense coefficients, at Q's
+    # margin; here every root is refused, and the roots come out the same
+    q = build_q(ChainParams(9, 2))
+    rs = find_roots(q, precision_bits=256)
+    fraction = qchain.multiple._Multiple.fraction
+
+    def refusing(self, zr, zi, bits, check=True):
+        return None if check else fraction(self, zr, zi, bits, check)
+
+    monkeypatch.setattr(qchain.multiple._Multiple, "fraction", refusing)
+    dense = _recording(monkeypatch)
+    refused = find_roots(q, precision_bits=256)
+    p = q.params.p
+    coeffs = q.coefficients()
+    cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    up = max(0, math.floor(cauchy).bit_length() + p.bit_length() + 96 - refused.search_bits)
+    assert refused.sweeps == 0 and refused.ladder == rs.ladder
+    assert dense == [bits + up for bits in rs.ladder for _ in range(p)] + [256 + 128] * p
+    _assert_same_roots(rs, refused)
