@@ -28,6 +28,12 @@ four comes back as a Measured: the residual and an explicit bound on its roundin
 derived in the function's docstring and computed in integers, so a check
 passes only when residual + bound is below its tolerance; a scale too low
 for some chain thus turns its checks red rather than hiding an error.
+Q's coefficients are rational, so its roots come in conjugate pairs, and
+the stored roots keep them bit for bit (truncation toward zero commutes
+with negation).  Where every stored (re, im) has (re, -im) stored,
+|Q(z_j)| and both Bethe forms visit each pair once, at im > 0, and each
+real root; the partner's value follows from numbers already made.  The
+root product, the inversion closure and the root sum read every root.
 The seeds are made in doubles (cmath); mpmath computes only the constants
 exp and sinh of eta, the Moebius pole, the embedding of the exact root sum
 and the reported values.
@@ -318,9 +324,9 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     Hand-over.  One more correction at each point reached puts a root of Q
     within about |N| + eps of it.  If each such reach is below a quarter of
     the distance to the nearest other point, the least -log2(reach /
-    max(1, |z|)) (40 to 47 bits on the CI grids) is what the ladder starts
-    from, and no fixed-point sweep runs (_handover_bits).  Otherwise, and
-    on Q's dense path always, the fixed-point search runs, on the same
+    max(1, |z|)) (40 to 49 bits on the CI grids) is what the ladder starts
+    from, and no fixed-point sweep runs (_handover_bits), on P or on Q's
+    dense path alike.  Otherwise the fixed-point search runs, on the same
     corrections, keeping Aberth's pair sums in doubles (plain Newton from
     the double phase's points merged roots at (11, 8), (31, 6), (41, 6)).
 
@@ -375,7 +381,10 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     remaining steps multiply by z^k, so the computed value is within
     2.5 sum_(k<=p) |z|^k <= 2.5 (p+1) max(1, |z|)^p units of |Q(z_j)|;
     max(1, |z|) is rounded up to a multiple of 2^-16, and the bound adds
-    the 2 units by which the reported square root may be low.
+    the 2 units by which the reported square root may be low.  Where the
+    stored roots are closed under conjugation (_conjugate_closed) only
+    those with im >= 0 are evaluated: the truncated coefficients are real,
+    so |Q(conj z)| = |Q(z)| exactly, and the bound covers both.
     """
     if precision_bits < MIN_ROOT_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_ROOT_BITS}")
@@ -411,8 +420,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         floats = reached
         real = [_fixed(z.real, S) for z in reached]
         imag = [_fixed(z.imag, S) for z in reached]
-        if multiple is not None:
-            good = _handover_bits(_float_corrector(monic, multiple), reached)
+        good = _handover_bits(_float_corrector(monic, multiple), reached)
 
     # Q/Q' at 2^-bits from the monic Q at up more bits, which its margin needs
     up = max(0, dense_margin - margin)
@@ -458,7 +466,10 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     plain = [_fixed(c, F) for c in coeffs]
     worst = 0
     reach = 1 << 16  # 2^16 max(1, |z_j|), rounded up
+    closed = _conjugate_closed(z)
     for zr, zi in z:
+        if zi < 0 and closed:
+            continue
         vr, vi, _, _ = _horner(plain, zr, zi, F, slope=False)
         worst = max(worst, vr * vr + vi * vi)
         reach = max(reach, math.isqrt((zr * zr + zi * zi) >> (2 * F - 32)) + 1)
@@ -482,19 +493,27 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     )
 
 
-def _bethe_form(roots, M: int, bits: int, n: int, factor_error: int) -> Measured:
-    """Worst |(a/b)^M - num/den| over the roots as a Measured, with the
-    bound that bae_residuals_by_form derives (e = factor_error).
+def _conjugate_closed(points) -> bool:
+    """Whether each stored (re, im) has (re, -im) stored too, tested exactly."""
+    stored = set(points)
+    return all((re, -im) in stored for re, im in points)
 
-    roots gives per root its left-hand base a/b (b None for b = 1) and the
-    factors of num and of den, the first of each an exact start; all in
-    fixed point at 2^-bits.
+
+def _bethe_form(roots, M: int, bits: int, n: int, factor_error: int) -> Measured:
+    """Worst |(a/b)^M - num/den| over the roots and the partners named, as a
+    Measured with the bound that bae_residuals_by_form derives (e =
+    factor_error).
+
+    roots gives per visited root its left-hand base a/b (b None for b = 1),
+    the factors of num and of den, the first of each an exact start, all in
+    fixed point at 2^-bits, and whether its conjugate partner's residual,
+    |X| / |a^M num|, is read from the same numbers.
     """
     keep = bits + 1
     top, bottom = 0, 1
     spread = None
     low = keep  # the bit length of 2^bits
-    for a, b, nums, dens in roots:
+    for a, b, nums, dens, mirrored in roots:
         nr, ni, ne, low_n = _product(nums, bits)
         dr, di, de, low_d = _product(dens, bits)
         pr, pi, pe, low_a = _product([a] * M, bits)
@@ -502,23 +521,28 @@ def _bethe_form(roots, M: int, bits: int, n: int, factor_error: int) -> Measured
         low = min(low, low_n, low_d, low_a, low_b)
         x1r, x1i, e1 = _scaled_mul(pr, pi, pe, dr, di, de, keep)
         x2r, x2i, e2 = _scaled_mul(qr, qi, qe, nr, ni, ne, keep)
-        yr, yi, ey = _scaled_mul(qr, qi, qe, dr, di, de, keep)
         e = min(e1, e2)
         xr = (x1r << e1 - e) - (x2r << e2 - e)
         xi = (x1i << e1 - e) - (x2i << e2 - e)
-        num, den = xr * xr + xi * xi, yr * yr + yi * yi
-        if not den:
-            raise ZeroDivisionError("Bethe-equation denominator vanishes")
-        if e > ey:
-            num <<= 2 * (e - ey)
-        else:
-            den <<= 2 * (ey - e)
-        if num * bottom > top * den:
-            top, bottom = num, den
-        gap = max(
+        square = xr * xr + xi * xi
+        size = max(
             (abs(x1r) | abs(x1i)).bit_length() + e1, (abs(x2r) | abs(x2i)).bit_length() + e2
-        ) - ((abs(yr) | abs(yi)).bit_length() + ey)
-        spread = gap if spread is None else max(spread, gap)
+        )
+        divisors = [_scaled_mul(qr, qi, qe, dr, di, de, keep)]  # Y = b^M den
+        if mirrored:
+            divisors.append(_scaled_mul(pr, pi, pe, nr, ni, ne, keep))  # a^M num
+        for yr, yi, ey in divisors:
+            num, den = square, yr * yr + yi * yi
+            if not den:
+                raise ZeroDivisionError("Bethe-equation denominator vanishes")
+            if e > ey:
+                num <<= 2 * (e - ey)
+            else:
+                den <<= 2 * (ey - e)
+            if num * bottom > top * den:
+                top, bottom = num, den
+            gap = size - ((abs(yr) | abs(yi)).bit_length() + ey)
+            spread = gap if spread is None else max(spread, gap)
     error = None if 16 * n * factor_error > 1 << low else (192 * n * factor_error, spread - low)
     return Measured.from_square(top, bottom, bits, error)
 
@@ -576,6 +600,23 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     powers and products keeping F + 1 significant bits and an exponent
     (_product); one division, taken at the end on the worst |X|^2 / |Y|^2.
 
+    Conjugate pairs.  If every stored (re, im) has (re, -im) stored (an
+    exact set lookup, _conjugate_closed), only the roots with im >= 0 are
+    visited, (p + r)/2 of them for r real roots, each still with factors
+    over all p roots; otherwise every root is.  A visited z_j with im > 0
+    gives its partner's residual too.  As |A| = |B| = 1,
+    (conj(z) A - 1)/(conj(z) - A) = 1/conj((z A - 1)/(z - A)), and the
+    set being closed, each factor ratio at conj(z_j), (conj(z_j) B -
+    conj(z_k))/(conj(z_j) - conj(z_k) B), is 1/conj of that at z_j: both
+    sides at conj(z_j) are the conjugate-inverses of their values at z_j,
+    so there the residual is |b^M/a^M - den/num| = |X| / |a^M num|, one
+    more product and quotient.  In the w-form w(conj z) = 1/conj(w(z)) for
+    the exact pole on the unit circle, and, sh, sp, sm being purely
+    imaginary, the numerator factor f and the denominator factor g obey
+    f(1/conj(w_j), 1/conj(w_k)) = -conj(g(w_j, w_k)) / conj(w_j w_k) and
+    the same with f and g exchanged; the divisor cancels in each ratio and
+    the sign (-1)^(p-1) is real, so the same holds with a = w_j, b = 1.
+
     Rounding bound.  In units u = 2^-F the stored roots are within 1.5 of
     the last Newton step's points (find_roots truncated them to F) and the
     constants within 2 (_constants); the bound holds at either.  With m a
@@ -595,6 +636,20 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     position of a^M den or b^M num less that of Y; the bound adds the
     2^(1-F) by which the reported square root may be low.  If S could
     exceed 1/4 the bound is infinite.
+
+    Partner bound.  a^M num is made as Y is, with relative error rho, so
+    the partner's |X| / |a^M num| is within 192 n e 2^(spread - low) of its
+    value at the data the identity reads, spread now measured against
+    a^M num; the bound takes the larger spread.  For the z-form those data
+    are the stored roots themselves (at the Newton points, the conjugates
+    of the partners' points, again within 1.5 units of them).  For the
+    w-form they are v_k = 1/conj(w_k') for k' the partner of k, which
+    differ from the stored w_k by a few units, as z_to_w truncates each w
+    on its own; delta, the largest |w_k - v_k| in units as computed by
+    _divide (within 1.5 units), plus 3, bounds that.  The factors are bilinear with |sh|, |sp|, |sm| <= 1
+    and |v_k| < m + 1, so moving each w by delta units moves a factor by
+    at most (2m + 3) delta <= 5m delta units, and the w-form takes e =
+    25m^2 + 5m delta where it reads a partner.
     """
     params = rs.params
     L, M, p = params.L, params.M, params.p
@@ -611,15 +666,20 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
     n = 4 * (p + M)
     sign = (-1) ** (p - 1)
     (Ar, Ai), B, sh, sp, sm = _constants(L, F)
+    closed = _conjugate_closed(z)
+    # per root: 0 skipped (im < 0), 1 its own residual, 2 its partner's too
+    sides = [1 if not closed or zi == 0 else 2 if zi > 0 else 0 for _, zi in z]
 
     zb = [_mul(*v, *B, F) for v in z]
 
     def z_form():
         for j, ((zr, zi), (br, bi)) in enumerate(zip(z, zb)):
+            if not sides[j]:
+                continue
             ar, ai = _mul(zr, zi, Ar, Ai, F)
             nums = [(one, 0)] + [(br - kr, bi - ki) for kr, ki in z[:j] + z[j + 1 :]]
             dens = [(one, 0)] + [(zr - cr, zi - ci) for cr, ci in zb[:j] + zb[j + 1 :]]
-            yield (ar - one, ai), (zr - Ar, zi - Ai), nums, dens
+            yield (ar - one, ai), (zr - Ar, zi - Ai), nums, dens, sides[j] == 2
 
     res_z = _bethe_form(z_form(), M, F, n, 7 * _scale_bound(z, F))
 
@@ -629,6 +689,8 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
 
     def w_form():
         for j, (hr, hi) in enumerate(w_sh):
+            if not sides[j]:
+                continue
             pr, pi = w_sp[j]
             mr, mi = w_sm[j]
             nums, dens = [(sign * one, 0)], [(one, 0)]
@@ -639,10 +701,18 @@ def bae_residuals_by_form(rs: RootSet) -> dict:
                     qi += sh[1]
                     nums.append((qr - pr + tr, qi - pi + ti))
                     dens.append((qr - sr + mr, qi - si + mi))
-            yield w[j], None, nums, dens
+            yield w[j], None, nums, dens, sides[j] == 2
 
     m = _scale_bound(w, F)
-    res_w = _bethe_form(w_form(), M, F, n, 25 * m * m)
+    delta = 0  # the partners' data v_k against the stored w_k, in units
+    if 2 in sides:
+        index = {x: k for k, x in enumerate(z)}
+        for (wr, wi), (zr, zi) in zip(w, z):
+            ur, ui = w[index[zr, -zi]]
+            vr, vi = _divide(one, 0, ur, -ui, F)  # 1/conj(w of the partner)
+            delta = max(delta, (wr - vr) ** 2 + (wi - vi) ** 2)
+        delta = math.isqrt(delta) + 3
+    res_w = _bethe_form(w_form(), M, F, n, 25 * m * m + 5 * m * delta)
     return {"z": res_z, "w": res_w}
 
 

@@ -7,10 +7,12 @@ import mpmath
 
 from qchain.cyclotomic import CyclotomicNumber, _reduce, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
+from qchain.fixedpoint import Measured, _mul, _product, _scaled_mul
 from qchain.linalg import SingularMatrixError, solve_linear_system
 from qchain.qoperator import ChainParams, QPolynomial, admissible_indices, build_q
 from qchain.rationals import divide_monic
 from qchain.report import CheckResult
+from qchain.roots import _constants, _scale_bound
 
 
 def summary_at(L, N):
@@ -227,6 +229,78 @@ def bae_oracle(rs, bits):
                     den *= pair - sp * w[k] + sm * w[j]
             res_w = max(res_w, abs(lhs - num / den))
     return {"z": res_z, "w": res_w}
+
+
+def bae_all_roots_oracle(rs, only=None):
+    """Both Bethe forms in fixed point, each root measured on its own numbers.
+
+    The reference for `bae_residuals_by_form`, which reads each conjugate
+    partner's residual from its representative's numbers: this is the loop
+    that measured every root directly, with its bound 192 n e 2^(spread - low)
+    (e = 7m for the z-form, 25m^2 for the w-form), over the roots listed in
+    `only` (default all), so `only=[j]` gives root j's own Measured.
+    """
+    params = rs.params
+    L, M, p = params.L, params.M, params.p
+    F, z, w = rs.bits, rs.z, rs.w
+    one = 1 << F
+    keep = F + 1
+    n = 4 * (p + M)
+    sign = (-1) ** (p - 1)
+    (Ar, Ai), B, sh, sp, sm = _constants(L, F)
+    chosen = range(p) if only is None else only
+
+    def worst(roots, factor_error):
+        top, bottom, spread, low = 0, 1, None, keep
+        for a, b, nums, dens in roots:
+            nr, ni, ne, low_n = _product(nums, F)
+            dr, di, de, low_d = _product(dens, F)
+            pr, pi, pe, low_a = _product([a] * M, F)
+            qr, qi, qe, low_b = (one, 0, -F, keep) if b is None else _product([b] * M, F)
+            low = min(low, low_n, low_d, low_a, low_b)
+            x1r, x1i, e1 = _scaled_mul(pr, pi, pe, dr, di, de, keep)
+            x2r, x2i, e2 = _scaled_mul(qr, qi, qe, nr, ni, ne, keep)
+            yr, yi, ey = _scaled_mul(qr, qi, qe, dr, di, de, keep)
+            e = min(e1, e2)
+            xr = (x1r << e1 - e) - (x2r << e2 - e)
+            xi = (x1i << e1 - e) - (x2i << e2 - e)
+            num, den = xr * xr + xi * xi, yr * yr + yi * yi
+            if e > ey:
+                num <<= 2 * (e - ey)
+            else:
+                den <<= 2 * (ey - e)
+            if num * bottom > top * den:
+                top, bottom = num, den
+            gap = max(
+                (abs(x1r) | abs(x1i)).bit_length() + e1, (abs(x2r) | abs(x2i)).bit_length() + e2
+            ) - ((abs(yr) | abs(yi)).bit_length() + ey)
+            spread = gap if spread is None else max(spread, gap)
+        error = None if 16 * n * factor_error > 1 << low else (192 * n * factor_error, spread - low)
+        return Measured.from_square(top, bottom, F, error)
+
+    zb = [_mul(*v, *B, F) for v in z]
+    z_roots = []
+    for j in chosen:
+        (zr, zi), (br, bi) = z[j], zb[j]
+        ar, ai = _mul(zr, zi, Ar, Ai, F)
+        nums = [(one, 0)] + [(br - kr, bi - ki) for k, (kr, ki) in enumerate(z) if k != j]
+        dens = [(one, 0)] + [(zr - cr, zi - ci) for k, (cr, ci) in enumerate(zb) if k != j]
+        z_roots.append(((ar - one, ai), (zr - Ar, zi - Ai), nums, dens))
+    w_roots = []
+    for j in chosen:
+        wj = w[j]
+        nums, dens = [(sign * one, 0)], [(one, 0)]
+        for k, wk in enumerate(w):
+            if k != j:
+                pair = _mul(*_mul(*wj, *sh, F), *wk, F)
+                pr, pi = pair[0] + sh[0], pair[1] + sh[1]
+                a, b = _mul(*wj, *sp, F), _mul(*wk, *sm, F)
+                c, d = _mul(*wk, *sp, F), _mul(*wj, *sm, F)
+                nums.append((pr - a[0] + b[0], pi - a[1] + b[1]))
+                dens.append((pr - c[0] + d[0], pi - c[1] + d[1]))
+        w_roots.append((wj, None, nums, dens))
+    m = _scale_bound(w, F)
+    return {"z": worst(z_roots, 7 * _scale_bound(z, F)), "w": worst(w_roots, 25 * m * m)}
 
 
 def product_oracle(rs, bits):

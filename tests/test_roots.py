@@ -16,6 +16,7 @@ import qchain.multiple
 import qchain.roots
 from conftest import (
     as_mpc,
+    bae_all_roots_oracle,
     bae_oracle,
     inversion_oracle,
     moebius_oracle,
@@ -160,6 +161,73 @@ def test_bae_rejects_wrong_polynomial():
     assert max(m.value for m in bae_residuals_by_form(rs).values()) > mpmath.mpf(2) ** -64
 
 
+CONJUGATE_POINTS = [(L, N) for L in (3, 5, 7, 9, 11) for N in (1, 2, 3, 4)] + [(21, 4), (31, 6)]
+
+
+@pytest.mark.parametrize("L,N", CONJUGATE_POINTS)
+def test_partner_residuals_match_their_direct_measurement(L, N, monkeypatch):
+    # the stored roots are closed under conjugation, so each pair is visited
+    # once: a root with im > 0 also yields its partner's residual |X| / |a^M num|
+    # from its own numbers.  Per root and per form that agrees with the
+    # partner measured on its own factors (the all-roots loop) within both
+    # bounds, and the result agrees with the all-roots mpmath oracles
+    q = build_q(ChainParams(L, N))
+    rs = find_roots(q, precision_bits=256)
+    calls = []
+    bethe_form = qchain.roots._bethe_form
+
+    def recording(roots, *args):
+        roots = list(roots)
+        calls.append((roots, args))
+        return bethe_form(roots, *args)
+
+    monkeypatch.setattr(qchain.roots, "_bethe_form", recording)
+    forms = bae_residuals_by_form(rs)
+    visited = [j for j, (_, zi) in enumerate(rs.z) if zi >= 0]
+    real = sum(1 for _, zi in rs.z if zi == 0)
+    assert len(visited) == (q.params.p + real) // 2
+    index = {x: k for k, x in enumerate(rs.z)}
+    one = (1 << rs.bits, 0)
+    for name, (items, args) in zip(("z", "w"), calls):
+        assert len(items) == len(visited)
+        measured = []
+        for j, (a, b, nums, dens, mirrored) in zip(visited, items):
+            zr, zi = rs.z[j]
+            assert mirrored == (zi > 0)
+            own = bethe_form([(a, b, nums, dens, False)], *args)
+            measured.append(own)
+            if mirrored:
+                # a/b and num/den swapped: X changes sign and Y becomes a^M num
+                partner = bethe_form([(b or one, a, dens, nums, False)], *args)
+                both = bethe_form([(a, b, nums, dens, True)], *args)
+                assert both.value == max(own.value, partner.value)
+                direct = bae_all_roots_oracle(rs, only=[index[zr, -zi]])[name]
+                assert abs(partner.value - direct.value) <= partner.bound + direct.bound, (j, name)
+                measured.append(partner)
+        assert forms[name].value == max(m.value for m in measured)
+        assert forms[name].bound >= max(m.bound for m in measured)
+    work = rs.bits + 64
+    exact = bae_oracle(rs, work)
+    with mpmath.workprec(work):
+        for name in ("z", "w"):
+            assert abs(forms[name].value - exact[name]) <= forms[name].bound, name
+        # |Q| is evaluated at the roots with im >= 0 only
+        residual = rs.max_poly_residual
+        assert abs(residual.value - poly_residual_oracle(q, rs, work)) <= residual.bound
+
+
+def test_a_set_not_closed_under_conjugation_is_measured_root_by_root():
+    # one partner moved by one unit: the precondition fails, and every root
+    # is measured on its own numbers, exactly as the all-roots loop measures it
+    rs = find_roots(build_q(ChainParams(7, 2)), precision_bits=256)
+    roots = list(rs.z)
+    j = next(j for j, (_, zi) in enumerate(roots) if zi < 0)
+    roots[j] = (roots[j][0], roots[j][1] + 1)
+    bad = _hand_built(rs, roots)
+    assert not qchain.roots._conjugate_closed(bad.z)
+    assert bae_residuals_by_form(bad) == bae_all_roots_oracle(bad)
+
+
 def test_product_and_inversion_closure():
     for L, N in ((3, 2), (5, 2), (7, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
@@ -220,9 +288,9 @@ def test_sweep_cap_raises_convergence_error(monkeypatch, capsys):
 
 # Sweep counts of the search, (float, fixed point at search_bits); the
 # measurements must not change the roots they measure.  At L = 3, P = (z-1)^M Q
-# has more terms than Q, so Q's dense path runs the fixed-point search; from
-# L = 5 on the double phase on P hands its roots straight to the ladder.
-SWEEPS = {(3, 2): (5, 2), (5, 3): (7, 0), (7, 2): (9, 0), (9, 2): (8, 0), (11, 4): (13, 0)}
+# has more terms than Q, so the double phase runs on Q's dense coefficients;
+# there as on P from L = 5 on, it hands its roots straight to the ladder.
+SWEEPS = {(3, 2): (5, 0), (5, 3): (7, 0), (7, 2): (9, 0), (9, 2): (8, 0), (11, 4): (13, 0)}
 
 
 @pytest.mark.parametrize("L,N", sorted(SWEEPS))
@@ -379,8 +447,9 @@ def test_search_runs_at_the_noise_derived_precision(monkeypatch):
     assert rs.search_bits == noise_bits + 96 < math.floor(cauchy).bit_length() + p.bit_length() + 96
     assert rs.sweeps > 0
     assert sparse[: rs.sweeps * p] == [rs.search_bits] * (rs.sweeps * p)
-    # Q's dense coefficients are read only by the residual pass, at F
-    assert dense == [256 + 128] * p
+    # Q's dense coefficients are read only by the residual pass, at F, once
+    # per conjugate pair and per real root
+    assert dense == [256 + 128] * _visited(rs)
     assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
 
 
@@ -392,12 +461,12 @@ def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
     dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
     # the double phase hands over: p roots per ladder step on P, then the
-    # residual pass on Q's dense coefficients at F on the stored roots
+    # residual pass on Q's dense coefficients at F on the stored roots with im >= 0
     assert rs.sweeps == 0
     runs = sparse[::p]
     assert sparse == [bits for bits in runs for _ in range(p)]
     assert runs == list(rs.ladder)
-    assert dense == [F] * p
+    assert dense == [F] * _visited(rs)
     # the ladder ends at F + margin
     margin = rs.search_bits - 72
     assert rs.ladder[-1] == F + margin
@@ -445,6 +514,11 @@ def test_unusable_float_pair_sums_fall_back_to_the_exact_loop(copy, float_sweeps
     _assert_same_roots(rs, exact)
 
 
+def _visited(rs):
+    """How many stored roots have im >= 0: one per conjugate pair and per real root."""
+    return sum(1 for _, zi in rs.z if zi >= 0)
+
+
 def _monic(q):
     return [c / q.coefficients()[-1] for c in q.coefficients()]
 
@@ -461,12 +535,15 @@ def test_float_search_gives_up_without_raising():
     assert search(_monic(q), [complex(math.inf, 0), *points[1:]]) == (0, None)
 
 
-def test_coefficients_beyond_float_range_keep_the_seeds():
-    # the bump of verify --tamper 1:1<400 zeros> at (3, 2); see test_cli
+def test_coefficients_beyond_float_range_keep_the_seeds(monkeypatch):
+    # the bump of verify --tamper 1:1<400 zeros> at (3, 2); see test_cli: no
+    # double phase, so the fixed-point search runs on Q's dense coefficients
     q = build_q(ChainParams(3, 2)).with_coefficient_bump(1, F(10**400))
     assert qchain.roots._float_search(_monic(q), [1j, -1j]) == (0, None)
+    dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
     assert rs.float_sweeps == 0 and rs.sweeps > 0
+    assert dense[: rs.sweeps * 2] == [rs.search_bits] * (rs.sweeps * 2)
 
 
 def test_seed_radius_beyond_float_range():
@@ -556,8 +633,8 @@ def test_sparse_correction_falls_back_near_its_zero_at_one(L, N):
 
 def test_bumped_q_is_read_for_its_own_multiple(monkeypatch):
     # P is formed from the Q under test.  At (5, 2) a bump spreads over M + 1
-    # more terms of P, leaving it no sparser than Q: Q's dense path runs,
-    # including the fixed-point search on Q's own coefficients
+    # more terms of P, leaving it no sparser than Q: Q's dense path runs, its
+    # double phase hands over, and the whole ladder reads Q's own coefficients
     q = build_q(ChainParams(5, 2)).with_coefficient_bump(1, F(1, 3))
     assert qchain.multiple._multiple(q) is None
     dense = _recording(monkeypatch)
@@ -565,7 +642,9 @@ def test_bumped_q_is_read_for_its_own_multiple(monkeypatch):
     coeffs = q.coefficients()
     cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
     assert rs.search_bits == math.floor(cauchy).bit_length() + q.params.p.bit_length() + 96
-    assert rs.sweeps > 0 and dense[: q.params.p] == [rs.search_bits] * q.params.p
+    p = q.params.p
+    assert rs.sweeps == 0
+    assert dense == [bits for bits in rs.ladder for _ in range(p)] + [256 + 128] * _visited(rs)
     # at (11, 4) P stays sparser than Q, and carries the bump's terms: the
     # roots found are those of the bumped Q, not of the chain's
     q = build_q(ChainParams(11, 4))
@@ -637,5 +716,5 @@ def test_ladder_takes_q_for_the_roots_whose_first_step_p_refuses(monkeypatch):
     cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
     up = max(0, math.floor(cauchy).bit_length() + p.bit_length() + 96 - refused.search_bits)
     assert refused.sweeps == 0 and refused.ladder == rs.ladder
-    assert dense == [bits + up for bits in rs.ladder for _ in range(p)] + [256 + 128] * p
+    assert dense == [bits + up for bits in rs.ladder for _ in range(p)] + [256 + 128] * _visited(rs)
     _assert_same_roots(rs, refused)
