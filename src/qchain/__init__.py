@@ -33,19 +33,29 @@ from .qoperator import (
     verify_tq_identity,
 )
 from .rationals import format_rational, parse_rational
-from .report import CheckResult, FalsificationError
-from .roots import (
-    ConvergenceError,
-    Measured,
-    RootSet,
-    bae_residuals_by_form,
-    find_roots,
-    inversion_closure_gap,
-    numeric_cross_check,
-    root_product_gap,
-    z_to_w,
-)
+from .fixedpoint import Measured
+from .report import CheckResult, ConvergenceError, FalsificationError
 from .wtransform import verify_inverse_sum, w_elementary, w_sum
+
+# The root validator's names load qchain.roots on first use, so that a run
+# that checks no root (compute, table) never compiles it.
+_ROOT_NAMES = {
+    "RootSet",
+    "bae_residuals_by_form",
+    "find_roots",
+    "inversion_closure_gap",
+    "numeric_cross_check",
+    "root_product_gap",
+    "z_to_w",
+}
+
+
+def __getattr__(name: str):
+    if name in _ROOT_NAMES:
+        from . import roots
+
+        return getattr(roots, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CLOSED_FORM_SUMS",

@@ -24,9 +24,6 @@ to 4.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,19 +49,25 @@ from .qoperator import (
     verify_tq_identity,
 )
 from .rationals import format_rational, parse_rational
-from .report import CheckResult, FalsificationError, gap, listed, measured
-from .roots import (
+from .report import (
+    LOOSE_BITS,
     MIN_ROOT_BITS,
+    CheckResult,
     ConvergenceError,
-    bae_residuals_by_form,
-    find_roots,
-    inversion_closure_gap,
-    numeric_cross_check,
-    root_product_gap,
+    FalsificationError,
+    gap,
+    listed,
+    measured,
 )
 from .wtransform import verify_inverse_sum
 
 import mpmath
+
+if __name__ != "__main__":
+    # Imported as a module (a console script, a test, perfbench/tracer.py),
+    # cli brings the root validator with it, so that qchain.roots is there to
+    # be patched; run with `python -m qchain.cli`, only a root check loads it.
+    from . import roots  # noqa: F401
 
 DEFAULT_N_MAX = 4
 DEFAULT_PRECISION = 256
@@ -276,16 +279,18 @@ def _cross_method(q: QPolynomial, where: dict) -> CheckResult:
 
 def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
     """The roots check, then each measurement on the roots found, run on its own."""
+    from . import roots  # compiled only where a root check runs
+
     where = {"L": q.params.L, "N": q.params.N}
     try:
-        rs = find_roots(q, precision)
+        rs = roots.find_roots(q, precision)
     except FINDING_ERRORS as exc:
         return [_finding("roots", where, exc)]
     top = Fraction(max(abs(c) for c in q.nums), q.den)
     with mpmath.workprec(max(53, top.numerator.bit_length())):
         max_coeff = mpmath.mpf(top.numerator) / top.denominator
     poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
-    loose_tol = mpmath.mpf(2) ** -(precision - 40)
+    loose_tol = mpmath.mpf(2) ** -(precision - LOOSE_BITS)
     ladder = "/".join(map(str, rs.ladder))
     sweeps = f"{rs.float_sweeps} float and {rs.sweeps} fixed-point sweeps"
     bits = f"search {rs.search_bits} bits, polish {ladder} bits, stored at {rs.bits} bits"
@@ -295,18 +300,19 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
         return _check(name, where, lambda: measured(name, where, [measure(rs)], loose_tol))
 
     def bae() -> CheckResult:
-        forms = bae_residuals_by_form(rs)
+        forms = roots.bae_residuals_by_form(rs)
         z_form, w_form = (mpmath.nstr(forms[form].value, 5) for form in "zw")
         detail = f"z-form {z_form}, w-form {w_form}"
         return measured("bae", where, [forms["z"], forms["w"]], loose_tol, detail)
 
     def root_sum() -> CheckResult:
-        return gap("root-sum", where, numeric_cross_check(rs, _unwrap(summary).E1), loose_tol)
+        found = roots.numeric_cross_check(rs, _unwrap(summary).E1)
+        return gap("root-sum", where, found, loose_tol)
 
     return [
         measured("roots", where, [rs.max_poly_residual], poly_tol, detail),
-        *on_roots("root-product", root_product_gap),
-        *on_roots("root-inversion", inversion_closure_gap),
+        *on_roots("root-product", roots.root_product_gap),
+        *on_roots("root-inversion", roots.inversion_closure_gap),
         *_check("bae", where, bae),
         *_check("root-sum", where, root_sum),
     ]
@@ -394,6 +400,8 @@ def _records(config: RunConfig) -> list[dict]:
 def cmd_compute(config: RunConfig) -> int:
     records = _records(config)
     if config.output_format == "json":
+        import json
+
         text = json.dumps({"meta": config.meta(), "runs": records}, indent=2) + "\n"
     else:
         text = _records_to_csv(records, config.precision_bits)
@@ -401,6 +409,9 @@ def cmd_compute(config: RunConfig) -> int:
 
 
 def _records_to_csv(records: list[dict], precision_bits: int) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     buffer.write(f"# decimal values derived from exact fields at {precision_bits} bits\n")
     writer = csv.writer(buffer)
@@ -465,6 +476,8 @@ def cmd_verify(config: RunConfig) -> int:
         print(f"all {len(entries)} checks passed")
 
     if config.output_path:
+        import json
+
         report = {
             "meta": config.meta(),
             "summary": {"total": len(entries), "failed": failed, "passed": len(entries) - failed},

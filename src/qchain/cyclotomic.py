@@ -42,15 +42,23 @@ are for validation and display only and never feed back into exact values.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable
 
 import mpmath
 
 from .linalg import SingularMatrixError, solve_linear_system
-from .rationals import divide_monic, format_rational, integer_scaled, lowest_terms, parse_rational
+from .rationals import divide_monic, integer_scaled, lowest_terms, parse_rational
 
 MIN_EMBED_BITS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta(order: int, bits: int) -> mpmath.mpc:
+    """zeta = exp(2 pi i / order) at bits of working precision."""
+    with mpmath.workprec(bits):
+        return mpmath.expjpi(mpmath.mpf(2) / order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,12 +374,18 @@ class CyclotomicNumber:
         """Numeric value with zeta = exp(2 pi i / order), at the given precision."""
         if precision_bits < MIN_EMBED_BITS:
             raise ValueError(f"precision_bits must be >= {MIN_EMBED_BITS}")
+        zeta = _zeta(self.order, precision_bits)
         with mpmath.workprec(precision_bits):
-            zeta = mpmath.expjpi(mpmath.mpf(2) / self.order)
             acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * zeta + mpmath.mpf(c.numerator) / c.denominator
+            for num, den in reversed(self._lowest()):
+                acc = acc * zeta + mpmath.mpf(num) / den
             return acc
+
+    def _lowest(self) -> list[tuple[int, int]]:
+        """Each coordinate's numerator and denominator in lowest terms, as
+        coeffs has them, without making a Fraction."""
+        gcds = [math.gcd(c, self.den) for c in self.nums]
+        return [(c // g, self.den // g) for c, g in zip(self.nums, gcds)]
 
     def approx_str(self, precision_bits: int = 256) -> str:
         digits = max(8, int(precision_bits * 0.3010299956639812) - 2)
@@ -383,7 +397,7 @@ class CyclotomicNumber:
 
     def coeff_strings(self) -> list[str]:
         """The power-basis coordinates as "NUM/DEN" strings, the exact part of to_dict."""
-        return [format_rational(c) for c in self.coeffs]
+        return [f"{num}/{den}" for num, den in self._lowest()]
 
     def to_dict(self, precision_bits: int = 256) -> dict:
         return {

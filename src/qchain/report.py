@@ -5,7 +5,9 @@ so a failure carries the exact (or high-precision) residual that witnessed
 it.  FalsificationError is reserved for identities whose failure would refute
 the finite-size statements this package checks; callers report it as a
 finding instead of swallowing it, and since it names the identity that
-failed, its message alone is the witness (cli._finding).
+failed, its message alone is the witness (cli._finding).  ConvergenceError,
+the root search's finding, and the root checks' precision constants live
+here too, so that a run that checks no root need not load roots.py.
 
 Four builders make every CheckResult, one per kind of evidence:
 - listed: fails when it names a problem; residual "1" (else "0"), detail
@@ -31,8 +33,28 @@ from .cyclotomic import CyclotomicNumber
 from .fixedpoint import Measured
 
 
+# The root validator's floor on --precision-bits, and the slack of its loose
+# tolerance: every root check but |Q(z_j)| passes on residual + bound below
+# 2^-(precision_bits - LOOSE_BITS).
+MIN_ROOT_BITS = 128
+LOOSE_BITS = 40
+
+
 class FalsificationError(RuntimeError):
     """An exact identity required by the verified statements failed to hold."""
+
+
+class ConvergenceError(RuntimeError):
+    """Aberth iteration did not settle within the sweep cap."""
+
+    def __init__(self, sweeps: int, worst: str):
+        super().__init__(f"no convergence after {sweeps} sweeps, worst correction {worst}")
+        self.sweeps = sweeps
+        self.worst = worst
+
+    def __reduce__(self):
+        # args holds only the message, so unpickling (a process pool) needs the fields
+        return type(self), (self.sweeps, self.worst)
 
 
 @dataclass

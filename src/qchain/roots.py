@@ -28,26 +28,40 @@ four comes back as a Measured: the residual and an explicit bound on its roundin
 derived in the function's docstring and computed in integers, so a check
 passes only when residual + bound is below its tolerance; a scale too low
 for some chain thus turns its checks red rather than hiding an error.
-Q's coefficients are rational, so its roots come in conjugate pairs, and
-the stored roots keep them bit for bit (truncation toward zero commutes
-with negation).  Where every stored (re, im) has (re, -im) stored,
-|Q(z_j)| and both Bethe forms visit each pair once, at im > 0, and each
-real root; the partner's value follows from numbers already made.  The
-root product, the inversion closure and the root sum read every root.
+Q's coefficients are rational and Q is palindromic, so its roots come in
+orbits {z, conj z, 1/z, 1/conj z} (symmetry.py).  Passes that visit one
+root per conjugate pair (and each real root): the Newton ladder, which
+stores each partner as the exact mirror (re, -im) of the root it polished,
+and |Q(z_j)|, since |Q(conj z)| = |Q(z)| exactly.  Passes that visit one
+root per orbit: both Bethe forms, which read the other members' residuals
+from numbers already made, conjugation exactly and inversion to within a
+measured gap of a few units that their bound carries; where the stored
+roots are not closed under conjugation they visit every root, and where
+the inversion partners fail root-inversion's tolerance, one root per pair.
+Passes that read every root: the Moebius images, the root product, the
+inversion closure (one quotient per root; the partner map finds each
+nearest root in doubles, confirmed exactly), the root sum, and the
+coincidence test, a near-pair pass in doubles with each flagged pair
+compared exactly.
 The seeds are made in doubles (cmath); mpmath computes only the constants
 exp and sinh of eta, the Moebius pole, the embedding of the exact root sum
 and the reported values.
 
-The Bethe equations are evaluated in both variables: the z-form directly on
-the roots of Q, and the w-form on their Moebius images, with the anisotropy
-entering through explicit exp/sinh calls rather than pre-simplified
-constants, so the two forms are independent of the exact pipeline's
-cyclotomic shortcuts.
+The Bethe equations are evaluated in both variables (bethe.py, whose
+bae_residuals_by_form is read here with the other measurements): the
+z-form directly on the roots of Q, and the w-form on their Moebius images,
+with the anisotropy entering through explicit exp/sinh calls rather than
+pre-simplified constants, so the two forms are independent of the exact
+pipeline's cyclotomic shortcuts.  It sits in a module of its own, as does
+symmetry.py: under PYTHONDONTWRITEBYTECODE each process compiles what it
+imports, and compile's transient memory grows faster than the source, so
+one module this size would raise a verify run's peak memory.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -57,29 +71,18 @@ from typing import TYPE_CHECKING
 import mpmath
 
 from .cyclotomic import CyclotomicNumber
-from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _product, _scaled_mul
-from .fixedpoint import _rescale, _to_fixed
+from .bethe import bae_residuals_by_form  # noqa: F401 (a measurement, read here with the others)
+from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _product, _rescale
+from .fixedpoint import _to_fixed
 from .qoperator import ChainParams, QPolynomial
+from .report import MIN_ROOT_BITS, ConvergenceError
+from .symmetry import _Inverses, _conjugate_closed, _inverses, _mirror_pairs
 
 if TYPE_CHECKING:
     from .multiple import _Multiple
 
-MIN_ROOT_BITS = 128
 MAX_SWEEPS = 200
 HANDOVER_BITS = 24
-
-
-class ConvergenceError(RuntimeError):
-    """Aberth iteration did not settle within the sweep cap."""
-
-    def __init__(self, sweeps: int, worst: str):
-        super().__init__(f"no convergence after {sweeps} sweeps, worst correction {worst}")
-        self.sweeps = sweeps
-        self.worst = worst
-
-    def __reduce__(self):
-        # args holds only the message, so unpickling (a process pool) needs the fields
-        return type(self), (self.sweeps, self.worst)
 
 
 @dataclass
@@ -98,6 +101,13 @@ class RootSet:
     search_bits: int = 0
     ladder: tuple = ()
 
+    @functools.cached_property
+    def inverses(self) -> _Inverses:
+        """The inversion partner map, made once per root set and read by
+        inversion_closure_gap and bae_residuals_by_form; ZeroDivisionError
+        if a stored root is 0."""
+        return _inverses(self.z, self.bits)
+
 
 def z_to_w(z: tuple[int, int], a: tuple[int, int], bits: int) -> tuple[int, int]:
     """Moebius image w = (z a - 1)/(z - a) of z at 2^-bits, a = exp(-2 pi i / L)
@@ -114,6 +124,13 @@ def z_to_w(z: tuple[int, int], a: tuple[int, int], bits: int) -> tuple[int, int]
         raise ValueError("z is too close to the Moebius pole")
     nr, ni = _mul(zr, zi, *a, guard)
     return _rescale(_divide(nr - (1 << guard), ni, dr, di, guard), 64)
+
+
+@functools.lru_cache(maxsize=None)
+def _pole(L: int, bits: int) -> tuple[int, int]:
+    """The Moebius pole a = exp(-2 pi i / L) at 2^-(bits + 64), as z_to_w reads it."""
+    with mpmath.workprec(bits + 64):
+        return _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / L), bits + 64)
 
 
 def _pair_sum(points: list[complex], i: int) -> complex:
@@ -302,7 +319,8 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     offset; the radius comes from the logarithms of the bound's integers,
     so no bound overflows.  Aberth runs in doubles (_float_search), then,
     unless the hand-over below passes, in fixed point (_fixed_search), each
-    with a cap of MAX_SWEEPS sweeps; then a Newton ladder polishes each root.
+    with a cap of MAX_SWEEPS sweeps; then a Newton ladder polishes each root,
+    or one root of each conjugate pair.
 
     Q's multiple.  Where P = (z-1)^M Q has fewer nonzero terms than Q (from
     L = 5 on, 2(N+1) against p + 1), every phase takes its Newton
@@ -328,7 +346,25 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     from, and no fixed-point sweep runs (_handover_bits), on P or on Q's
     dense path alike.  Otherwise the fixed-point search runs, on the same
     corrections, keeping Aberth's pair sums in doubles (plain Newton from
-    the double phase's points merged roots at (11, 8), (31, 6), (41, 6)).
+    the double phase's points merged roots at (11, 8), (31, 6), (41, 6)),
+    and the ladder polishes every root.
+
+    Mirror pairs.  Q's coefficients are real, so conj z is a root with z.
+    After a hand-over, each point is paired with the point nearest its
+    conjugate (_mirror_pairs).  Where that map is an involution (paired
+    points then lie on opposite sides of the real axis) and leaves alone
+    only points within the hand-over's reach 2^-good max(1, |z|) of the
+    axis, each lone point's root is taken as real.  The ladder runs on the point with
+    im > 0 of each pair and on each lone point with its im set to 0, which
+    every Newton step keeps at exactly 0 (Q and Q' of a real point are real
+    in fixed point, a product of parts that are 0 being exactly 0), and
+    each partner is stored as the exact mirror (re, -im) of the stored
+    root: (p + r)/2 ladders for r real roots.  Newton's map commutes with
+    conjugation for real Q and truncation toward zero with negation, so a
+    mirror is as close to a root of Q as the root it mirrors.  Were a lone
+    point's root not real, the stored point would be no root, and |Q(z_j)|
+    and the Bethe forms, measured at the stored roots, would turn red.
+    Otherwise every point is polished on its own.
 
     Search precision.  On P, the monic coefficients are below 2^bits(C),
     C = 1 + max |c_j| over the lower terms, so at 2^-S an evaluation errs
@@ -365,14 +401,14 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     least 152 under the second.  A residual at roots within a couple of
     units of Q's, with its rounding bound, is some number of units that
     grows with p and with the spread of the roots.  At precision_bits = 256
-    the largest, the w-form's bound, is 2^72 units at (L, N) = (11, 8),
-    2^58 at (21, 4), 2^69 at (31, 6), 2^70 at (41, 6) and 2^83 at (51, 8)
-    (p = 76, 85, 188, 253, 416); the z-form's stays below 2^68, |Q|'s below
+    the largest, the w-form's bound, is 2^73 units at (L, N) = (11, 8),
+    2^58 at (21, 4), 2^70 at (31, 6), 2^72 at (41, 6) and 2^85 at (51, 8)
+    (p = 76, 85, 188, 253, 416); the z-form's stays below 2^69, |Q|'s below
     2^91 (against the larger tolerance), the product's below 2^16 and the
-    inversion's below 2^6.  So at least 85 bits separate residual + bound
+    inversion's below 2^6.  So at least 83 bits separate residual + bound
     from the tolerance at those points; at (51, 12), p = 612, the w-form's
-    bound is 2^102 units and 66 bits remain.  A chain that needed more
-    would turn its check red, not pass.
+    bound is 2^103 units and 65 bits remain, at (101, 6), p = 643, 2^78
+    and 90.  A chain that needed more would turn its check red, not pass.
 
     max_poly_residual is max_j |Q(z_j)| at the stored roots, evaluated by
     _horner at F on Q's coefficients truncated to F, with its rounding
@@ -382,9 +418,10 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     2.5 sum_(k<=p) |z|^k <= 2.5 (p+1) max(1, |z|)^p units of |Q(z_j)|;
     max(1, |z|) is rounded up to a multiple of 2^-16, and the bound adds
     the 2 units by which the reported square root may be low.  Where the
-    stored roots are closed under conjugation (_conjugate_closed) only
-    those with im >= 0 are evaluated: the truncated coefficients are real,
-    so |Q(conj z)| = |Q(z)| exactly, and the bound covers both.
+    stored roots are closed under conjugation (_conjugate_closed), as
+    mirrored ones are, only those with im >= 0 are evaluated: the truncated
+    coefficients are real, so |Q(conj z)| = |Q(z)| exactly, and the bound
+    covers both.
     """
     if precision_bits < MIN_ROOT_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_ROOT_BITS}")
@@ -436,8 +473,18 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         return (multiple and multiple.fraction(zr, zi, bits)) or dense(zr, zi, bits)
 
     sweeps = 0
+    mirror = None
     if good < HANDOVER_BITS:
         sweeps, good = _fixed_search(fraction, real, imag, floats, S, margin)
+    else:
+        mirror = _mirror_pairs(floats, good)
+    if mirror is None:
+        polish = range(p)
+    else:  # one root of each conjugate pair, and each real root with im 0
+        polish = [j for j, k in enumerate(mirror) if k == j or floats[j].imag > 0]
+        for j in polish:
+            if mirror[j] == j:
+                imag[j] = 0
 
     F = precision_bits + 128  # the one scale of the stored roots and the measurements
     ladder = [F + margin]
@@ -447,7 +494,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     at = S
     for bits in ladder:
         shift_up, down = max(bits - at, 0), max(at - bits, 0)
-        for i in range(p):
+        for i in polish:
             zr, zi = (real[i] << shift_up) >> down, (imag[i] << shift_up) >> down
             found = on_p[i] and multiple.fraction(zr, zi, bits, check=bits == ladder[0])
             if not found:
@@ -460,7 +507,12 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
                 zi -= si
             real[i], imag[i] = zr, zi
         at = bits
-    z = tuple(_rescale(x, margin) for x in zip(real, imag))
+    z = [None] * p
+    for j in polish:
+        z[j] = _rescale((real[j], imag[j]), margin)
+        if mirror is not None:
+            z[mirror[j]] = (z[j][0], -z[j][1])
+    z = tuple(z)
 
     # |Q| at the stored roots, on Q's coefficients truncated to F
     plain = [_fixed(c, F) for c in coeffs]
@@ -477,8 +529,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     error = (5 * (p + 1) * reach**p, -16 * p - 1 - F)
     residual = Measured.from_square(worst, 1 << 2 * F, F, error)
 
-    with mpmath.workprec(F + 64):
-        pole = _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / q.params.L), F + 64)
+    pole = _pole(q.params.L, F)
     return RootSet(
         params=q.params,
         precision_bits=precision_bits,
@@ -491,229 +542,6 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         search_bits=search_bits,
         ladder=tuple(ladder),
     )
-
-
-def _conjugate_closed(points) -> bool:
-    """Whether each stored (re, im) has (re, -im) stored too, tested exactly."""
-    stored = set(points)
-    return all((re, -im) in stored for re, im in points)
-
-
-def _bethe_form(roots, M: int, bits: int, n: int, factor_error: int) -> Measured:
-    """Worst |(a/b)^M - num/den| over the roots and the partners named, as a
-    Measured with the bound that bae_residuals_by_form derives (e =
-    factor_error).
-
-    roots gives per visited root its left-hand base a/b (b None for b = 1),
-    the factors of num and of den, the first of each an exact start, all in
-    fixed point at 2^-bits, and whether its conjugate partner's residual,
-    |X| / |a^M num|, is read from the same numbers.
-    """
-    keep = bits + 1
-    top, bottom = 0, 1
-    spread = None
-    low = keep  # the bit length of 2^bits
-    for a, b, nums, dens, mirrored in roots:
-        nr, ni, ne, low_n = _product(nums, bits)
-        dr, di, de, low_d = _product(dens, bits)
-        pr, pi, pe, low_a = _product([a] * M, bits)
-        qr, qi, qe, low_b = (1 << bits, 0, -bits, keep) if b is None else _product([b] * M, bits)
-        low = min(low, low_n, low_d, low_a, low_b)
-        x1r, x1i, e1 = _scaled_mul(pr, pi, pe, dr, di, de, keep)
-        x2r, x2i, e2 = _scaled_mul(qr, qi, qe, nr, ni, ne, keep)
-        e = min(e1, e2)
-        xr = (x1r << e1 - e) - (x2r << e2 - e)
-        xi = (x1i << e1 - e) - (x2i << e2 - e)
-        square = xr * xr + xi * xi
-        size = max(
-            (abs(x1r) | abs(x1i)).bit_length() + e1, (abs(x2r) | abs(x2i)).bit_length() + e2
-        )
-        divisors = [_scaled_mul(qr, qi, qe, dr, di, de, keep)]  # Y = b^M den
-        if mirrored:
-            divisors.append(_scaled_mul(pr, pi, pe, nr, ni, ne, keep))  # a^M num
-        for yr, yi, ey in divisors:
-            num, den = square, yr * yr + yi * yi
-            if not den:
-                raise ZeroDivisionError("Bethe-equation denominator vanishes")
-            if e > ey:
-                num <<= 2 * (e - ey)
-            else:
-                den <<= 2 * (ey - e)
-            if num * bottom > top * den:
-                top, bottom = num, den
-            gap = size - ((abs(yr) | abs(yi)).bit_length() + ey)
-            spread = gap if spread is None else max(spread, gap)
-    error = None if 16 * n * factor_error > 1 << low else (192 * n * factor_error, spread - low)
-    return Measured.from_square(top, bottom, bits, error)
-
-
-def _constants(L: int, bits: int) -> list[tuple[int, int]]:
-    """A = exp(2 s eta), B = exp(2 eta) and sinh of eta, (2s+1) eta, (2s-1) eta,
-    eta = -(L-1) pi i / L, 2s = L - 2, in fixed point at 2^-bits.
-
-    mpmath evaluates them at bits + 64, which for L < 2^40 errs by far less
-    than a unit 2^-bits; truncation adds less than 1.5, so each is within 2
-    units.  |A| = |B| = 1 and each sinh of an imaginary argument is at most 1.
-    """
-    with mpmath.workprec(bits + 64):
-        eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
-        values = (
-            mpmath.exp((L - 2) * eta),
-            mpmath.exp(2 * eta),
-            mpmath.sinh(eta),
-            mpmath.sinh((L - 1) * eta),
-            mpmath.sinh((L - 3) * eta),
-        )
-        return [_to_fixed(v, bits) for v in values]
-
-
-def _scale_bound(points: list[tuple[int, int]], bits: int) -> int:
-    """m, the least power of two with m >= 1 and m > |x| for every point."""
-    size = 0
-    for xr, xi in points:
-        size |= abs(xr) | abs(xi)
-    return 1 << max(0, size.bit_length() - bits + 1)
-
-
-def bae_residuals_by_form(rs: RootSet) -> dict:
-    """Worst Bethe-equation residual over all roots, for each form.
-
-    z-form, per root j (blank product for p = 1):
-
-        ((z_j A - 1)/(z_j - A))^M = prod_(k!=j) (z_j B - z_k)/(z_j - z_k B)
-
-    with A = exp(2 s eta), B = exp(2 eta), eta = -(L-1) pi i / L.  w-form,
-    on the Moebius images, with an overall sign (-1)^(p-1) on the product:
-
-        w_j^M = (-1)^(p-1) prod_(k!=j)
-                (sh w_j w_k - sp w_j + sm w_k + sh) /
-                (sh w_j w_k - sp w_k + sm w_j + sh)
-
-    where sh, sp, sm are sinh of eta, (2s+1) eta, (2s-1) eta.  Each form
-    returns a Measured; the worst residual of a root set is the max of the
-    two.
-
-    Everything runs in fixed point at the roots' scale F = rs.bits, on the
-    stored roots as they are.  Roots closer than 2^-(F//2) are rejected
-    first, by an exact comparison of squared distances.  Per root the
-    residual is |X| / |Y| with X = a^M den - b^M num and Y = b^M den, the
-    powers and products keeping F + 1 significant bits and an exponent
-    (_product); one division, taken at the end on the worst |X|^2 / |Y|^2.
-
-    Conjugate pairs.  If every stored (re, im) has (re, -im) stored (an
-    exact set lookup, _conjugate_closed), only the roots with im >= 0 are
-    visited, (p + r)/2 of them for r real roots, each still with factors
-    over all p roots; otherwise every root is.  A visited z_j with im > 0
-    gives its partner's residual too.  As |A| = |B| = 1,
-    (conj(z) A - 1)/(conj(z) - A) = 1/conj((z A - 1)/(z - A)), and the
-    set being closed, each factor ratio at conj(z_j), (conj(z_j) B -
-    conj(z_k))/(conj(z_j) - conj(z_k) B), is 1/conj of that at z_j: both
-    sides at conj(z_j) are the conjugate-inverses of their values at z_j,
-    so there the residual is |b^M/a^M - den/num| = |X| / |a^M num|, one
-    more product and quotient.  In the w-form w(conj z) = 1/conj(w(z)) for
-    the exact pole on the unit circle, and, sh, sp, sm being purely
-    imaginary, the numerator factor f and the denominator factor g obey
-    f(1/conj(w_j), 1/conj(w_k)) = -conj(g(w_j, w_k)) / conj(w_j w_k) and
-    the same with f and g exchanged; the divisor cancels in each ratio and
-    the sign (-1)^(p-1) is real, so the same holds with a = w_j, b = 1.
-
-    Rounding bound.  In units u = 2^-F the stored roots are within 1.5 of
-    the last Newton step's points (find_roots truncated them to F) and the
-    constants within 2 (_constants); the bound holds at either.  With m a
-    power of two above 1 and every |root| (_scale_bound), a factor of the
-    z-form errs by at most e = 7m (z B truncated: 2m + 3; less a root:
-    2m + 4.5) and one of the w-form by at most e = 25m^2 (c w truncated:
-    5m for c = sh, sp, sm; (sh w_j) w_k truncated, plus sh: 12m^2; plus
-    sp w_j and sm w_k: 12m^2 + 10m); the lhs bases err less.  A factor f
-    off by e has relative error below 2e/|f|, and each product adds one
-    below 1.5 * 2^-F (_scaled_mul).  The bit lengths give
-    |x| >= 2^(bits-1), so with low the smallest bit length of a factor, a
-    base or 2^F, every one of the n <= 4(p+M) terms of a root is below
-    e 2^(2-low), their sum S below n e 2^(2-low), and each of a^M den,
-    b^M num and Y has relative error rho <= e^S - 1 <= 2S once S <= 1/4.
-    Then |X/Y| is computed to within 2 rho (|a^M den| + |b^M num|) / |Y|,
-    which is at most 192 n e 2^(spread - low), spread the largest bit
-    position of a^M den or b^M num less that of Y; the bound adds the
-    2^(1-F) by which the reported square root may be low.  If S could
-    exceed 1/4 the bound is infinite.
-
-    Partner bound.  a^M num is made as Y is, with relative error rho, so
-    the partner's |X| / |a^M num| is within 192 n e 2^(spread - low) of its
-    value at the data the identity reads, spread now measured against
-    a^M num; the bound takes the larger spread.  For the z-form those data
-    are the stored roots themselves (at the Newton points, the conjugates
-    of the partners' points, again within 1.5 units of them).  For the
-    w-form they are v_k = 1/conj(w_k') for k' the partner of k, which
-    differ from the stored w_k by a few units, as z_to_w truncates each w
-    on its own; delta, the largest |w_k - v_k| in units as computed by
-    _divide (within 1.5 units), plus 3, bounds that.  The factors are bilinear with |sh|, |sp|, |sm| <= 1
-    and |v_k| < m + 1, so moving each w by delta units moves a factor by
-    at most (2m + 3) delta <= 5m delta units, and the w-form takes e =
-    25m^2 + 5m delta where it reads a partner.
-    """
-    params = rs.params
-    L, M, p = params.L, params.M, params.p
-    F, z, w = rs.bits, rs.z, rs.w
-    min_gap = 1 << 2 * (F - F // 2)  # (2^-(F//2))^2 at the scale 2^-2F
-    for i in range(p):
-        xr, xi = z[i]
-        for j in range(i + 1, p):
-            dr, di = xr - z[j][0], xi - z[j][1]
-            if dr * dr + di * di < min_gap:
-                raise ValueError(f"roots {i} and {j} coincide")
-
-    one = 1 << F
-    n = 4 * (p + M)
-    sign = (-1) ** (p - 1)
-    (Ar, Ai), B, sh, sp, sm = _constants(L, F)
-    closed = _conjugate_closed(z)
-    # per root: 0 skipped (im < 0), 1 its own residual, 2 its partner's too
-    sides = [1 if not closed or zi == 0 else 2 if zi > 0 else 0 for _, zi in z]
-
-    zb = [_mul(*v, *B, F) for v in z]
-
-    def z_form():
-        for j, ((zr, zi), (br, bi)) in enumerate(zip(z, zb)):
-            if not sides[j]:
-                continue
-            ar, ai = _mul(zr, zi, Ar, Ai, F)
-            nums = [(one, 0)] + [(br - kr, bi - ki) for kr, ki in z[:j] + z[j + 1 :]]
-            dens = [(one, 0)] + [(zr - cr, zi - ci) for cr, ci in zb[:j] + zb[j + 1 :]]
-            yield (ar - one, ai), (zr - Ar, zi - Ai), nums, dens, sides[j] == 2
-
-    res_z = _bethe_form(z_form(), M, F, n, 7 * _scale_bound(z, F))
-
-    w_sh = [_mul(*v, *sh, F) for v in w]
-    w_sp = [_mul(*v, *sp, F) for v in w]
-    w_sm = [_mul(*v, *sm, F) for v in w]
-
-    def w_form():
-        for j, (hr, hi) in enumerate(w_sh):
-            if not sides[j]:
-                continue
-            pr, pi = w_sp[j]
-            mr, mi = w_sm[j]
-            nums, dens = [(sign * one, 0)], [(one, 0)]
-            for k, ((wr, wi), (sr, si), (tr, ti)) in enumerate(zip(w, w_sp, w_sm)):
-                if k != j:
-                    qr, qi = _mul(hr, hi, wr, wi, F)
-                    qr += sh[0]
-                    qi += sh[1]
-                    nums.append((qr - pr + tr, qi - pi + ti))
-                    dens.append((qr - sr + mr, qi - si + mi))
-            yield w[j], None, nums, dens, sides[j] == 2
-
-    m = _scale_bound(w, F)
-    delta = 0  # the partners' data v_k against the stored w_k, in units
-    if 2 in sides:
-        index = {x: k for k, x in enumerate(z)}
-        for (wr, wi), (zr, zi) in zip(w, z):
-            ur, ui = w[index[zr, -zi]]
-            vr, vi = _divide(one, 0, ur, -ui, F)  # 1/conj(w of the partner)
-            delta = max(delta, (wr - vr) ** 2 + (wi - vi) ** 2)
-        delta = math.isqrt(delta) + 3
-    res_w = _bethe_form(w_form(), M, F, n, 25 * m * m + 5 * m * delta)
-    return {"z": res_z, "w": res_w}
 
 
 def root_product_gap(rs: RootSet) -> Measured:
@@ -746,7 +574,9 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
     max_j min_k |1/z_j - z_k|.
 
     Each 1/z_j is one division at the roots' scale u = 2^-F = 2^-rs.bits,
-    and the scan compares exact squared distances.  A stored root is less
+    and every distance read is an exact squared distance; the nearest root
+    is pi(j) of the partner map (_inverses), so the max is over
+    |1/z_j - z_pi(j)|.  A stored root is less
     than 1.5 units from the last Newton step's point (find_roots), which
     moves 1/z_j by less than 3 u / |z_j|^2 while |z_j| >= 3u; the division
     rounds each part down, less than 1.5 units more.  Every distance is then
@@ -754,14 +584,10 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
     length of a root, and so is the max of the mins; the bound adds 2 units
     for the reported square root, and is infinite for a root below 4 units.
     """
-    F, z = rs.bits, rs.z
-    worst = 0
-    for zr, zi in z:
-        ir, ii = _divide(1 << F, 0, zr, zi, F)
-        worst = max(worst, min((ir - kr) ** 2 + (ii - ki) ** 2 for kr, ki in z))
-    low = min(abs(zr) | abs(zi) for zr, zi in z).bit_length()
-    error = None if low < 3 else (3 * 4 ** max(0, F + 1 - low) + 3, -F)
-    return Measured.from_square(worst, 1 << 2 * F, F, error)
+    F = rs.bits
+    inverses = rs.inverses
+    error = None if inverses.error is None else (inverses.error, -F)
+    return Measured.from_square(max(inverses.gaps), 1 << 2 * F, F, error)
 
 
 def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> mpmath.mpf:

@@ -2,17 +2,19 @@
 
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import mpmath
 
 from qchain.cyclotomic import CyclotomicNumber, _reduce, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
-from qchain.fixedpoint import Measured, _mul, _product, _scaled_mul
+from qchain.fixedpoint import Measured, _divide, _mul, _product, _scaled_mul
 from qchain.linalg import SingularMatrixError, solve_linear_system
 from qchain.qoperator import ChainParams, QPolynomial, admissible_indices, build_q
 from qchain.rationals import divide_monic
 from qchain.report import CheckResult
-from qchain.roots import _constants, _scale_bound
+import qchain.roots
+from qchain.bethe import _constants, _scale_bound
 
 
 def summary_at(L, N):
@@ -234,8 +236,8 @@ def bae_oracle(rs, bits):
 def bae_all_roots_oracle(rs, only=None):
     """Both Bethe forms in fixed point, each root measured on its own numbers.
 
-    The reference for `bae_residuals_by_form`, which reads each conjugate
-    partner's residual from its representative's numbers: this is the loop
+    The reference for `bae_residuals_by_form`, which reads the residuals of
+    each orbit {z, conj z, 1/z, 1/conj z} from one root's numbers: this is the loop
     that measured every root directly, with its bound 192 n e 2^(spread - low)
     (e = 7m for the z-form, 25m^2 for the w-form), over the roots listed in
     `only` (default all), so `only=[j]` gives root j's own Measured.
@@ -328,3 +330,40 @@ def poly_residual_oracle(q, rs, bits):
     with mpmath.workprec(bits):
         exact = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(q.coefficients())]
         return max(abs(mpmath.polyval(exact, z)) for z in as_mpc(rs.z, rs.bits))
+
+
+def polish_every_root_oracle(q, precision_bits):
+    """find_roots with each root polished by its own Newton ladder.
+
+    The reference for the mirrored roots: find_roots polishes one root of
+    each conjugate pair and stores the other as its mirror image; this is
+    its fallback path, which runs the ladder on all p roots, forced here.
+    """
+    with mock.patch.object(qchain.roots, "_mirror_pairs", lambda points, good: None):
+        return qchain.roots.find_roots(q, precision_bits)
+
+
+def inversion_scan_oracle(rs):
+    """max_j min_k |1/z_j - z_k| by a scan over all roots for every j, with
+    the same rounding bound: the reference for `inversion_closure_gap`, which
+    reads the nearest root from the partner map."""
+    F, z = rs.bits, rs.z
+    worst = 0
+    for zr, zi in z:
+        ir, ii = _divide(1 << F, 0, zr, zi, F)
+        worst = max(worst, min((ir - kr) ** 2 + (ii - ki) ** 2 for kr, ki in z))
+    low = min(abs(zr) | abs(zi) for zr, zi in z).bit_length()
+    error = None if low < 3 else (3 * 4 ** max(0, F + 1 - low) + 3, -F)
+    return Measured.from_square(worst, 1 << 2 * F, F, error)
+
+
+def coincidence_oracle(z, bits):
+    """The first pair (i, j), i < j, of fixed-point points closer than
+    2^-(bits//2), by comparing all pairs exactly, or None: the reference
+    for the near-pair pass of `bae_residuals_by_form`."""
+    min_gap = 1 << 2 * (bits - bits // 2)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            if (z[i][0] - z[j][0]) ** 2 + (z[i][1] - z[j][1]) ** 2 < min_gap:
+                return i, j
+    return None

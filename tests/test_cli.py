@@ -143,6 +143,24 @@ def test_process_pool_is_imported_only_when_used():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_compute_never_loads_the_root_validator():
+    # run as `python -m qchain.cli`, compute imports neither the root
+    # validator nor csv (JSON output); verify loads the validator for its
+    # root checks.  -X importtime lists every module a process imports.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def imported(*argv):
+        command = [sys.executable, "-X", "importtime", "-m", "qchain.cli", *argv, "--L", "3"]
+        done = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+
+    compute = imported("compute", "--N-max", "2")
+    assert "qchain.cyclotomic" in compute and "json" in compute
+    assert not {"qchain.roots", "qchain.multiple", "csv"} & compute
+    assert "qchain.roots" in imported("verify", "--N-max", "1", "--checks", "roots")
+
+
 def test_jobs_do_not_change_output(tmp_path, capsys):
     serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"

@@ -366,6 +366,28 @@ def test_embed_is_multiplicative_numerically():
                 assert gap < mpmath.mpf(2) ** -(bits - 20)
 
 
+def test_embed_and_to_dict_read_the_coordinates_as_fractions_do(monkeypatch):
+    # zeta made once per (order, bits), each coordinate read in lowest terms by
+    # gcd: the same mpc and the same strings as the Fraction coordinates give,
+    # and no Fraction made
+    rng = random.Random(29)
+    for order in (6, 10, 22):
+        for _ in range(4):
+            x = _random_element(rng, order) / rng.randint(1, 12)
+            for bits in (64, 256):
+                with mpmath.workprec(bits):
+                    zeta = mpmath.expjpi(mpmath.mpf(2) / order)
+                    expected = mpmath.mpc(0)
+                    for c in reversed(x.coeffs):
+                        expected = expected * zeta + mpmath.mpf(c.numerator) / c.denominator
+                strings = [format_rational(c) for c in x.coeffs]
+                made = count_fractions(monkeypatch)
+                value, written = x.embed(bits), x.coeff_strings()
+                monkeypatch.undo()
+                assert (value, written, made) == (expected, strings, [])
+    assert cyclotomic._zeta.cache_info().hits > 0
+
+
 def test_embed_precision_floor():
     with pytest.raises(ValueError):
         cyc_cos(1, 5).embed(32)

@@ -11,16 +11,22 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import qchain.bethe
 import qchain.cli
+import qchain.cyclotomic
 import qchain.multiple
 import qchain.roots
+import qchain.symmetry
 from conftest import (
     as_mpc,
     bae_all_roots_oracle,
     bae_oracle,
+    coincidence_oracle,
     inversion_oracle,
+    inversion_scan_oracle,
     moebius_oracle,
     poly_residual_oracle,
+    polish_every_root_oracle,
     product_oracle,
 )
 from qchain.cli import main
@@ -166,44 +172,48 @@ CONJUGATE_POINTS = [(L, N) for L in (3, 5, 7, 9, 11) for N in (1, 2, 3, 4)] + [(
 
 @pytest.mark.parametrize("L,N", CONJUGATE_POINTS)
 def test_partner_residuals_match_their_direct_measurement(L, N, monkeypatch):
-    # the stored roots are closed under conjugation, so each pair is visited
-    # once: a root with im > 0 also yields its partner's residual |X| / |a^M num|
-    # from its own numbers.  Per root and per form that agrees with the
-    # partner measured on its own factors (the all-roots loop) within both
-    # bounds, and the result agrees with the all-roots mpmath oracles
+    # the stored roots are closed under conjugation and, to a few units, under
+    # inversion, so one root is visited per orbit {z, conj z, 1/z, 1/conj z}:
+    # its own residual |X| / |Y| stands for z and 1/conj z, and |X| / |a^M num|,
+    # read from the same numbers, for conj z and 1/z.  Per member and per form
+    # that agrees with the member measured on its own factors (the all-roots
+    # loop) within both bounds, and the result agrees with the all-roots
+    # mpmath oracles
     q = build_q(ChainParams(L, N))
     rs = find_roots(q, precision_bits=256)
+    visits, conj, inv = qchain.symmetry._orbits(rs)
+    assert conj is not None and inv is not None
+    assert rs.inverses.involution and math.isqrt(max(rs.inverses.gaps)) <= 8
+    orbits = [{j, conj[j], inv[j], conj[inv[j]]} for j, _ in visits]
+    assert sorted(k for orbit in orbits for k in orbit) == list(range(q.params.p))
     calls = []
-    bethe_form = qchain.roots._bethe_form
+    bethe_form = qchain.bethe._bethe_form
 
     def recording(roots, *args):
         roots = list(roots)
         calls.append((roots, args))
         return bethe_form(roots, *args)
 
-    monkeypatch.setattr(qchain.roots, "_bethe_form", recording)
+    monkeypatch.setattr(qchain.bethe, "_bethe_form", recording)
     forms = bae_residuals_by_form(rs)
-    visited = [j for j, (_, zi) in enumerate(rs.z) if zi >= 0]
-    real = sum(1 for _, zi in rs.z if zi == 0)
-    assert len(visited) == (q.params.p + real) // 2
-    index = {x: k for k, x in enumerate(rs.z)}
+    direct = [bae_all_roots_oracle(rs, only=[k]) for k in range(q.params.p)]
     one = (1 << rs.bits, 0)
     for name, (items, args) in zip(("z", "w"), calls):
-        assert len(items) == len(visited)
+        assert len(items) == len(visits)
         measured = []
-        for j, (a, b, nums, dens, mirrored) in zip(visited, items):
-            zr, zi = rs.z[j]
-            assert mirrored == (zi > 0)
+        for (j, mirrored), orbit, (a, b, nums, dens, flag) in zip(visits, orbits, items):
+            assert flag == mirrored == (len(orbit) > 1) and rs.z[j][1] >= 0
             own = bethe_form([(a, b, nums, dens, False)], *args)
+            # a/b and num/den swapped: X changes sign and Y becomes a^M num
+            partner = bethe_form([(b or one, a, dens, nums, False)], *args)
             measured.append(own)
             if mirrored:
-                # a/b and num/den swapped: X changes sign and Y becomes a^M num
-                partner = bethe_form([(b or one, a, dens, nums, False)], *args)
                 both = bethe_form([(a, b, nums, dens, True)], *args)
                 assert both.value == max(own.value, partner.value)
-                direct = bae_all_roots_oracle(rs, only=[index[zr, -zi]])[name]
-                assert abs(partner.value - direct.value) <= partner.bound + direct.bound, (j, name)
                 measured.append(partner)
+            for k, found in ((j, own), (conj[inv[j]], own), (conj[j], partner), (inv[j], partner)):
+                exact = direct[k][name]
+                assert abs(found.value - exact.value) <= found.bound + exact.bound, (j, k, name)
         assert forms[name].value == max(m.value for m in measured)
         assert forms[name].bound >= max(m.bound for m in measured)
     work = rs.bits + 64
@@ -224,8 +234,188 @@ def test_a_set_not_closed_under_conjugation_is_measured_root_by_root():
     j = next(j for j, (_, zi) in enumerate(roots) if zi < 0)
     roots[j] = (roots[j][0], roots[j][1] + 1)
     bad = _hand_built(rs, roots)
-    assert not qchain.roots._conjugate_closed(bad.z)
+    assert not qchain.symmetry._conjugate_closed(bad.z)
     assert bae_residuals_by_form(bad) == bae_all_roots_oracle(bad)
+
+
+def test_an_inversion_partner_moved_by_2_40_units_is_measured_root_by_root():
+    # the partner of a root with im > 0 moved: the set is no longer closed
+    # under conjugation, and every root is measured on its own numbers
+    rs = find_roots(build_q(ChainParams(7, 2)), precision_bits=256)
+    roots = list(rs.z)
+    j = next(j for j, (_, zi) in enumerate(roots) if zi > 0)
+    k = rs.inverses.partner[j]
+    roots[k] = (roots[k][0] + (1 << 40), roots[k][1])
+    bad = _hand_built(rs, roots)
+    assert qchain.symmetry._orbits(bad)[1:] == (None, None)
+    assert bae_residuals_by_form(bad) == bae_all_roots_oracle(bad)
+
+
+def test_a_pair_moved_by_2_40_units_widens_the_orbit_bound_by_its_gap():
+    # a conjugate pair moved together: the set stays closed under conjugation,
+    # the inversion partners sit 2^40 units off the inverses, and the orbit
+    # residuals, with that gap in their bound, agree with the all-roots loop
+    rs = find_roots(build_q(ChainParams(7, 2)), precision_bits=256)
+    roots = list(rs.z)
+    j = next(j for j, (_, zi) in enumerate(roots) if zi > 0)
+    k = roots.index((roots[j][0], -roots[j][1]))
+    for i in (j, k):
+        roots[i] = (roots[i][0] + (1 << 40), roots[i][1])
+    bad = _hand_built(rs, roots)
+    assert qchain.symmetry._orbits(bad)[2] is not None
+    assert math.isqrt(max(bad.inverses.gaps)) >= 1 << 39
+    forms, direct, before = bae_residuals_by_form(bad), bae_all_roots_oracle(bad), bae_residuals_by_form(rs)
+    for name in ("z", "w"):
+        assert abs(forms[name].value - direct[name].value) <= forms[name].bound + direct[name].bound
+        assert forms[name].bound > before[name].bound * 2**30
+
+
+def test_inversion_partners_beyond_root_inversion_tolerance_are_not_read():
+    # (3, 2) has two real roots, r and 1/r; one moved by 2^200 units, beyond
+    # root-inversion's tolerance 2^-(256 - 40) = 2^168 units: the partner map
+    # is still an involution, but each root is measured on its own numbers
+    rs = find_roots(build_q(ChainParams(3, 2)), precision_bits=256)
+    assert all(zi == 0 for _, zi in rs.z)
+    assert qchain.symmetry._orbits(rs)[0] == [(0, True)]
+    bad = _hand_built(rs, [(rs.z[0][0] + (1 << 200), 0), rs.z[1]])
+    assert bad.inverses.involution
+    assert not inversion_closure_gap(bad).below(mpmath.mpf(2) ** -(256 - 40))
+    visits, conj, inv = qchain.symmetry._orbits(bad)
+    assert visits == [(0, False), (1, False)] and conj == [0, 1] and inv is None
+    assert bae_residuals_by_form(bad) == bae_all_roots_oracle(bad)
+
+
+@pytest.mark.parametrize("L,N", [(3, 2), (5, 2), (7, 2), (11, 4), (21, 4), (31, 6)])
+def test_inversion_partner_map_reads_what_the_full_scan_reads(L, N):
+    # the gap is read at each root's nearest root from the partner map; it is
+    # the full scan's, with its bound, on the chain's Q and on a bumped one
+    q = build_q(ChainParams(L, N))
+    for checked in (q, q.with_coefficient_bump(1, F(1, 3))):
+        rs = find_roots(checked, precision_bits=256)
+        assert inversion_closure_gap(rs) == inversion_scan_oracle(rs)
+
+
+def test_inversion_partners_the_doubles_cannot_tell_apart_are_scanned():
+    # 1/2 is 2^-60 from one root and 2^-61 from another, both 1/2 in doubles;
+    # a root of 2^1100 leaves no float copies at all: either way the exact
+    # scan decides
+    rs = find_roots(build_q(ChainParams(3, 2)), precision_bits=256)
+    one = 1 << rs.bits
+    close = _hand_built(rs, [(2 * one, 0), (one // 2 + (one >> 60), 0), (one // 2 - (one >> 61), 0)])
+    assert close.inverses.partner[0] == 2
+    assert inversion_closure_gap(close) == inversion_scan_oracle(close)
+    far = _hand_built(rs, [(one << 1100, 0), (one, one), (3 * one, -one), (1, 0)])
+    assert far.inverses.partner == (3, 3, 3, 2)
+    assert inversion_closure_gap(far) == inversion_scan_oracle(far)
+
+
+def test_inversion_partner_maps_that_are_no_commuting_involution_are_not_read():
+    # pi o conj = conj o pi keeps each orbit at four members; a partner map
+    # that is an involution but breaks it is not read
+    rs = find_roots(build_q(ChainParams(9, 2)), precision_bits=256)
+    visits, conj, inv = qchain.symmetry._orbits(rs)
+    a, x = [j for j, _ in visits if len({j, conj[j], inv[j]}) == 3][:2]
+    b, y = inv[a], inv[x]  # a <-> x and b <-> y instead of a <-> b and x <-> y
+    partner = list(inv)
+    partner[a], partner[x], partner[b], partner[y] = x, a, y, b
+    bad = _hand_built(rs, rs.z)
+    bad.inverses = qchain.symmetry._Inverses(tuple(partner), rs.inverses.gaps, rs.inverses.error)
+    assert bad.inverses.involution
+    assert qchain.symmetry._orbits(bad)[2] is None
+    # nor is one that commutes with conjugation but is no involution:
+    # a -> b -> x -> a, and the same on their conjugates
+    a, x = [j for j, _ in visits if len({j, conj[j], inv[j], conj[inv[j]]}) == 4][:2]
+    b = inv[a]
+    partner = list(inv)
+    for u, v in ((a, b), (b, x), (x, a)):
+        partner[u], partner[conj[u]] = v, conj[v]
+    bad.inverses = qchain.symmetry._Inverses(tuple(partner), rs.inverses.gaps, rs.inverses.error)
+    assert not bad.inverses.involution
+    assert qchain.symmetry._orbits(bad)[2] is None
+
+
+def test_merged_roots_raise_as_the_all_pairs_scan_does():
+    # the near-pair pass in doubles flags the pairs the exact all-pairs scan
+    # finds, and names the same first pair; a pair just outside 2^-(F//2) passes
+    rs = find_roots(build_q(ChainParams(11, 4)), precision_bits=256)
+    F = rs.bits
+    roots = list(rs.z)
+    roots[9] = roots[3]
+    roots[7] = (roots[5][0] + (1 << F // 2 - 2), roots[5][1])
+    bad = _hand_built(rs, roots)
+    assert coincidence_oracle(bad.z, F) == (3, 9)
+    with pytest.raises(ValueError, match=r"^roots 3 and 9 coincide$"):
+        bae_residuals_by_form(bad)
+    roots[9] = (roots[3][0], roots[3][1] + (1 << F // 2 + 1))
+    apart = _hand_built(rs, roots)
+    assert coincidence_oracle(apart.z, F) == (5, 7)
+    with pytest.raises(ValueError, match=r"^roots 5 and 7 coincide$"):
+        bae_residuals_by_form(apart)
+    roots[7] = rs.z[7]
+    assert coincidence_oracle(roots, F) is None
+    qchain.symmetry._reject_coincident(roots, F)
+    # a root beyond float range: every pair is compared exactly
+    one = 1 << F
+    far = [(one << 1100, 0), (one, one), (3 * one, 0), (one, one)]
+    assert coincidence_oracle(far, F) == (1, 3)
+    with pytest.raises(ValueError, match=r"^roots 1 and 3 coincide$"):
+        qchain.symmetry._reject_coincident(far, F)
+
+
+@pytest.mark.parametrize("L,N", [(5, 2), (9, 4), (11, 4), (21, 4), (31, 6)])
+def test_mirrored_roots_match_the_polish_every_root_ladder(L, N):
+    # one root of each conjugate pair is polished and the other stored as its
+    # mirror image, each real root polished with im 0: every stored root is
+    # within two units of the root that its own ladder reaches
+    q = build_q(ChainParams(L, N))
+    rs = find_roots(q, precision_bits=256)
+    old = polish_every_root_oracle(q, precision_bits=256)
+    assert (rs.ladder, rs.sweeps, rs.float_sweeps) == (old.ladder, old.sweeps, old.float_sweeps)
+    remaining = list(old.z)
+    for zr, zi in rs.z:
+        nearest = min(remaining, key=lambda y: (y[0] - zr) ** 2 + (y[1] - zi) ** 2)
+        assert max(abs(nearest[0] - zr), abs(nearest[1] - zi)) <= 2, (L, N)
+        remaining.remove(nearest)
+    assert qchain.symmetry._conjugate_closed(rs.z)
+    assert sum(1 for _, zi in rs.z if zi == 0) == sum(1 for _, zi in old.z if zi == 0)
+
+
+def test_mirroring_needs_an_involution_and_real_points_near_the_axis():
+    pair = [complex(0.5, 0.2), complex(0.5, -0.2)]
+    assert qchain.symmetry._mirror_pairs(pair + [complex(-2.0, 2.0**-42)], 40) == [1, 0, 2]
+    # a lone point farther from the axis than the hand-over's reach
+    assert qchain.symmetry._mirror_pairs(pair + [complex(-2.0, 2.0**-38)], 40) is None
+    # conj of (0, 1.1) is nearest (0, 1), whose conj is nearest (0, 0.95)
+    assert qchain.symmetry._mirror_pairs([1j, -1.1j, -0.95j], 40) is None
+    # (0.5, 1e-3) is its own partner, and the partner of (0.5, 2e-3)
+    assert qchain.symmetry._mirror_pairs([complex(0.5, 1e-3), complex(0.5, 2e-3)], 4) is None
+
+
+def test_lone_points_are_polished_on_the_real_axis(monkeypatch):
+    # the double phase's points on real roots moved 2^-50 off the axis: each
+    # is still its own conjugate partner, and its ladder runs with im 0 from
+    # the first step, so its root is stored with im exactly 0
+    q = build_q(ChainParams(5, 2))
+    search = qchain.roots._float_search
+
+    def lifted(monic, points, *multiple):
+        sweeps, reached = search(monic, points, *multiple)
+        return sweeps, [z + complex(0, 2.0**-50) if abs(z.imag) < 1e-9 else z for z in reached]
+
+    monkeypatch.setattr(qchain.roots, "_float_search", lifted)
+    real_calls = []
+    fraction = qchain.multiple._Multiple.fraction
+
+    def recording(self, zr, zi, bits, check=True):
+        real_calls.append(zi == 0)
+        return fraction(self, zr, zi, bits, check)
+
+    monkeypatch.setattr(qchain.multiple._Multiple, "fraction", recording)
+    rs = find_roots(q, precision_bits=256)
+    real = sum(1 for _, zi in rs.z if zi == 0)
+    assert rs.sweeps == 0 and real > 0 and qchain.symmetry._conjugate_closed(rs.z)
+    assert sum(real_calls) == real * len(rs.ladder)
+    assert len(real_calls) == _visited(rs) * len(rs.ladder)
 
 
 def test_product_and_inversion_closure():
@@ -398,6 +588,10 @@ def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
                 monkeypatch.setattr(cls, name, counted)
 
     def count(fn, *args):
+        # the constants are cached per (L, bits) and zeta per (order, bits):
+        # cleared, every count includes making them
+        qchain.bethe._constants.cache_clear()
+        qchain.cyclotomic._zeta.cache_clear()
         calls.clear()
         fn(*args)
         return len(calls)
@@ -460,11 +654,14 @@ def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
     sparse = _recording(monkeypatch, "_sparse_horner", qchain.multiple)
     dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
-    # the double phase hands over: p roots per ladder step on P, then the
-    # residual pass on Q's dense coefficients at F on the stored roots with im >= 0
+    # the double phase hands over: one root per conjugate pair and per real
+    # root each ladder step on P, then the residual pass on Q's dense
+    # coefficients at F on the same stored roots, those with im >= 0
     assert rs.sweeps == 0
-    runs = sparse[::p]
-    assert sparse == [bits for bits in runs for _ in range(p)]
+    visited = _visited(rs)
+    assert visited < p
+    runs = sparse[::visited]
+    assert sparse == [bits for bits in runs for _ in range(visited)]
     assert runs == list(rs.ladder)
     assert dense == [F] * _visited(rs)
     # the ladder ends at F + margin
@@ -642,9 +839,8 @@ def test_bumped_q_is_read_for_its_own_multiple(monkeypatch):
     coeffs = q.coefficients()
     cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
     assert rs.search_bits == math.floor(cauchy).bit_length() + q.params.p.bit_length() + 96
-    p = q.params.p
     assert rs.sweeps == 0
-    assert dense == [bits for bits in rs.ladder for _ in range(p)] + [256 + 128] * _visited(rs)
+    assert dense == [bits for bits in rs.ladder for _ in range(_visited(rs))] + [256 + 128] * _visited(rs)
     # at (11, 4) P stays sparser than Q, and carries the bump's terms: the
     # roots found are those of the bumped Q, not of the chain's
     q = build_q(ChainParams(11, 4))
@@ -716,5 +912,6 @@ def test_ladder_takes_q_for_the_roots_whose_first_step_p_refuses(monkeypatch):
     cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
     up = max(0, math.floor(cauchy).bit_length() + p.bit_length() + 96 - refused.search_bits)
     assert refused.sweeps == 0 and refused.ladder == rs.ladder
-    assert dense == [bits + up for bits in rs.ladder for _ in range(p)] + [256 + 128] * _visited(rs)
+    visited = _visited(rs)
+    assert dense == [bits + up for bits in rs.ladder for _ in range(visited)] + [256 + 128] * visited
     _assert_same_roots(rs, refused)
