@@ -18,8 +18,6 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-import mpmath
-
 from .fixedpoint import Measured, _mul, _product, _scaled_mul, _to_fixed
 from .symmetry import _orbits, _partner_gap, _reject_coincident
 
@@ -84,6 +82,8 @@ def _constants(L: int, bits: int) -> tuple[tuple[int, int], ...]:
     than a unit 2^-bits; truncation adds less than 1.5, so each is within 2
     units.  |A| = |B| = 1 and each sinh of an imaginary argument is at most 1.
     """
+    import mpmath
+
     with mpmath.workprec(bits + 64):
         eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
         values = (

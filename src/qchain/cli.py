@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .energy import (
@@ -61,8 +60,6 @@ from .report import (
 )
 from .wtransform import verify_inverse_sum
 
-import mpmath
-
 if __name__ != "__main__":
     # Imported as a module (a console script, a test, perfbench/tracer.py),
     # cli brings the root validator with it, so that qchain.roots is there to
@@ -94,8 +91,7 @@ CHECK_TOKENS = tuple(dict.fromkeys(token for token in CHECKS.values() if token))
 CHECK_ALIASES = {"section4": "closed-forms"}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     L_values: tuple[int, ...]
     N_max: int
     method: str
@@ -279,6 +275,8 @@ def _cross_method(q: QPolynomial, where: dict) -> CheckResult:
 
 def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
     """The roots check, then each measurement on the roots found, run on its own."""
+    import mpmath
+
     from . import roots  # compiled only where a root check runs
 
     where = {"L": q.params.L, "N": q.params.N}

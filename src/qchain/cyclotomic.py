@@ -37,6 +37,9 @@ exp(2 pi i k / L) = zeta^(2k) are exact elements here.
 
 Numeric embeddings go through mpmath at an explicit binary precision; they
 are for validation and display only and never feed back into exact values.
+mpmath is imported where a number is made (_zeta, embed, approx_str), not
+with the module, which every qchain process imports: exact arithmetic, the
+help text and the exact checks then never load it.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable
-
-import mpmath
+from typing import TYPE_CHECKING, Iterable
 
 from .linalg import SingularMatrixError, solve_linear_system
 from .rationals import divide_monic, integer_scaled, lowest_terms, parse_rational
+
+if TYPE_CHECKING:
+    import mpmath
 
 MIN_EMBED_BITS = 64
 
@@ -57,6 +61,8 @@ MIN_EMBED_BITS = 64
 @functools.lru_cache(maxsize=None)
 def _zeta(order: int, bits: int) -> mpmath.mpc:
     """zeta = exp(2 pi i / order) at bits of working precision."""
+    import mpmath
+
     with mpmath.workprec(bits):
         return mpmath.expjpi(mpmath.mpf(2) / order)
 
@@ -374,6 +380,8 @@ class CyclotomicNumber:
         """Numeric value with zeta = exp(2 pi i / order), at the given precision."""
         if precision_bits < MIN_EMBED_BITS:
             raise ValueError(f"precision_bits must be >= {MIN_EMBED_BITS}")
+        import mpmath
+
         zeta = _zeta(self.order, precision_bits)
         with mpmath.workprec(precision_bits):
             acc = mpmath.mpc(0)
@@ -388,6 +396,8 @@ class CyclotomicNumber:
         return [(c // g, self.den // g) for c, g in zip(self.nums, gcds)]
 
     def approx_str(self, precision_bits: int = 256) -> str:
+        import mpmath
+
         digits = max(8, int(precision_bits * 0.3010299956639812) - 2)
         value = self.embed(precision_bits)
         with mpmath.workprec(precision_bits):

@@ -31,27 +31,25 @@ raised never reaches them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-import mpmath
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicNumber, cyc_cos
 from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult, FalsificationError, exact, gap
 from .wtransform import w_sum
 
+if TYPE_CHECKING:
+    import mpmath
 
-@dataclass(frozen=True)
-class WSummary:
+
+class WSummary(NamedTuple):
     params: ChainParams
     E1: CyclotomicNumber
     energy: CyclotomicNumber
     energy_per_site: CyclotomicNumber
 
 
-@dataclass(frozen=True)
-class SpinConstant:
+class SpinConstant(NamedTuple):
     """Per-L constant A with the slope 2A + cos(2 pi / L) it implies."""
 
     L: int
@@ -202,6 +200,8 @@ CLOSED_FORM_SUMS: dict[int, tuple] = {
 
 
 def _trig_sum(terms, L: int) -> mpmath.mpf:
+    import mpmath
+
     total = mpmath.mpf(0)
     for coeff, kind, a in terms:
         if kind == "one":
@@ -219,6 +219,8 @@ def closed_form_root_sum(L: int, N: int, precision_bits: int = 256) -> mpmath.mp
     """Evaluate the published closed form of the root sum at (L, N)."""
     if L not in CLOSED_FORM_SUMS:
         raise ValueError(f"no published closed form for L={L}")
+    import mpmath
+
     (scale1, num1, den1), (scale2, num2, den2) = CLOSED_FORM_SUMS[L]
     with mpmath.workprec(precision_bits):
         first = scale1 * _trig_sum(num1, L) / _trig_sum(den1, L)
@@ -238,6 +240,8 @@ def crosscheck_closed_forms(
     L = summaries[0].params.L
     if L not in CLOSED_FORM_SUMS:
         return []
+    import mpmath
+
     entries = []
     tolerance = mpmath.mpf(2) ** -(precision_bits - 76)
     for N, summary in ((1, summaries[0]), (2, summaries[1])):

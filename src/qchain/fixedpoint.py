@@ -22,15 +22,21 @@ reported as a Measured by Measured.from_square: its square root rounded
 down to a multiple of 2^-s, s >= bits, so low by less than 2^(1-bits) and
 never high, and a bound on the rounding error, which adds that 2^(1-bits)
 to the caller's bound derived where the residual is computed.
+
+mpmath is imported inside the functions that make or read an mpmath number
+(_to_fixed, _dyadic, Measured.from_square, Measured.below), not with the
+module: roots.py and bethe.py import this module, and a process that checks
+no root, or only parses its arguments, then never loads mpmath.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 
 def _fixed(x: Fraction | float, bits: int) -> int:
@@ -41,6 +47,8 @@ def _fixed(x: Fraction | float, bits: int) -> int:
 
 def _to_fixed(x, bits: int) -> tuple[int, int]:
     """An mpmath number scaled by 2^bits, each part truncated toward zero."""
+    import mpmath
+
     return int(mpmath.ldexp(x.real, bits)), int(mpmath.ldexp(x.imag, bits))
 
 
@@ -132,12 +140,13 @@ def _product(factors, bits: int) -> tuple[int, int, int, int]:
 
 def _dyadic(n: int, e: int) -> mpmath.mpf:
     """n * 2^e as an exact mpf."""
+    import mpmath
+
     with mpmath.workprec(max(53, n.bit_length())):
         return mpmath.ldexp(n, e)
 
 
-@dataclass(frozen=True)
-class Measured:
+class Measured(NamedTuple):
     """A residual computed in fixed point and a bound on its rounding error.
 
     The exact residual lies within value +- bound.  A check passes on
@@ -157,6 +166,8 @@ class Measured:
         exact residual; the bound adds the 2^(1-bits) by which the reported
         value may be low.  error None makes the bound infinite.
         """
+        import mpmath
+
         s = max(bits, (130 + den.bit_length() - num.bit_length()) // 2)
         value = _dyadic(math.isqrt((num << 2 * s) // den), -s)
         if error is None:
@@ -165,4 +176,6 @@ class Measured:
 
     def below(self, tolerance) -> bool:
         """Whether value + bound, summed exactly, is below tolerance."""
+        import mpmath
+
         return mpmath.fadd(self.value, self.bound, exact=True) < tolerance

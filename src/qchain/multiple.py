@@ -3,7 +3,9 @@
 The terms.  With x = -1/z, Q(z) = z^p E(x), E = sum_k e_k x^k, so
 P = (z-1)^M Q = z^deg (1+x)^M E(x) = sum_m (-1)^m S_m z^(deg-m),
 deg = p + M, S_m entry m of _times_one_plus_x(nums, M): one exact integer
-pass, O(pM), on the Q under test, never on route one, route two or tq.
+pass, O(pM), on the Q under test's own integers, never on route one's
+product weights; where route two or tq already formed the product of the
+same integers, its memo returns that one.
 Route two's support condition makes S_m vanish off m = Lk and Lk + h,
 h = (L-1)/2, so a chain's P has 2(N+1) terms, at the exponents Lj and
 Lj + h: gaps h and h + 1.  find_roots runs a point on P (_multiple) only

@@ -33,27 +33,36 @@ admissible conditions, and not an independent derivation of Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
 from fractions import Fraction
 from math import comb, lcm, prod
+from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber
 from .rationals import divide_monic, format_rational, integer_scaled, lowest_terms
 from .report import CheckResult, exact, listed
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    """Chain size data: L fixes the spin, N fixes the length M = 2N+1."""
-
+class _ChainFields(NamedTuple):
     L: int
     N: int
 
-    def __post_init__(self):
-        if self.L < 3 or self.L % 2 == 0:
-            raise ValueError(f"L must be odd and >= 3, got {self.L}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+
+class ChainParams(_ChainFields):
+    """Chain size data: L fixes the spin, N fixes the length M = 2N+1."""
+
+    __slots__ = ()
+
+    def __new__(cls, L: int, N: int):
+        if L < 3 or L % 2 == 0:
+            raise ValueError(f"L must be odd and >= 3, got {L}")
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        return super().__new__(cls, L, N)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates as the constructor does
+        return cls(*iterable)
 
     @property
     def M(self) -> int:
@@ -72,8 +81,13 @@ class ChainParams:
         return 2 * self.L
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class _QFields(NamedTuple):
+    params: ChainParams
+    nums: tuple[int, ...]
+    den: int
+
+
+class QPolynomial(_QFields):
     """Q through its signed coefficients e_k = nums[k] / den; see module docstring.
 
     nums and den are brought to lowest terms with den > 0, so equality and
@@ -82,18 +96,16 @@ class QPolynomial:
     here: negative controls need to be able to construct broken instances.
     """
 
-    params: ChainParams
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.nums) != self.params.p + 1:
-            raise ValueError(
-                f"need {self.params.p + 1} coefficients, got {len(self.nums)}"
-            )
-        nums, den = lowest_terms(self.nums, self.den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+    def __new__(cls, params: ChainParams, nums: tuple[int, ...], den: int = 1):
+        if len(nums) != params.p + 1:
+            raise ValueError(f"need {params.p + 1} coefficients, got {len(nums)}")
+        return super().__new__(cls, params, *lowest_terms(nums, den))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace normalises as the constructor does
+        return cls(*iterable)
 
     @property
     def e(self) -> tuple[Fraction, ...]:
@@ -111,7 +123,7 @@ class QPolynomial:
             raise ValueError(f"index {k} out of range 0..{self.params.p}")
         bumped = [c * delta.denominator for c in self.nums]
         bumped[k] += delta.numerator * self.den
-        return replace(self, nums=tuple(bumped), den=self.den * delta.denominator)
+        return QPolynomial(self.params, tuple(bumped), self.den * delta.denominator)
 
 
 def q_closed_form(params: ChainParams) -> QPolynomial:
@@ -186,7 +198,8 @@ def admissible_indices(params: ChainParams) -> list[int]:
     return ells
 
 
-def _times_one_plus_x(nums: tuple[int, ...] | list[int], M: int) -> list[int]:
+@functools.lru_cache(maxsize=1)
+def _times_one_plus_x(nums: tuple[int, ...], M: int) -> tuple[int, ...]:
     """Coefficients of (1+x)^M sum_k nums[k] x^k, ascending, len(nums) + M of them.
 
     M in-place passes a_i += a_(i-1), each a multiplication by (1+x), run
@@ -194,12 +207,17 @@ def _times_one_plus_x(nums: tuple[int, ...] | list[int], M: int) -> list[int]:
     from the bottom up, is its mirror image.  Entry m is the binomial
     convolution sum_k C(M, m-k) nums[k] that route two's admissible
     conditions and the tq identity both read.
+
+    The last product is kept, keyed on the exact integers: under --method
+    both route two forms it on Q's reduced numerators, and tq and the root
+    search's multiple read it for a Q whose integers are identical, while a
+    bumped Q gets its own.
     """
     out = [*nums] + [0] * M
     for top in range(len(nums), len(out)):
         for i in range(top, 0, -1):
             out[i] += out[i - 1]
-    return out
+    return tuple(out)
 
 
 def q_linear_system(params: ChainParams) -> QPolynomial:
@@ -218,9 +236,11 @@ def q_linear_system(params: ChainParams) -> QPolynomial:
     never route one's product weights.  M synthetic divisions of d P by
     (1+x), each remainder checked, leave the numerators d e_0..d e_p over
     d.  The acceptance test is Q's defining system itself: _times_one_plus_x
-    multiplies the quotient back by (1+x)^M, and the product must vanish at
-    every admissible index.  verify_tq_identity reads the same product, so
-    on the Q under test the tq identity and these conditions are one fact.
+    multiplies the reduced quotient, Q's own numerators, back by (1+x)^M,
+    and the product must vanish at every admissible index (the conditions
+    are blind to the scale).  verify_tq_identity reads the same product,
+    so on the Q under test the tq identity and these conditions are one
+    fact, and where that Q is this one the product is formed once.
     """
     L, N, M = params.L, params.N, params.M
     half = (L - 1) // 2
@@ -238,11 +258,12 @@ def q_linear_system(params: ChainParams) -> QPolynomial:
         if nums.pop():
             raise AssertionError("division by (1+x) leaves a remainder")
 
-    product = _times_one_plus_x(nums, M)
+    q = QPolynomial(params, tuple(nums), d)
+    product = _times_one_plus_x(q.nums, M)
     for ell in admissible_indices(params):
         if product[ell]:
             raise AssertionError(f"condition at index {ell} fails")
-    return QPolynomial(params, tuple(nums), d)
+    return q
 
 
 def build_q(params: ChainParams, method: str = "closed-form") -> QPolynomial:

@@ -21,16 +21,21 @@ Four builders make every CheckResult, one per kind of evidence:
 - measured: residuals with rounding bounds, each residual + bound below a
   tolerance; residual "R (rounding bound B)", the largest of each, detail
   how they were made.  roots, root-product, root-inversion, bae.
+
+Only gap and measured print a number, so they import mpmath themselves;
+the module does not, and neither do the listed and exact builders, so an
+exact-only verify run never loads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
-from .cyclotomic import CyclotomicNumber
-from .fixedpoint import Measured
+    from .cyclotomic import CyclotomicNumber
+    from .fixedpoint import Measured
 
 
 # The root validator's floor on --precision-bits, and the slack of its loose
@@ -57,8 +62,7 @@ class ConvergenceError(RuntimeError):
         return type(self), (self.sweeps, self.worst)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     params: dict
     passed: bool
@@ -95,6 +99,8 @@ def exact(name: str, params: dict, difference: CyclotomicNumber, detail: str = "
 
 def gap(name: str, params: dict, found: mpmath.mpf, tolerance: mpmath.mpf) -> CheckResult:
     """Passes when the numeric gap found is below tolerance."""
+    import mpmath
+
     detail = f"tolerance {mpmath.nstr(tolerance, 4)}"
     return CheckResult(name, params, found < tolerance, mpmath.nstr(found, 8), detail)
 
@@ -104,6 +110,8 @@ def measured(
 ) -> CheckResult:
     """A check on residuals with rounding bounds: it passes when every
     residual + bound is below tolerance, and reports the largest of each."""
+    import mpmath
+
     worst = max(m.value for m in found)
     bound = max(m.bound for m in found)
     return CheckResult(

@@ -64,13 +64,9 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath
-
-from .cyclotomic import CyclotomicNumber
 from .bethe import bae_residuals_by_form  # noqa: F401 (a measurement, read here with the others)
 from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _product, _rescale
 from .fixedpoint import _to_fixed
@@ -79,17 +75,16 @@ from .report import MIN_ROOT_BITS, ConvergenceError
 from .symmetry import _Inverses, _conjugate_closed, _inverses, _mirror_pairs
 
 if TYPE_CHECKING:
+    import mpmath
+
+    from .cyclotomic import CyclotomicNumber
     from .multiple import _Multiple
 
 MAX_SWEEPS = 200
 HANDOVER_BITS = 24
 
 
-@dataclass
-class RootSet:
-    """The roots z of Q and their Moebius images w, each an (re, im) int pair at
-    2^-bits, bits the one scale F that find_roots sets and every measurement reads."""
-
+class _RootFields(NamedTuple):
     params: ChainParams
     precision_bits: int
     bits: int
@@ -100,6 +95,13 @@ class RootSet:
     float_sweeps: int = 0
     search_bits: int = 0
     ladder: tuple = ()
+
+
+class RootSet(_RootFields):
+    """The roots z of Q and their Moebius images w, each an (re, im) int pair at
+    2^-bits, bits the one scale F that find_roots sets and every measurement reads.
+
+    Instances keep a __dict__ (no __slots__) for the cached partner map."""
 
     @functools.cached_property
     def inverses(self) -> _Inverses:
@@ -129,6 +131,8 @@ def z_to_w(z: tuple[int, int], a: tuple[int, int], bits: int) -> tuple[int, int]
 @functools.lru_cache(maxsize=None)
 def _pole(L: int, bits: int) -> tuple[int, int]:
     """The Moebius pole a = exp(-2 pi i / L) at 2^-(bits + 64), as z_to_w reads it."""
+    import mpmath
+
     with mpmath.workprec(bits + 64):
         return _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / L), bits + 64)
 
@@ -305,6 +309,8 @@ def _fixed_search(fraction, real, imag, floats, S: int, margin: int) -> tuple[in
         else:
             stalled = 0
         previous = worst
+    import mpmath
+
     with mpmath.workprec(53):
         worst_step = mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
         raise ConvergenceError(MAX_SWEEPS, mpmath.nstr(worst_step, 5))

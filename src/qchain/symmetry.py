@@ -27,8 +27,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .fixedpoint import _divide, _float
 from .report import LOOSE_BITS
@@ -137,8 +136,7 @@ def _reject_coincident(z, bits: int) -> None:
         raise ValueError("roots {} and {} coincide".format(*min(close)))
 
 
-@dataclass(frozen=True)
-class _Inverses:
+class _Inverses(NamedTuple):
     """partner[j] = pi(j), the stored root nearest 1/z_j (the first of equals),
     and gaps[j] = |1/z_j - z_pi(j)|^2 in units 2^-2F, 1/z_j as _divide makes
     it at 2^-F; error, inversion_closure_gap's rounding bound in units, None

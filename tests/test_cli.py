@@ -15,7 +15,13 @@ import pytest
 from qchain import cli
 from qchain.cli import main
 from qchain.linalg import SingularMatrixError
-from qchain.qoperator import ChainParams, QPolynomial, q_closed_form, q_linear_system
+from qchain.qoperator import (
+    ChainParams,
+    QPolynomial,
+    _times_one_plus_x,
+    q_closed_form,
+    q_linear_system,
+)
 from qchain.energy import extract_A, groundstate_summary
 from qchain.report import FalsificationError
 from qchain.wtransform import w_sum
@@ -421,6 +427,19 @@ def test_each_point_built_and_summed_once(argv, monkeypatch, capsys):
         (fn.__name__, L, N): 1 for fn in functions for L in (3, 5) for N in (1, 2)
     }
     assert dict(counts) == expected
+
+
+@pytest.mark.parametrize("tamper, products", [([], 1), (["--tamper", "1:1/3"], 2)])
+def test_one_plus_x_product_formed_once_per_untampered_point(tamper, products, capsys):
+    # route two's acceptance test forms (1+x)^M E(x) on Q's reduced numerators;
+    # tq and the root search's multiple read it back when Q's integers are the
+    # same, and a bumped Q gets a product of its own
+    _times_one_plus_x.cache_clear()
+    argv = ["verify", "--L", "3,5,7", "--N-max", "2", "--checks", "tq,roots", *tamper]
+    code, _, err = run(argv, capsys)
+    assert code == (1 if tamper else 0), err
+    info = _times_one_plus_x.cache_info()
+    assert (info.misses, info.hits) == (6 * products, 6 * (3 - products))
 
 
 def test_per_L_checks_need_N2_even_at_N_max_1(capsys):

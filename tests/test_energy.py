@@ -2,7 +2,6 @@
 
 import pickle
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -43,7 +42,7 @@ def test_failed_fit_is_the_one_failed_entry(check):
     # verify stores the fit's error in place of the fit and raises it again
     # inside the per-L check, which then yields one failed entry for that L
     first, second = summaries_for(5)
-    bumped = [first, replace(second, E1=second.E1 + F(1, 3))]
+    bumped = [first, second._replace(E1=second.E1 + F(1, 3))]
     with pytest.raises(FalsificationError) as caught:
         extract_A(bumped)
     fit = caught.value
@@ -127,18 +126,18 @@ def test_failure_witnesses_are_the_exact_differences():
     # L = 5: Q(zeta_10) has four coordinates; the third summary is N = 3, M = 7
     first, second, third = summaries_for(5, 3)
     bump = F(1, 7)
-    e1_bumped = replace(third, E1=third.E1 + bump)
+    e1_bumped = third._replace(E1=third.E1 + bump)
     entries = _with_fit(verify_linearity, [first, second, e1_bumped], 3)
     assert [entry.residual for entry in entries] == ["0", "0", "['1/7', '0/1', '0/1', '0/1']"]
     # the energies follow E1 (energy = 2 p cos(2 pi / L) - 2 E1): the total is the witness
     energy = third.energy - 2 * bump
-    follows = replace(e1_bumped, energy=energy, energy_per_site=energy / third.params.M)
+    follows = e1_bumped._replace(energy=energy, energy_per_site=energy / third.params.M)
     entries = _with_fit(verify_no_finite_size_correction, [first, second, follows], 3)
     assert [entry.passed for entry in entries] == [True, True, False]
     assert entries[2].residual == "['-2/7', '0/1', '0/1', '0/1']"
     assert entries[2].detail == "per-site energy drifts with N"
     # only the stored per-site energy is wrong: its difference is the witness
-    site_bumped = replace(third, energy_per_site=third.energy_per_site + bump)
+    site_bumped = third._replace(energy_per_site=third.energy_per_site + bump)
     entries = _with_fit(verify_no_finite_size_correction, [first, second, site_bumped], 3)
     assert [entry.passed for entry in entries] == [True, True, False]
     assert entries[2].residual == "['1/7', '0/1', '0/1', '0/1']"
