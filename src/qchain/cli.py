@@ -290,7 +290,7 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
     loose_tol = mpmath.mpf(2) ** -(precision - LOOSE_BITS)
     ladder = "/".join(map(str, rs.ladder))
-    sweeps = f"{rs.float_sweeps} float and {rs.sweeps} fixed-point sweeps"
+    sweeps = f"{rs.float_sweeps} float sweeps on {rs.search} and {rs.sweeps} fixed-point sweeps"
     bits = f"search {rs.search_bits} bits, polish {ladder} bits, stored at {rs.bits} bits"
     detail = f"{sweeps}, {bits}"
 

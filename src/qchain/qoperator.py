@@ -143,23 +143,25 @@ def q_closed_form(params: ChainParams) -> QPolynomial:
     else:
         first_top = second_top = (N - 1) // 2
 
+    common = prod(half + L * j for j in range(N + 1))  # every weight's numerator
+
+    def weight(k: int, shift: int) -> Fraction:
+        den = 1
+        for j in range(N + 1):
+            factor = shift - L * k + L * j
+            assert factor != 0
+            den *= factor
+        return Fraction((-1) ** k * comb(N, k) * common, den)
+
     terms: list[tuple[int, Fraction]] = []
     for k in range(first_top + 1):
-        weight = Fraction((-1) ** k * comb(N, k))
-        for j in range(N + 1):
-            den = half - L * k + L * j
-            assert den != 0
-            weight *= Fraction(half + L * j, den)
-        terms.append((L * N + half - L * k, weight))
-        terms.append((L * k, -weight))
+        w = weight(k, half)
+        terms.append((L * N + half - L * k, w))
+        terms.append((L * k, -w))
     for k in range(second_top + 1):
-        weight = Fraction((-1) ** k * comb(N, k))
-        for j in range(N + 1):
-            den = -half - L * k + L * j
-            assert den != 0
-            weight *= Fraction(half + L * j, den)
-        terms.append((L * N - L * k, weight))
-        terms.append((L * k + half, -weight))
+        w = weight(k, -half)
+        terms.append((L * N - L * k, w))
+        terms.append((L * k + half, -w))
 
     top = L * N + half
     numerator_coeffs = [Fraction(0)] * (top + 1)

@@ -8,10 +8,11 @@ the roots (find_roots).  A simultaneous Aberth iteration (all roots at
 once, updates applied in place) runs in doubles as far as its evaluation
 noise allows; where its own rounding bounds certify the points it reached,
 a ladder of Newton steps at doubling precisions polishes them, else an
-Aberth search in fixed point runs first.  The ladder ends at one unit of
-the scale F = precision_bits + 128, so the reported residuals measure the
-polynomial and the Bethe equations honestly rather than the evaluation
-noise.
+Aberth search in fixed point runs first.  Where Q is palindromic, as
+every chain's is, the double phase searches on u = z + 1/z, at half the
+degree.  The ladder ends at one unit of the scale F = precision_bits +
+128, so the reported residuals measure the polynomial and the Bethe
+equations honestly rather than the evaluation noise.
 
 After the double phase, the search, the polish and the measurements run on
 plain Python integers, in the fixed point of fixedpoint.py, which is
@@ -82,6 +83,7 @@ if TYPE_CHECKING:
 
 MAX_SWEEPS = 200
 HANDOVER_BITS = 24
+U_SEED = 1 + 2**-4  # the least modulus of a point whose image seeds the search on u
 
 
 class _RootFields(NamedTuple):
@@ -93,6 +95,7 @@ class _RootFields(NamedTuple):
     max_poly_residual: Measured
     sweeps: int = 0
     float_sweeps: int = 0
+    search: str = "z"
     search_bits: int = 0
     ladder: tuple = ()
 
@@ -100,6 +103,8 @@ class _RootFields(NamedTuple):
 class RootSet(_RootFields):
     """The roots z of Q and their Moebius images w, each an (re, im) int pair at
     2^-bits, bits the one scale F that find_roots sets and every measurement reads.
+    search names the plane, "u = z + 1/z" or "z", of the search in doubles whose
+    points were handed over; float_sweeps counts every sweep in doubles.
 
     Instances keep a __dict__ (no __slots__) for the cached partner map."""
 
@@ -199,8 +204,40 @@ def _float_corrector(monic: list[Fraction], multiple: _Multiple | None):
     return correction
 
 
+def _palindromic(coeffs: list[Fraction]) -> bool:
+    """Whether Q(z) = z^p Q(1/z), tested exactly on Q's coefficients."""
+    return coeffs == coeffs[::-1]
+
+
+def _z_of(u: complex) -> complex:
+    """The root z of z^2 - u z + 1 = 0 with |z| >= 1; the other is 1/z."""
+    s = cmath.sqrt(u - 2) * cmath.sqrt(u + 2)
+    return (u + s) / 2 if abs(u + s) >= abs(u - s) else (u - s) / 2
+
+
+def _on_u(correction, p: int):
+    """u -> (N_u, bound) for a palindromic Q of degree p from its correction
+    on z (_float_corrector), read at z = _z_of(u); see find_roots.  The
+    bound is N's scaled by |N_u / N|, so a point stops where N would."""
+    m = p // 2
+
+    def on_u(u: complex):
+        z = _z_of(u)
+        n, bound = correction(z)
+        if not n:
+            return n, bound
+        n1 = n * (z + 1) / (z + 1 - n) if p % 2 else n
+        n_u = n1 * (1 - z**-2) / (1 - m * n1 / z)
+        return n_u, bound * abs(n_u / n)
+
+    return on_u
+
+
 def _float_search(
-    monic: list[Fraction], points: list[complex], multiple: _Multiple | None = None
+    monic: list[Fraction],
+    points: list[complex],
+    multiple: _Multiple | None = None,
+    on_u: bool = False,
 ) -> tuple[int, list | None]:
     """Aberth in doubles from points: (sweeps, the points reached), or
     (sweeps, None) where doubles cannot go on and the seeds are kept.
@@ -213,24 +250,34 @@ def _float_search(
     range, a value is not finite, or a division by zero (two points
     coincide, Q' = 0) or an overflow occurs; after MAX_SWEEPS sweeps it
     hands over what it has.
+
+    With on_u, for a palindromic Q, the same loop runs on the m = p // 2
+    points u = z + 1/z, reading N_u (_on_u) and stopping a point at a step
+    below 2^-45 max(1, |u|) (find_roots).  Its seeds are the images of every
+    other point, each pushed out to modulus U_SEED or more; it hands over z
+    and 1/z for each u reached, and -1 at odd p, and gives up, too, after
+    MAX_SWEEPS sweeps with a point still moving.
     """
+    p = len(monic) - 1
     try:
         correction = _float_corrector(monic, multiple)
-    except OverflowError:
+        if on_u:
+            correction = _on_u(correction, p)
+            seeds = [x * max(1.0, U_SEED / abs(x)) for x in points[::2][: p // 2]]
+            points = [x + 1 / x for x in seeds]
+    except (ZeroDivisionError, OverflowError):
         return 0, None
     if not all(map(cmath.isfinite, points)):
         return 0, None
-    p = len(points)
     z = list(points)
-    moving = [True] * p
+    moving = [True] * len(z)
     sweeps = 0
     try:
         while any(moving) and sweeps < MAX_SWEEPS:
             sweeps += 1
-            for i in range(p):
+            for i, x in enumerate(z):
                 if not moving[i]:
                     continue
-                x = z[i]
                 n, bound = correction(x)
                 if abs(n) <= bound:
                     moving[i] = False
@@ -241,6 +288,11 @@ def _float_search(
                     return sweeps, None
                 z[i] = x
                 moving[i] = abs(step) >= 2.0**-45 * max(1.0, abs(x))
+        if on_u:
+            if any(moving):
+                return sweeps, None
+            z = [_z_of(u) for u in z]
+            z += [1 / x for x in z] + [-1 + 0j] * (p % 2)
     except (ZeroDivisionError, OverflowError):
         return sweeps, None
     return sweeps, z
@@ -323,10 +375,11 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     Cauchy coefficient bound (the roots of these palindromic polynomials
     live in an annulus around the unit circle) with a seed-controlled phase
     offset; the radius comes from the logarithms of the bound's integers,
-    so no bound overflows.  Aberth runs in doubles (_float_search), then,
-    unless the hand-over below passes, in fixed point (_fixed_search), each
-    with a cap of MAX_SWEEPS sweeps; then a Newton ladder polishes each root,
-    or one root of each conjugate pair.
+    so no bound overflows.  Aberth runs in doubles (_float_search), on
+    u = z + 1/z where Q is palindromic, else on z, then, unless the
+    hand-over below passes, in fixed point (_fixed_search), each with a cap
+    of MAX_SWEEPS sweeps; then a Newton ladder polishes each root, or one
+    root of each conjugate pair.
 
     Q's multiple.  Where P = (z-1)^M Q has fewer nonzero terms than Q (from
     L = 5 on, 2(N+1) against p + 1), every phase takes its Newton
@@ -344,6 +397,28 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     in multiple.py).  The points reached go to fixed point exactly
     (_fixed), or the seeds do, when doubles cannot run (a coefficient or
     seed out of float range, a value not finite, a division by zero).
+
+    Search on u = z + 1/z.  Where Q(z) = z^p Q(1/z), tested exactly on its
+    coefficients (_palindromic; a chain's Q is, and a bump of one
+    coefficient other than the middle one breaks it), its roots pair as z,
+    1/z, and at odd p the terms of Q(-1) cancel in pairs, so -1 is a root.
+    Then Q = (z+1)^(p-2m) Q1, m = p // 2, and Q1(z) = z^m R(u) with R of
+    degree m, so Q1'/Q1 = m/z + (R'/R)(1 - z^-2).
+    From N = Q/Q' on z, taken as above: N1 = Q1/Q1' = N (z+1)/(z+1-N) at odd
+    p, by Q'/Q = 1/(z+1) + Q1'/Q1, and N1 = N at even p; and the correction
+    on u is N_u = R/R' = N1 (1 - z^-2)/(1 - m N1/z) (_on_u).  Aberth's loop
+    runs as on z, on the m points u, at a quarter of the pair sums and half
+    the corrections of a sweep on z; each u is read as the root z of
+    z^2 - u z + 1 = 0 with |z| >= 1 (_z_of), and a point stops where |N| is
+    within eps or its step is below 2^-45 max(1, |u|).  The seeds are the
+    images z + 1/z of every other seed, pushed out to |z| >= 1 + 2^-4: a
+    seed at |z| = 1 maps onto the real segment [-2, 2], where a real R's
+    corrections are real.  The search hands over z and 1/z for each u
+    reached, and exactly -1 at odd p, to the hand-over below, which reads
+    them on z like the points of the search on z.  Where it gives up (a
+    value not finite, a division by zero, MAX_SWEEPS sweeps with a point
+    still moving), Aberth runs on z from the seeds, as it does for a Q
+    that is not palindromic; float_sweeps counts the sweeps of both.
 
     Hand-over.  One more correction at each point reached puts a root of Q
     within about |N| + eps of it.  If each such reach is below a quarter of
@@ -457,7 +532,13 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     imag = [_fixed(z.imag, S + shift) for z in seeds]
 
     floats = [_float(zr, zi, 1 << S) for zr, zi in zip(real, imag)]
-    float_sweeps, reached = _float_search(monic, floats, multiple)
+    float_sweeps, reached = 0, None
+    if _palindromic(coeffs):
+        float_sweeps, reached = _float_search(monic, floats, multiple, True)
+    search = "z" if reached is None else "u = z + 1/z"
+    if reached is None:
+        more, reached = _float_search(monic, floats, multiple)
+        float_sweeps += more
     good = 0
     if reached is not None:
         floats = reached
@@ -545,6 +626,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         max_poly_residual=residual,
         sweeps=sweeps,
         float_sweeps=float_sweeps,
+        search=search,
         search_bits=search_bits,
         ladder=tuple(ladder),
     )

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qchain.bethe
 import qchain.cli
@@ -371,11 +373,7 @@ def test_mirrored_roots_match_the_polish_every_root_ladder(L, N):
     rs = find_roots(q, precision_bits=256)
     old = polish_every_root_oracle(q, precision_bits=256)
     assert (rs.ladder, rs.sweeps, rs.float_sweeps) == (old.ladder, old.sweeps, old.float_sweeps)
-    remaining = list(old.z)
-    for zr, zi in rs.z:
-        nearest = min(remaining, key=lambda y: (y[0] - zr) ** 2 + (y[1] - zi) ** 2)
-        assert max(abs(nearest[0] - zr), abs(nearest[1] - zi)) <= 2, (L, N)
-        remaining.remove(nearest)
+    _assert_same_stored_roots(rs, old, 2)
     assert qchain.symmetry._conjugate_closed(rs.z)
     assert sum(1 for _, zi in rs.z if zi == 0) == sum(1 for _, zi in old.z if zi == 0)
 
@@ -476,11 +474,12 @@ def test_sweep_cap_raises_convergence_error(monkeypatch, capsys):
     assert failures and all("ConvergenceError" in line for line in failures)
 
 
-# Sweep counts of the search, (float, fixed point at search_bits); the
-# measurements must not change the roots they measure.  At L = 3, P = (z-1)^M Q
-# has more terms than Q, so the double phase runs on Q's dense coefficients;
-# there as on P from L = 5 on, it hands its roots straight to the ladder.
-SWEEPS = {(3, 2): (5, 0), (5, 3): (7, 0), (7, 2): (9, 0), (9, 2): (8, 0), (11, 4): (13, 0)}
+# Sweep counts of the search, (float on u = z + 1/z, fixed point at
+# search_bits); the measurements must not change the roots they measure.  At
+# L = 3, P = (z-1)^M Q has more terms than Q, so the double phase runs on Q's
+# dense coefficients; there as on P from L = 5 on, it hands its roots straight
+# to the ladder.
+SWEEPS = {(3, 2): (2, 0), (5, 3): (7, 0), (7, 2): (7, 0), (9, 2): (6, 0), (11, 4): (8, 0)}
 
 
 @pytest.mark.parametrize("L,N", sorted(SWEEPS))
@@ -692,6 +691,16 @@ def _assert_same_roots(a, b):
             nearest = min(remaining, key=lambda y: abs(z - y))
             assert abs(z - nearest) < mpmath.mpf(2) ** -200
             remaining.remove(nearest)
+
+
+def _assert_same_stored_roots(a, b, units):
+    """Each stored root of a, matched to the nearest one left in b, is within
+    units of 2^-bits in each part."""
+    remaining = list(b.z)
+    for zr, zi in a.z:
+        nearest = min(remaining, key=lambda y: (y[0] - zr) ** 2 + (y[1] - zi) ** 2)
+        assert max(abs(nearest[0] - zr), abs(nearest[1] - zi)) <= units
+        remaining.remove(nearest)
 
 
 @pytest.mark.parametrize(
@@ -915,3 +924,90 @@ def test_ladder_takes_q_for_the_roots_whose_first_step_p_refuses(monkeypatch):
     visited = _visited(rs)
     assert dense == [bits + up for bits in rs.ladder for _ in range(visited)] + [256 + 128] * visited
     _assert_same_roots(rs, refused)
+
+
+def _force_the_search_on_z(monkeypatch):
+    """Patch the palindrome test to fail, so that the double phase searches on
+    z as it does for a Q that is not palindromic."""
+    monkeypatch.setattr(qchain.roots, "_palindromic", lambda coeffs: False)
+
+
+@pytest.mark.parametrize("L,N", CONJUGATE_POINTS)
+def test_search_on_u_matches_the_search_on_z(L, N, monkeypatch):
+    # a chain's Q is palindromic, so the double phase searches on u = z + 1/z;
+    # the search on z, forced by the palindrome test, is its oracle: the
+    # stored roots agree to a few units of 2^-F and every check agrees
+    q = build_q(ChainParams(L, N))
+    summary = groundstate_summary(q)
+    rs = find_roots(q, precision_bits=256)
+    on_u = qchain.cli._root_entries(q, 256, summary)
+    _force_the_search_on_z(monkeypatch)
+    oracle = find_roots(q, precision_bits=256)
+    on_z = qchain.cli._root_entries(q, 256, summary)
+    assert (rs.search, oracle.search) == ("u = z + 1/z", "z")
+    assert rs.sweeps == oracle.sweeps == 0
+    _assert_same_stored_roots(rs, oracle, 4)
+    assert [(c.name, c.passed) for c in on_u] == [(c.name, c.passed) for c in on_z]
+    assert all(c.passed for c in on_u)
+    assert "sweeps on u = z + 1/z and" in on_u[0].detail and "sweeps on z and" in on_z[0].detail
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.lists(st.integers(-20, 20), min_size=9, max_size=9), st.floats(0, 6))
+def test_search_on_u_finds_every_root_of_a_palindromic_polynomial(p, half, phase):
+    # Q = sum c_k z^k with c_k = c_(p-k) integers; the search on u hands over
+    # p points, each within twice its hand-over reach |N| + eps of a distinct
+    # root that numpy finds, for roots numpy can tell apart
+    numpy = pytest.importorskip("numpy")
+    half = half[: p // 2 + 1]
+    assume(half[0] != 0)
+    coeffs = half + half[: p + 1 - len(half)][::-1]
+    assert len(coeffs) == p + 1 and qchain.roots._palindromic(coeffs)
+    oracle = numpy.roots(coeffs[::-1])
+    assume(all(abs(a - b) > 0.05 for i, a in enumerate(oracle) for b in oracle[i + 1 :]))
+    monic = [F(c, coeffs[-1]) for c in coeffs]
+    seeds = [cmath.rect(1.5, 2 * math.pi * k / p + phase) for k in range(p)]
+    _, points = qchain.roots._float_search(monic, seeds, None, True)
+    assert points is not None and len(points) == p
+    correction = qchain.roots._float_corrector(monic, None)
+    matched = set()
+    for x in points:
+        n, bound = correction(x)
+        distances = [abs(x - r) for r in oracle]
+        nearest = min(range(p), key=distances.__getitem__)
+        assert distances[nearest] <= 2 * (abs(n) + bound) + 1e-9 * max(1, abs(x))
+        matched.add(nearest)
+    assert len(matched) == p
+
+
+def test_a_bumped_q_is_not_palindromic_and_searches_on_z():
+    q = build_q(ChainParams(7, 2))
+    assert qchain.roots._palindromic(q.coefficients())
+    bumped = q.with_coefficient_bump(1, F(1, 3))
+    assert not qchain.roots._palindromic(bumped.coefficients())
+    rs = find_roots(bumped, precision_bits=256)
+    assert rs.search == "z" and rs.float_sweeps > 0
+    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
+
+
+def test_search_on_u_at_p_1_returns_minus_one_in_no_sweep():
+    q = build_q(ChainParams(3, 1))
+    assert qchain.roots._float_search(_monic(q), [2 + 0j], None, True) == (0, [-1 + 0j])
+    rs = find_roots(q, precision_bits=256)
+    assert (rs.search, rs.float_sweeps, rs.sweeps) == ("u = z + 1/z", 0, 0)
+    assert rs.z == ((-1 << rs.bits, 0),)
+
+
+def test_a_search_on_u_that_gives_up_falls_back_to_the_search_on_z(monkeypatch):
+    # a correction on u that is not finite ends the search on u in its first
+    # sweep; the search on z then runs from the same seeds, as it would for a
+    # Q that is not palindromic, and finds the same roots
+    q = build_q(ChainParams(9, 2))
+    not_finite = lambda u: (complex(math.nan), 0.0)  # noqa: E731
+    monkeypatch.setattr(qchain.roots, "_on_u", lambda correction, p: not_finite)
+    rs = find_roots(q, precision_bits=256)
+    _force_the_search_on_z(monkeypatch)
+    oracle = find_roots(q, precision_bits=256)
+    assert rs.search == "z"
+    assert rs.float_sweeps == 1 + oracle.float_sweeps
+    assert rs.z == oracle.z
