@@ -18,7 +18,7 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .fixedpoint import Measured, _mul, _product, _scaled_mul, _to_fixed
+from .fixedpoint import Measured, _mul, _product, _scaled_mul, expjpi
 from .symmetry import _orbits, _partner_gap, _reject_coincident
 
 if TYPE_CHECKING:
@@ -78,22 +78,21 @@ def _constants(L: int, bits: int) -> tuple[tuple[int, int], ...]:
     """A = exp(2 s eta), B = exp(2 eta) and sinh of eta, (2s+1) eta, (2s-1) eta,
     eta = -(L-1) pi i / L, 2s = L - 2, in fixed point at 2^-bits.
 
-    mpmath evaluates them at bits + 64, which for L < 2^40 errs by far less
-    than a unit 2^-bits; truncation adds less than 1.5, so each is within 2
-    units.  |A| = |B| = 1 and each sinh of an imaginary argument is at most 1.
+    Each is read off the integer kernel fixedpoint.expjpi at its own angle:
+    exp(k eta) = exp(i pi (-k (L-1))/L), and, k eta being imaginary,
+    sinh(k eta) = (exp(k eta) - exp(-k eta))/2 = i Im exp(k eta).  Each
+    part is within 2 units, and the truncated one of the exact value but
+    where that lies within 2^-64 units of a multiple of 2^-bits.
+    |A| = |B| = 1 and each sinh of an imaginary argument is at most 1.
     """
-    import mpmath
 
-    with mpmath.workprec(bits + 64):
-        eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
-        values = (
-            mpmath.exp((L - 2) * eta),
-            mpmath.exp(2 * eta),
-            mpmath.sinh(eta),
-            mpmath.sinh((L - 1) * eta),
-            mpmath.sinh((L - 3) * eta),
-        )
-        return tuple(_to_fixed(v, bits) for v in values)
+    def exp(k: int) -> tuple[int, int]:  # exp(k eta)
+        return expjpi(-k * (L - 1), L, bits)
+
+    def sinh(k: int) -> tuple[int, int]:  # sinh(k eta) = i Im exp(k eta)
+        return 0, exp(k)[1]
+
+    return exp(L - 2), exp(2), sinh(1), sinh(L - 1), sinh(L - 3)
 
 
 def _scale_bound(points: list[tuple[int, int]], bits: int) -> int:

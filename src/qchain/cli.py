@@ -54,6 +54,7 @@ from .report import (
     CheckResult,
     ConvergenceError,
     FalsificationError,
+    Shown,
     gap,
     listed,
     measured,
@@ -274,9 +275,10 @@ def _cross_method(q: QPolynomial, where: dict) -> CheckResult:
 
 
 def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[CheckResult]:
-    """The roots check, then each measurement on the roots found, run on its own."""
-    import mpmath
+    """The roots check, then each measurement on the roots found, run on its own.
 
+    The tolerances are exact Fractions, 2^-(precision - 24) (1 + max |e_k|)
+    for |Q(z_j)| and 2^-(precision - LOOSE_BITS) for the rest."""
     from . import roots  # compiled only where a root check runs
 
     where = {"L": q.params.L, "N": q.params.N}
@@ -284,11 +286,8 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
         rs = roots.find_roots(q, precision)
     except FINDING_ERRORS as exc:
         return [_finding("roots", where, exc)]
-    top = Fraction(max(abs(c) for c in q.nums), q.den)
-    with mpmath.workprec(max(53, top.numerator.bit_length())):
-        max_coeff = mpmath.mpf(top.numerator) / top.denominator
-    poly_tol = mpmath.mpf(2) ** -(precision - 24) * (1 + max_coeff)
-    loose_tol = mpmath.mpf(2) ** -(precision - LOOSE_BITS)
+    poly_tol = Fraction(q.den + max(map(abs, q.nums)), q.den << precision - 24)
+    loose_tol = Fraction(1, 1 << precision - LOOSE_BITS)
     ladder = "/".join(map(str, rs.ladder))
     sweeps = f"{rs.float_sweeps} float sweeps on {rs.search} and {rs.sweeps} fixed-point sweeps"
     bits = f"search {rs.search_bits} bits, polish {ladder} bits, stored at {rs.bits} bits"
@@ -299,8 +298,7 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
 
     def bae() -> CheckResult:
         forms = roots.bae_residuals_by_form(rs)
-        z_form, w_form = (mpmath.nstr(forms[form].value, 5) for form in "zw")
-        detail = f"z-form {z_form}, w-form {w_form}"
+        detail = Shown("z-form {}, w-form {}", ((forms["z"].value, 5), (forms["w"].value, 5)))
         return measured("bae", where, [forms["z"], forms["w"]], loose_tol, detail)
 
     def root_sum() -> CheckResult:

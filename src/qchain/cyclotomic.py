@@ -35,11 +35,19 @@ The chain modules work in Q(zeta_2L) with zeta = exp(i pi / L) for odd L, so
 both cos(pi m / L) = (zeta^m + zeta^-m)/2 and the L-th roots of unity
 exp(2 pi i k / L) = zeta^(2k) are exact elements here.
 
-Numeric embeddings go through mpmath at an explicit binary precision; they
-are for validation and display only and never feed back into exact values.
-mpmath is imported where a number is made (_zeta, embed, approx_str), not
-with the module, which every qchain process imports: exact arithmetic, the
-help text and the exact checks then never load it.
+Numeric embeddings are for validation and display only and never feed back
+into exact values, and there are two of them.  Display (embed, approx_str,
+the "approx" field of to_dict that compute and table print) goes through
+mpmath at an explicit binary precision: its Horner rounding at that
+precision is part of the decimals compute has always written, so it stays.
+Checking (the root-sum and closed-form checks of verify) reads
+fixedpoint.embed instead, Horner on the integer coordinates in fixed point
+with zeta from the integer kernel and an error bound in units, so a check
+decides on exact integers and a verify run that prints no number never
+loads mpmath.  mpmath is imported where a displayed number is made (_zeta,
+embed, approx_str), not with the module, which every qchain process
+imports: exact arithmetic, the help text and every verify check then never
+load it.
 """
 
 from __future__ import annotations

@@ -17,7 +17,10 @@ the energy per site is independent of N:
 
 Both are checked as exact field identities, never numerically.  A numeric
 cross-check against independently published trigonometric closed forms for
-L = 7, 9, 11 runs at high precision through mpmath.
+L = 7, 9, 11 runs in fixed point on integers: every cosine and sine comes
+from the kernel fixedpoint.expjpi, the exact root sum from fixedpoint.embed,
+and the gap and its tolerance are exact Fractions, formatted by mpmath only
+if they are printed.
 
 Nothing here builds Q.  groundstate_summary turns one built Q into its
 WSummary (one w_sum per grid point).  The per-L functions below (extract_A,
@@ -31,15 +34,14 @@ raised never reaches them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicNumber, cyc_cos
+from .fixedpoint import Measured, embed, expjpi
 from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult, FalsificationError, exact, gap
 from .wtransform import w_sum
-
-if TYPE_CHECKING:
-    import mpmath
 
 
 class WSummary(NamedTuple):
@@ -199,33 +201,31 @@ CLOSED_FORM_SUMS: dict[int, tuple] = {
 }
 
 
-def _trig_sum(terms, L: int) -> mpmath.mpf:
-    import mpmath
-
-    total = mpmath.mpf(0)
+def _trig_sum(terms, L: int, bits: int) -> int:
+    """sum of c kind(a pi / (2 L)) over the terms, in fixed point at 2^-bits,
+    cos and sin the two parts of expjpi(a, 2 L), each within 2 units."""
+    total = 0
     for coeff, kind, a in terms:
         if kind == "one":
-            total += coeff
-        elif kind == "cos":
-            total += coeff * mpmath.cospi(mpmath.mpf(a) / (2 * L))
-        elif kind == "sin":
-            total += coeff * mpmath.sinpi(mpmath.mpf(a) / (2 * L))
-        else:
+            total += coeff << bits
+            continue
+        if kind not in ("cos", "sin"):
             raise ValueError(f"unknown term kind {kind!r}")
+        cos, sin = expjpi(a, 2 * L, bits)
+        total += coeff * (cos if kind == "cos" else sin)
     return total
 
 
-def closed_form_root_sum(L: int, N: int, precision_bits: int = 256) -> mpmath.mpf:
-    """Evaluate the published closed form of the root sum at (L, N)."""
+def closed_form_root_sum(L: int, N: int, precision_bits: int = 256) -> Fraction:
+    """Evaluate the published closed form of the root sum at (L, N), its trig
+    sums in fixed point at 2^-precision_bits, as an exact Fraction of them."""
     if L not in CLOSED_FORM_SUMS:
         raise ValueError(f"no published closed form for L={L}")
-    import mpmath
-
     (scale1, num1, den1), (scale2, num2, den2) = CLOSED_FORM_SUMS[L]
-    with mpmath.workprec(precision_bits):
-        first = scale1 * _trig_sum(num1, L) / _trig_sum(den1, L)
-        second = scale2 * _trig_sum(num2, L) / _trig_sum(den2, L)
-        return (N - 1) * first + (2 - N) * second
+    bits = precision_bits
+    first = Fraction(scale1 * _trig_sum(num1, L, bits), _trig_sum(den1, L, bits))
+    second = Fraction(scale2 * _trig_sum(num2, L, bits), _trig_sum(den2, L, bits))
+    return (N - 1) * first + (2 - N) * second
 
 
 def crosscheck_closed_forms(
@@ -235,19 +235,20 @@ def crosscheck_closed_forms(
 
     Runs at N = 1 and N = 2 (the two points the published forms interpolate)
     and requires agreement within 2^-(precision_bits - 76), i.e. 2^-180 when
-    evaluated at 256 bits.
+    evaluated at 256 bits.  The root sum is embedded in fixed point at
+    2^-precision_bits (fixedpoint.embed) and its distance from the closed
+    form reported as Measured.from_square reports a value.
     """
     L = summaries[0].params.L
     if L not in CLOSED_FORM_SUMS:
         return []
-    import mpmath
-
+    bits = precision_bits
     entries = []
-    tolerance = mpmath.mpf(2) ** -(precision_bits - 76)
+    tolerance = Fraction(1, 1 << precision_bits - 76)
     for N, summary in ((1, summaries[0]), (2, summaries[1])):
-        reference = closed_form_root_sum(L, N, precision_bits)
-        mine = summary.E1.embed(precision_bits)
-        with mpmath.workprec(precision_bits):
-            distance = abs(mine - reference)
+        reference = closed_form_root_sum(L, N, bits)
+        er, ei = embed(summary.E1, bits)
+        square = ((er - reference * (1 << bits)) ** 2 + ei * ei) / (1 << 2 * bits)
+        distance = Measured.from_square(square.numerator, square.denominator, bits, None).value
         entries.append(gap("closed-forms", {"L": L, "N": N}, distance, tolerance))
     return entries

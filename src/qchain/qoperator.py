@@ -10,18 +10,18 @@ numerators over one positive denominator in lowest terms:
 
 Route one (closed form) assembles an explicit degree L*N + (L-1)/2 numerator
 from binomial-weighted rational products, scales it to integers and divides
-it by (z-1)^(2N+1) in integer long division; a nonzero remainder doubles as
-a transcription check, and the scale is Q's denominator.  Route two (linear
-system) imposes the vanishing of a binomial convolution of the e_k at every
-admissible index.  Those p conditions say that (1+x)^M sum_k e_k x^k lives
-on M+1 fixed exponents, where divisibility by (1+x)^M is a Vandermonde
-system with a one-dimensional kernel: the divided-difference weights of
-those nodes, which read nothing of route one.  Route two writes them in
-integers, divides by (1+x)^M in its own synthetic-division loop and
-multiplies the result back by (1+x)^M (_times_one_plus_x, the one routine
-that forms this product) to test every admissible condition.  The two
-routes must agree coefficient by coefficient, which is equality of reduced
-forms.
+it by (z-1)^(2N+1) in 2N+1 synthetic divisions by z - 1, additions only; a
+nonzero remainder doubles as a transcription check, and the scale is Q's
+denominator.  Route two (linear system) imposes the vanishing of a binomial
+convolution of the e_k at every admissible index.  Those p conditions say
+that (1+x)^M sum_k e_k x^k lives on M+1 fixed exponents, where divisibility
+by (1+x)^M is a Vandermonde system with a one-dimensional kernel: the
+divided-difference weights of those nodes, which read nothing of route
+one.  Route two writes them in integers, divides by (1+x)^M in its own
+synthetic-division loop and multiplies the result back by (1+x)^M
+(_times_one_plus_x, the one routine that forms this product) to test every
+admissible condition.  The two routes must agree coefficient by
+coefficient, which is equality of reduced forms.
 
 The functional three-term identity satisfied by Q (verify_tq_identity) is
 checked as an exact polynomial identity over Q(zeta_2L), never numerically.
@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm, prod
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber
-from .rationals import divide_monic, format_rational, integer_scaled, lowest_terms
+from .rationals import format_rational, integer_scaled, lowest_terms
 from .report import CheckResult, exact, listed
 
 
@@ -132,9 +133,11 @@ def q_closed_form(params: ChainParams) -> QPolynomial:
     The numerator couples monomial pairs with rational product weights; each
     weight's denominator factors are nonzero by construction (asserted).
     Scaled to integers over its common denominator, the numerator is divided
-    by the binomial coefficients of (z-1)^M in integers.  The division must
-    be exact, and the quotient must be monic of degree p with e_0 = 1; any
-    violation aborts the build.
+    by z - 1 M times, each a synthetic division that only adds: one pass of
+    suffix sums, run from the top down like _times_one_plus_x's passes,
+    whose last sum a(1) is the remainder.  Each division must be exact
+    (ArithmeticError otherwise), and the quotient must be monic of degree p
+    with e_0 = 1; any violation aborts the build.
     """
     L, N = params.L, params.N
     half = (L - 1) // 2
@@ -169,9 +172,15 @@ def q_closed_form(params: ChainParams) -> QPolynomial:
         numerator_coeffs[power] += coeff
     scale, numerator = integer_scaled(numerator_coeffs)
 
-    M = params.M
-    root_factor = [(-1) ** (M - i) * comb(M, i) for i in range(M + 1)]  # (z-1)^M
-    quotient = divide_monic(numerator, root_factor)
+    quotient = numerator
+    for _ in range(params.M):
+        # a = (z-1) q gives q_(i-1) = a_i + q_i from the top down, the
+        # suffix sums of a; the last of them, a(1), is the remainder
+        sums = list(accumulate(reversed(quotient)))
+        remainder = sums.pop()
+        if remainder:
+            raise ArithmeticError(f"inexact division: nonzero remainder {[remainder]}")
+        quotient = sums[::-1]
 
     p = params.p
     degree = max((i for i, c in enumerate(quotient) if c), default=-1)

@@ -22,17 +22,22 @@ Four builders make every CheckResult, one per kind of evidence:
   tolerance; residual "R (rounding bound B)", the largest of each, detail
   how they were made.  roots, root-product, root-inversion, bae.
 
-Only gap and measured print a number, so they import mpmath themselves;
-the module does not, and neither do the listed and exact builders, so an
-exact-only verify run never loads it.
+Every number a check decides on is exact (a Fraction, or math.inf for an
+infinite bound), and so is every comparison.  gap, measured and the bae
+detail keep their numbers in a Shown, which formats them with mpmath.nstr
+only when it is turned into a string: by line() for a failed check and by
+to_dict() for a report.  So a verify run that passes and writes no report
+never loads mpmath, and each printed number is mpmath.nstr of the exact
+value.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    import mpmath
+    from fractions import Fraction
 
     from .cyclotomic import CyclotomicNumber
     from .fixedpoint import Measured
@@ -62,26 +67,46 @@ class ConvergenceError(RuntimeError):
         return type(self), (self.sweeps, self.worst)
 
 
+class Shown(NamedTuple):
+    """Text with numbers in it, formatted only when it is shown: template's
+    {} fields filled, in order, with mpmath.nstr(value, digits) for each
+    (value, digits) in numbers, value a Fraction or math.inf."""
+
+    template: str
+    numbers: tuple[tuple[Fraction | float, int], ...]
+
+    def __str__(self) -> str:
+        import mpmath
+
+        def mpf(value):  # exact for a dyadic value, as every value shown is
+            if value == math.inf:
+                return mpmath.inf
+            with mpmath.workprec(max(53, value.numerator.bit_length())):
+                return mpmath.mpf(value.numerator) / value.denominator
+
+        return self.template.format(*(mpmath.nstr(mpf(v), digits) for v, digits in self.numbers))
+
+
 class CheckResult(NamedTuple):
     name: str
     params: dict
     passed: bool
-    residual: str = "0"
-    detail: str = ""
+    residual: str | Shown = "0"
+    detail: str | Shown = ""
 
     def to_dict(self) -> dict:
         return {
             "check": self.name,
             "params": dict(self.params),
             "pass": self.passed,
-            "residual": self.residual,
-            "detail": self.detail,
+            "residual": str(self.residual),
+            "detail": str(self.detail),
         }
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         where = " ".join(f"{k}={v}" for k, v in self.params.items())
-        tail = f" [{self.detail}]" if self.detail and not self.passed else ""
+        tail = f" [{self.detail!s}]" if self.detail and not self.passed else ""
         return f"{status} {self.name} {where}{tail}"
 
 
@@ -97,27 +122,23 @@ def exact(name: str, params: dict, difference: CyclotomicNumber, detail: str = "
     return CheckResult(name, params, False, str(difference.coeff_strings()), detail)
 
 
-def gap(name: str, params: dict, found: mpmath.mpf, tolerance: mpmath.mpf) -> CheckResult:
-    """Passes when the numeric gap found is below tolerance."""
-    import mpmath
-
-    detail = f"tolerance {mpmath.nstr(tolerance, 4)}"
-    return CheckResult(name, params, found < tolerance, mpmath.nstr(found, 8), detail)
+def gap(name: str, params: dict, found: Fraction, tolerance: Fraction) -> CheckResult:
+    """Passes when the numeric gap found is below tolerance, decided exactly."""
+    residual, detail = Shown("{}", ((found, 8),)), Shown("tolerance {}", ((tolerance, 4),))
+    return CheckResult(name, params, found < tolerance, residual, detail)
 
 
 def measured(
-    name: str, where: dict, found: list[Measured], tolerance, detail: str = ""
+    name: str, where: dict, found: list[Measured], tolerance: Fraction, detail: str | Shown = ""
 ) -> CheckResult:
     """A check on residuals with rounding bounds: it passes when every
     residual + bound is below tolerance, and reports the largest of each."""
-    import mpmath
-
     worst = max(m.value for m in found)
     bound = max(m.bound for m in found)
     return CheckResult(
         name=name,
         params=where,
         passed=all(m.below(tolerance) for m in found),
-        residual=f"{mpmath.nstr(worst, 8)} (rounding bound {mpmath.nstr(bound, 3)})",
+        residual=Shown("{} (rounding bound {})", ((worst, 8), (bound, 3))),
         detail=detail,
     )

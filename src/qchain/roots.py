@@ -44,9 +44,11 @@ inversion closure (one quotient per root; the partner map finds each
 nearest root in doubles, confirmed exactly), the root sum, and the
 coincidence test, a near-pair pass in doubles with each flagged pair
 compared exactly.
-The seeds are made in doubles (cmath); mpmath computes only the constants
-exp and sinh of eta, the Moebius pole, the embedding of the exact root sum
-and the reported values.
+The seeds are made in doubles (cmath); the constants exp and sinh of eta,
+the Moebius pole and the embedding of the exact root sum come from the
+integer kernel of fixedpoint.py (expjpi, embed), and every measurement is
+an exact Fraction.  mpmath only formats a number that is printed
+(report.Shown) and the worst step of a search that does not converge.
 
 The Bethe equations are evaluated in both variables (bethe.py, whose
 bae_residuals_by_form is read here with the other measurements): the
@@ -70,14 +72,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .bethe import bae_residuals_by_form  # noqa: F401 (a measurement, read here with the others)
 from .fixedpoint import Measured, _divide, _fixed, _float, _horner, _mul, _product, _rescale
-from .fixedpoint import _to_fixed
+from .fixedpoint import embed, expjpi
 from .qoperator import ChainParams, QPolynomial
 from .report import MIN_ROOT_BITS, ConvergenceError
-from .symmetry import _Inverses, _conjugate_closed, _inverses, _mirror_pairs
+from .symmetry import _Inverses, _conjugate_closed, _inverses, _mirror_pairs, _nearest
 
 if TYPE_CHECKING:
-    import mpmath
-
     from .cyclotomic import CyclotomicNumber
     from .multiple import _Multiple
 
@@ -133,13 +133,10 @@ def z_to_w(z: tuple[int, int], a: tuple[int, int], bits: int) -> tuple[int, int]
     return _rescale(_divide(nr - (1 << guard), ni, dr, di, guard), 64)
 
 
-@functools.lru_cache(maxsize=None)
 def _pole(L: int, bits: int) -> tuple[int, int]:
-    """The Moebius pole a = exp(-2 pi i / L) at 2^-(bits + 64), as z_to_w reads it."""
-    import mpmath
-
-    with mpmath.workprec(bits + 64):
-        return _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / L), bits + 64)
+    """The Moebius pole a = exp(-2 pi i / L) at 2^-(bits + 64), as z_to_w reads
+    it, from the integer kernel (fixedpoint.expjpi), each part within 2 units."""
+    return expjpi(-2, L, bits + 64)
 
 
 def _pair_sum(points: list[complex], i: int) -> complex:
@@ -302,14 +299,15 @@ def _handover_bits(correction, points: list[complex]) -> int:
     """The bits, relative to max(1, |z|), that one more correction certifies
     for every point: -log2 of the worst (|N| + its bound) / max(1, |z|),
     at most 52; 0 unless each such reach is below a quarter of the
-    distance to the nearest other point."""
+    distance to the nearest other point.  That distance is the second
+    nearest of a sweep by real part with each point its own target
+    (symmetry._nearest), the point itself being the nearest at 0."""
     worst = 0.0
     try:
-        for i, x in enumerate(points):
+        for x, (_, _, apart) in zip(points, _nearest(points, points, math.inf)):
             n, bound = correction(x)
             reach = abs(n) + bound
-            others = points[:i] + points[i + 1 :]
-            if others and not 4 * reach < min(abs(x - y) for y in others):
+            if not 4 * reach < apart:
                 return 0
             worst = max(worst, reach / max(1.0, abs(x)))
     except (ZeroDivisionError, OverflowError):
@@ -678,15 +676,15 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
     return Measured.from_square(max(inverses.gaps), 1 << 2 * F, F, error)
 
 
-def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> mpmath.mpf:
+def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> Fraction:
     """The larger distance of sum_j w_j and of sum_j 1/w_j from the exact root
-    sum e1, both summed at the roots' scale F = rs.bits with e1 embedded at
-    F + 64 bits and truncated, and reported as Measured.from_square reports
-    a value.
+    sum e1, both summed at the roots' scale F = rs.bits with e1 embedded in
+    fixed point at F (fixedpoint.embed, each part within 2 units), and
+    reported as Measured.from_square reports a value, an exact Fraction.
     """
     F, w = rs.bits, rs.w
     inverses = [_divide(1 << F, 0, wr, wi, F) for wr, wi in w]
-    er, ei = _to_fixed(e1.embed(F + 64), F)
+    er, ei = embed(e1, F)
     worst = max(
         (sum(xr for xr, _ in terms) - er) ** 2 + (sum(xi for _, xi in terms) - ei) ** 2
         for terms in (w, inverses)

@@ -45,11 +45,13 @@ def _slack(points: list[complex]) -> float:
 
 
 def _nearest(points: list[complex], targets: list[complex], slack: float = 0.0) -> list:
-    """For each target, (k, sure): k the index of the nearest point (the first
-    of equals) and sure whether every other point is farther by more than
-    slack.  A sweep runs outward from the target's place among the points
-    sorted by real part, and stops where the real parts alone are farther
-    than the second-nearest distance or the nearest plus slack."""
+    """For each target, (k, best, second): k the index of the nearest point
+    (the first of equals), best its distance and second the next smallest
+    distance to a point (inf if there is none).  A sweep runs outward from
+    the target's place among the points sorted by real part, and stops where
+    the real parts alone are farther than second or best + slack: second is
+    exact with slack inf, and otherwise decides second - best > slack, which
+    says whether every other point is farther by more than slack."""
     order = sorted(range(len(points)), key=lambda k: points[k].real)
     keys = [points[k].real for k in order]
     found = []
@@ -67,7 +69,7 @@ def _nearest(points: list[complex], targets: list[complex], slack: float = 0.0) 
                     best, second, at = d, best, k
                 elif d < second:
                     second = d
-        found.append((at, second - best > slack))
+        found.append((at, best, second))
     return found
 
 
@@ -96,7 +98,7 @@ def _mirror_pairs(points: list[complex], good: int) -> list[int] | None:
     2 |im x_j|, which a point on x_j's side can be only with |im x_k| <=
     |im x_j|; the same the other way round leaves equal points, where the
     map is no involution (each goes to the first of them)."""
-    partner = [k for k, _ in _nearest(points, [x.conjugate() for x in points])]
+    partner = [k for k, _, _ in _nearest(points, [x.conjugate() for x in points])]
     for j, k in enumerate(partner):
         x = points[j]
         if partner[k] != j:
@@ -164,7 +166,9 @@ def _inverses(z, bits: int) -> _Inverses:
     if all(map(cmath.isfinite, floats)):
         targets = [_float(ir, ii, one) for ir, ii in values]
         if all(map(cmath.isfinite, targets)):
-            found = _nearest(floats, targets, _slack(floats + targets))
+            slack = _slack(floats + targets)
+            nearest = _nearest(floats, targets, slack)
+            found = [(k, second - best > slack) for k, best, second in nearest]
     partner, gaps = [], []
     for (ir, ii), (k, sure) in zip(values, found):
         if not sure:

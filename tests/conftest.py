@@ -1,5 +1,6 @@
 """Helpers shared by the test modules (import them with `from conftest import ...`)."""
 
+import math
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -367,3 +368,102 @@ def coincidence_oracle(z, bits):
             if (z[i][0] - z[j][0]) ** 2 + (z[i][1] - z[j][1]) ** 2 < min_gap:
                 return i, j
     return None
+
+
+def exact_value(x) -> Fraction:
+    """An mpf as the exact Fraction it is."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def to_fixed(x, bits):
+    """An mpmath number scaled by 2^bits, each part truncated toward zero:
+    how the validator read its mpmath constants into fixed point before the
+    integer kernel fixedpoint.expjpi made them."""
+    return int(mpmath.ldexp(x.real, bits)), int(mpmath.ldexp(x.imag, bits))
+
+
+def pole_oracle(L, bits):
+    """The Moebius pole exp(-2 pi i / L) from mpmath at bits + 64, read at
+    2^-(bits + 64): the mpmath version of `roots._pole`."""
+    with mpmath.workprec(bits + 64):
+        return to_fixed(mpmath.expjpi(mpmath.mpf(-2) / L), bits + 64)
+
+
+def constants_oracle(L, bits):
+    """A, B, sh, sp, sm from mpmath at bits + 64, read at 2^-bits: the mpmath
+    version of `bethe._constants`."""
+    with mpmath.workprec(bits + 64):
+        eta = mpmath.mpc(0, -(L - 1)) * mpmath.pi / L
+        values = (
+            mpmath.exp((L - 2) * eta),
+            mpmath.exp(2 * eta),
+            mpmath.sinh(eta),
+            mpmath.sinh((L - 1) * eta),
+            mpmath.sinh((L - 3) * eta),
+        )
+        return tuple(to_fixed(v, bits) for v in values)
+
+
+def closed_form_oracle(L, N, precision_bits=256):
+    """The published closed form of the root sum in mpmath at precision_bits:
+    the mpmath version of `energy.closed_form_root_sum`."""
+    from qchain.energy import CLOSED_FORM_SUMS
+
+    def trig_sum(terms):
+        total = mpmath.mpf(0)
+        for coeff, kind, a in terms:
+            if kind == "one":
+                total += coeff
+            elif kind == "cos":
+                total += coeff * mpmath.cospi(mpmath.mpf(a) / (2 * L))
+            else:
+                total += coeff * mpmath.sinpi(mpmath.mpf(a) / (2 * L))
+        return total
+
+    (scale1, num1, den1), (scale2, num2, den2) = CLOSED_FORM_SUMS[L]
+    with mpmath.workprec(precision_bits):
+        first = scale1 * trig_sum(num1) / trig_sum(den1)
+        second = scale2 * trig_sum(num2) / trig_sum(den2)
+        return (N - 1) * first + (2 - N) * second
+
+
+def closed_form_gap_oracle(summary, precision_bits=256):
+    """|E1 - closed form| in mpmath at precision_bits, E1 by
+    `CyclotomicNumber.embed`: the mpmath version of the gap that
+    `crosscheck_closed_forms` reports."""
+    reference = closed_form_oracle(summary.params.L, summary.params.N, precision_bits)
+    mine = summary.E1.embed(precision_bits)
+    with mpmath.workprec(precision_bits):
+        return abs(mine - reference)
+
+
+def root_sum_oracle(rs, e1):
+    """`numeric_cross_check` with e1 embedded by mpmath at F + 64 and
+    truncated to F, as it was made before the integer embedding."""
+    F, w = rs.bits, rs.w
+    inverses = [_divide(1 << F, 0, wr, wi, F) for wr, wi in w]
+    er, ei = to_fixed(e1.embed(F + 64), F)
+    worst = max(
+        (sum(xr for xr, _ in terms) - er) ** 2 + (sum(xi for _, xi in terms) - ei) ** 2
+        for terms in (w, inverses)
+    )
+    return Measured.from_square(worst, 1 << 2 * F, F, None).value
+
+
+def handover_scan_oracle(correction, points):
+    """`roots._handover_bits` with each point's nearest other point found by
+    a scan over all the others, a copy of the list per point: the reference
+    for the sweep by real part that it reads."""
+    worst = 0.0
+    try:
+        for i, x in enumerate(points):
+            n, bound = correction(x)
+            reach = abs(n) + bound
+            others = points[:i] + points[i + 1 :]
+            if others and not 4 * reach < min(abs(x - y) for y in others):
+                return 0
+            worst = max(worst, reach / max(1.0, abs(x)))
+    except (ZeroDivisionError, OverflowError):
+        return 0
+    return 52 if not worst else min(52, int(-math.log2(worst)))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import as_mpc
+from conftest import as_mpc, exact_value
 from qchain.cyclotomic import cyc_cos
 from qchain.energy import (
     crosscheck_closed_forms,
@@ -207,8 +207,8 @@ def test_criterion_7_published_trig_forms(capsys):
 def test_criterion_8_numeric_root_validator(capsys):
     start = time.perf_counter()
     bits = 256
-    poly_bound = mpmath.mpf(2) ** -232
-    pair_bound = mpmath.mpf(2) ** -216
+    poly_bound = Fraction(1, 2**232)
+    pair_bound = Fraction(1, 2**216)
     failures = []
     for L in GRID_L:
         for N in GRID_N:
@@ -218,14 +218,14 @@ def test_criterion_8_numeric_root_validator(capsys):
                 failures.append(f"missing roots at L={L} N={N}")
             if not rs.max_poly_residual.below(poly_bound):
                 failures.append(
-                    f"|Q(z_j)| = {mpmath.nstr(rs.max_poly_residual.value, 5)} at L={L} N={N}"
+                    f"|Q(z_j)| = {float(rs.max_poly_residual.value):.5g} at L={L} N={N}"
                 )
             forms = bae_residuals_by_form(rs)
             if not (forms["z"].below(pair_bound) and forms["w"].below(pair_bound)):
                 failures.append(f"pair equations at L={L} N={N}: {forms}")
             with mpmath.workprec(bits + 64):
                 gap = abs(mpmath.fsum(as_mpc(rs.w, rs.bits)) - w_sum(q).embed(bits + 64))
-            if not gap < pair_bound:
+            if not exact_value(gap) < pair_bound:
                 failures.append(f"root sum gap {mpmath.nstr(gap, 5)} at L={L} N={N}")
             if not root_product_gap(rs).below(pair_bound):
                 failures.append(f"root product at L={L} N={N}")
@@ -251,7 +251,7 @@ def test_criterion_9_falsification_sensitivity(capsys):
             bumped = q51.with_coefficient_bump(k, delta)
             if verify_tq_identity(bumped).passed:
                 failures.append(f"identity survived bump e_{k} += {delta}")
-    floor = mpmath.mpf(2) ** -64
+    floor = Fraction(1, 2**64)
     for L, N in ((3, 2), (5, 1)):
         bumped = cached_q(L, N).with_coefficient_bump(1, F(1, 1024))
         rs = find_roots(bumped, precision_bits=256)

@@ -532,6 +532,22 @@ def test_failing_route_point_round_trips_through_pickle(monkeypatch):
     assert type(summary) is SingularMatrixError and vars(summary) == {"rank": 2, "size": 3}
 
 
+def test_inexact_closed_form_division_is_a_construction_finding(monkeypatch, capsys):
+    # route one's synthetic divisions by z - 1 check each remainder: a numerator
+    # whose constant term is off by one leaves a(1) = 1 at the first division
+    def off_by_one(values):
+        scale, numerator = integer_scaled(values)
+        return scale, [numerator[0] + 1, *numerator[1:]]
+
+    monkeypatch.setattr("qchain.qoperator.integer_scaled", off_by_one)
+    with pytest.raises(ArithmeticError, match=r"^inexact division: nonzero remainder \[1\]$"):
+        q_closed_form(ChainParams(5, 2))
+    code, out, err = run(["verify", "--L", "3", "--N-max", "1", "--method", "closed-form"], capsys)
+    assert code == 1, err
+    witness = "[ArithmeticError: inexact division: nonzero remainder [1]]"
+    assert out.splitlines()[0] == f"FAIL construction L=3 N=1 {witness}"
+
+
 @pytest.mark.parametrize(
     "method,route",
     [

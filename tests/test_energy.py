@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import summaries_for, summary_at
+from conftest import (
+    closed_form_gap_oracle,
+    closed_form_oracle,
+    exact_value,
+    summaries_for,
+    summary_at,
+)
 from qchain.cyclotomic import CyclotomicNumber, cyc_cos
 from qchain.energy import (
     closed_form_root_sum,
@@ -198,11 +204,27 @@ def test_published_closed_forms_match(L):
 
 def test_closed_form_tolerance_is_strict():
     # the comparison must fail if the table is off by ~1e-50
-    with mpmath.workprec(256):
-        good = closed_form_root_sum(7, 1, 256)
-        exact = summary_at(7, 1).E1.embed(256).real
-        assert abs(good - exact) < mpmath.mpf(2) ** -180
-        assert abs((good + mpmath.mpf("1e-50")) - exact) > mpmath.mpf(2) ** -180
+    good = closed_form_root_sum(7, 1, 256)
+    exact = exact_value(summary_at(7, 1).E1.embed(256).real)
+    assert abs(good - exact) < F(1, 2**180)
+    assert abs((good + F(1, 10**50)) - exact) > F(1, 2**180)
+
+
+@pytest.mark.parametrize("L", [7, 9, 11])
+def test_closed_forms_match_their_mpmath_versions(L):
+    # the trig sums in fixed point against mpmath's cospi and sinpi at the
+    # same precision, and the reported gap against mpmath's: both gaps are
+    # rounding noise far under the tolerance 2^-180
+    for N in (0, 1, 2):
+        found = closed_form_root_sum(L, N, 256)
+        assert type(found) is F
+        assert abs(found - exact_value(closed_form_oracle(L, N, 256))) < F(1, 2**236)
+    summaries = summaries_for(L)
+    entries = crosscheck_closed_forms(summaries, precision_bits=256)
+    for entry, summary in zip(entries, summaries):
+        found = entry.residual.numbers[0][0]
+        before = exact_value(closed_form_gap_oracle(summary, 256))
+        assert entry.passed and found < F(1, 2**236) and before < F(1, 2**236)
 
 
 def test_pole_collision_is_fatal():

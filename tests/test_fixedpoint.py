@@ -1,14 +1,17 @@
 """The fixed-point kernel against exact Fraction values: the rounding
 convention its module docstring states, which every rounding bound of the
-root validator builds on."""
+root validator builds on, and the integer exp and embedding against mpmath."""
 
+import math
 from fractions import Fraction
 
 import mpmath
+from conftest import exact_value, to_fixed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchain.fixedpoint import Measured, _divide, _fixed, _mul, _product, _scaled_mul, _to_fixed
+from qchain.cyclotomic import CyclotomicNumber
+from qchain.fixedpoint import Measured, _divide, _fixed, _mul, _product, _scaled_mul, embed, expjpi
 
 parts = st.integers(-(2**300), 2**300)
 nonzero = parts.filter(bool)
@@ -16,9 +19,7 @@ bits = st.integers(1, 400)
 keeps = st.integers(1, 200)
 
 
-def _exact(x: mpmath.mpf) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+_exact = exact_value
 
 
 def _rounded_down(got: int, exact: Fraction) -> bool:
@@ -64,15 +65,16 @@ def test_fixed_rounds_a_float_down(x, bits):
 @settings(max_examples=300, deadline=None)
 @given(parts, parts, st.integers(-500, 100), st.integers(-500, 100), bits)
 def test_to_fixed_truncates_within_one_unit(re_man, im_man, re_exp, im_exp, bits):
+    # the conftest reader of mpmath constants, which the constant oracles use
     with mpmath.workprec(320):
         x = mpmath.mpc(mpmath.ldexp(re_man, re_exp), mpmath.ldexp(im_man, im_exp))
-    r, i = _to_fixed(x, bits)
+    r, i = to_fixed(x, bits)
     assert _truncated(r, _exact(x.real) * 2**bits)
     assert _truncated(i, _exact(x.imag) * 2**bits)
     # a multiple of 2^-bits converts exactly
     with mpmath.workprec(max(53, abs(r).bit_length(), abs(i).bit_length())):
         y = mpmath.mpc(mpmath.ldexp(r, -bits), mpmath.ldexp(i, -bits))
-    assert _to_fixed(y, bits) == (r, i)
+    assert to_fixed(y, bits) == (r, i)
 
 
 def _relative_error_below(got, exact, limit: Fraction) -> bool:
@@ -123,12 +125,13 @@ def test_product_compounds_one_step_error_per_factor(factors, bits):
 )
 def test_measured_value_is_low_by_less_than_its_term_and_never_high(num, den, bits, n, e):
     measured = Measured.from_square(num, den, bits, (n, e))
-    value = _exact(measured.value)
+    value = measured.value
+    assert type(value) is Fraction and type(measured.bound) is Fraction
     square = Fraction(num, den)
     assert value * value <= square < (value + Fraction(2) ** (1 - bits)) ** 2
     # the bound is the caller's error plus that term, exactly
-    assert _exact(measured.bound) == n * Fraction(2) ** e + Fraction(2) ** (1 - bits)
-    assert Measured.from_square(num, den, bits, None).bound == mpmath.inf
+    assert measured.bound == n * Fraction(2) ** e + Fraction(2) ** (1 - bits)
+    assert Measured.from_square(num, den, bits, None).bound == math.inf
 
 
 def _product_by_steps(factors, bits):
@@ -146,3 +149,38 @@ def test_fused_product_equals_the_scaled_mul_steps(factors, bits):
     # the Bethe forms and the root product read _product; fusing its loop
     # must not change a bit of what they measure
     assert _product(factors, bits) == _product_by_steps(factors, bits)
+
+
+def _near_a_multiple(exact: Fraction, units: Fraction) -> bool:
+    """Whether exact, in units, lies within the given distance of an integer."""
+    return abs(exact - round(exact)) <= units
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2000, 2000), st.integers(1, 400), st.integers(64, 1100))
+def test_expjpi_is_the_exact_value_truncated(num, den, bits):
+    # mpmath at 1,000 bits past the scale stands in for the exact value
+    with mpmath.workprec(bits + 1000):
+        x = mpmath.expjpi(mpmath.mpf(num) / den)
+    got = expjpi(num, den, bits)
+    for part, value in zip(got, (x.real, x.imag)):
+        exact = exact_value(value) * 2**bits
+        assert abs(part - exact) < 2
+        if not _near_a_multiple(exact, Fraction(1, 2**60)):
+            assert part == math.trunc(exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([3, 6, 10, 14, 22, 42, 101, 202]),
+    st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=40),
+    st.integers(1, 2**200),
+    st.integers(64, 600),
+)
+def test_embed_is_within_two_units_of_mpmath(order, coeffs, den, bits):
+    x = CyclotomicNumber(order, coeffs, den)
+    got = embed(x, bits)
+    # embed at a precision far past the sizes of the coordinates
+    value = x.embed(bits + 800)
+    for part, exact in zip(got, (value.real, value.imag)):
+        assert abs(part - exact_value(exact) * 2**bits) < 2

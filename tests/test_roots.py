@@ -24,17 +24,23 @@ from conftest import (
     bae_all_roots_oracle,
     bae_oracle,
     coincidence_oracle,
+    constants_oracle,
+    exact_value,
+    handover_scan_oracle,
     inversion_oracle,
     inversion_scan_oracle,
     moebius_oracle,
     poly_residual_oracle,
+    pole_oracle,
     polish_every_root_oracle,
     product_oracle,
+    root_sum_oracle,
 )
 from qchain.cli import main
 from qchain.energy import groundstate_summary
-from qchain.fixedpoint import _divide, _fixed, _horner, _to_fixed
+from qchain.fixedpoint import _divide, _fixed, _horner
 from qchain.qoperator import ChainParams, _times_one_plus_x, build_q
+from qchain.report import gap as _gap_entry
 from qchain.report import measured as _measured_entry
 from qchain.roots import (
     ConvergenceError,
@@ -44,6 +50,7 @@ from qchain.roots import (
     find_roots,
     inversion_closure_gap,
     numeric_cross_check,
+    _pole,
     root_product_gap,
     z_to_w,
 )
@@ -74,7 +81,7 @@ def test_quadratic_roots_match_radicals():
 def test_poly_residual_bound_on_grid():
     for L, N in ((3, 3), (5, 2), (7, 1), (9, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
-        assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
+        assert rs.max_poly_residual.below(F(1, 2**232))
         assert len(rs.z) == rs.params.p
         assert len(rs.w) == rs.params.p
 
@@ -94,12 +101,6 @@ def test_seed_determinism_and_independence():
             nearest = min(remaining, key=lambda y: abs(x - y))
             assert abs(x - nearest) < mpmath.mpf(2) ** -150
             remaining.remove(nearest)
-
-
-def _pole(L, bits):
-    """a = exp(-2 pi i / L) at 2^-(bits + 64), as find_roots makes it."""
-    with mpmath.workprec(bits + 64):
-        return _to_fixed(mpmath.expjpi(mpmath.mpf(-2) / L), bits + 64)
 
 
 def _units_from(w, exact, bits):
@@ -136,6 +137,25 @@ def test_moebius_map_is_an_involution():
             assert max(abs(back[0] - z[0]), abs(back[1] - z[1])) <= 32, (L, re, im)
 
 
+def test_integer_constants_match_the_mpmath_ones_they_replace():
+    # mpmath made the pole at F + 64 = 448 bits, rounded to nearest there, and
+    # the Bethe constants at F + 64 read at F = 384; the kernel truncates the
+    # exact value, so the pole may differ in its last unit or two, and the
+    # constants only where a part lies at a multiple of 2^-384: at L = 3, where
+    # B = exp(-4 pi i / 3) has real part exactly -1/2, one unit apart
+    F = 256 + 128
+    for L in range(3, 102, 2):
+        pole, before = _pole(L, F), pole_oracle(L, F)
+        assert max(abs(pole[0] - before[0]), abs(pole[1] - before[1])) <= 2, L
+        made, before = qchain.bethe._constants(L, F), constants_oracle(L, F)
+        if L != 3:
+            assert made == before, L
+            continue
+        half = 1 << F - 1
+        assert made[0] == before[0] and made[2:] == before[2:] and made[1][1] == before[1][1]
+        assert {made[1][0], before[1][0]} == {-half, 1 - half}
+
+
 def test_moebius_pole_rejected():
     a = _pole(5, BITS)
     pole = (a[0] >> 64, a[1] >> 64)
@@ -151,22 +171,22 @@ def test_bae_residuals_on_grid():
     for L, N in ((3, 2), (5, 1), (5, 2), (7, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
         by_form = bae_residuals_by_form(rs)
-        assert by_form["z"].below(mpmath.mpf(2) ** -216)
-        assert by_form["w"].below(mpmath.mpf(2) ** -216)
+        assert by_form["z"].below(F(1, 2**216))
+        assert by_form["w"].below(F(1, 2**216))
 
 
 def test_bae_rejects_perturbed_roots():
     rs = find_roots(build_q(ChainParams(3, 2)), precision_bits=256)
     bad = _hand_built(rs, [(zr + (1 << rs.bits - 20), zi) for zr, zi in rs.z])
-    assert max(m.value for m in bae_residuals_by_form(bad).values()) > mpmath.mpf(2) ** -64
+    assert max(m.value for m in bae_residuals_by_form(bad).values()) > F(1, 2**64)
 
 
 def test_bae_rejects_wrong_polynomial():
     q = build_q(ChainParams(5, 1)).with_coefficient_bump(1, F(1, 1024))
     rs = find_roots(q, precision_bits=256)
     # roots of the bumped polynomial satisfy it, but not the pair equations
-    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
-    assert max(m.value for m in bae_residuals_by_form(rs).values()) > mpmath.mpf(2) ** -64
+    assert rs.max_poly_residual.below(F(1, 2**232))
+    assert max(m.value for m in bae_residuals_by_form(rs).values()) > F(1, 2**64)
 
 
 CONJUGATE_POINTS = [(L, N) for L in (3, 5, 7, 9, 11) for N in (1, 2, 3, 4)] + [(21, 4), (31, 6)]
@@ -220,12 +240,11 @@ def test_partner_residuals_match_their_direct_measurement(L, N, monkeypatch):
         assert forms[name].bound >= max(m.bound for m in measured)
     work = rs.bits + 64
     exact = bae_oracle(rs, work)
-    with mpmath.workprec(work):
-        for name in ("z", "w"):
-            assert abs(forms[name].value - exact[name]) <= forms[name].bound, name
-        # |Q| is evaluated at the roots with im >= 0 only
-        residual = rs.max_poly_residual
-        assert abs(residual.value - poly_residual_oracle(q, rs, work)) <= residual.bound
+    for name in ("z", "w"):
+        assert abs(forms[name].value - exact_value(exact[name])) <= forms[name].bound, name
+    # |Q| is evaluated at the roots with im >= 0 only
+    residual = rs.max_poly_residual
+    assert abs(residual.value - exact_value(poly_residual_oracle(q, rs, work))) <= residual.bound
 
 
 def test_a_set_not_closed_under_conjugation_is_measured_root_by_root():
@@ -281,7 +300,7 @@ def test_inversion_partners_beyond_root_inversion_tolerance_are_not_read():
     assert qchain.symmetry._orbits(rs)[0] == [(0, True)]
     bad = _hand_built(rs, [(rs.z[0][0] + (1 << 200), 0), rs.z[1]])
     assert bad.inverses.involution
-    assert not inversion_closure_gap(bad).below(mpmath.mpf(2) ** -(256 - 40))
+    assert not inversion_closure_gap(bad).below(F(1, 2**216))
     visits, conj, inv = qchain.symmetry._orbits(bad)
     assert visits == [(0, False), (1, False)] and conj == [0, 1] and inv is None
     assert bae_residuals_by_form(bad) == bae_all_roots_oracle(bad)
@@ -419,15 +438,19 @@ def test_lone_points_are_polished_on_the_real_axis(monkeypatch):
 def test_product_and_inversion_closure():
     for L, N in ((3, 2), (5, 2), (7, 1)):
         rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
-        assert root_product_gap(rs).below(mpmath.mpf(2) ** -216)
-        assert inversion_closure_gap(rs).below(mpmath.mpf(2) ** -216)
+        assert root_product_gap(rs).below(F(1, 2**216))
+        assert inversion_closure_gap(rs).below(F(1, 2**216))
 
 
 def test_numeric_cross_check_against_exact_sum():
     for L, N in ((3, 2), (5, 1), (7, 1)):
         q = build_q(ChainParams(L, N))
         rs = find_roots(q, precision_bits=256)
-        assert numeric_cross_check(rs, w_sum(q)) < mpmath.mpf(2) ** -(256 - 40)
+        found = numeric_cross_check(rs, w_sum(q))
+        assert type(found) is F and found < F(1, 2**216)
+        # against the mpmath embedding it replaced: each embeds E1 within
+        # 1.5 units of 2^-F, so the distances differ by at most 3 units
+        assert abs(found - root_sum_oracle(rs, w_sum(q))) <= F(3, 2**rs.bits)
 
 
 def test_precision_floor_enforced():
@@ -440,7 +463,7 @@ def test_large_grid_point_converges():
     q = build_q(ChainParams(11, 4))
     rs = find_roots(q, precision_bits=192)
     assert len(rs.z) == 40
-    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -168)
+    assert rs.max_poly_residual.below(F(1, 2**168))
 
 
 def test_roots_match_independent_polyroots():
@@ -499,10 +522,9 @@ def test_fixed_point_measurements_match_mpmath_oracles(L, N):
         (inversion_closure_gap(rs), inversion_oracle(rs, work)),
         (rs.max_poly_residual, poly_residual_oracle(q, rs, work)),
     ]
-    with mpmath.workprec(work):
-        for measured, exact in pairs:
-            assert 0 < measured.bound < mpmath.mpf(2) ** -300
-            assert abs(measured.value - exact) <= measured.bound, (L, N)
+    for measured, exact in pairs:
+        assert 0 < measured.bound < F(1, 2**300)
+        assert abs(measured.value - exact_value(exact)) <= measured.bound, (L, N)
 
 
 @pytest.mark.parametrize("L,N", [(21, 4), (11, 8)])
@@ -514,7 +536,7 @@ def test_root_measurements_keep_64_bits_under_their_tolerances(L, N, monkeypatch
 
     def recording(builder):
         def record(name, where, found, tolerance, *rest):
-            values = found if isinstance(found, list) else [Measured(found, mpmath.mpf(0))]
+            values = found if isinstance(found, list) else [Measured(found, F(0))]
             seen.extend((name, m, tolerance) for m in values)
             return builder(name, where, found, tolerance, *rest)
 
@@ -528,7 +550,7 @@ def test_root_measurements_keep_64_bits_under_their_tolerances(L, N, monkeypatch
     names = ["roots", "root-product", "root-inversion", "bae", "bae", "root-sum"]
     assert [name for name, _, _ in seen] == names
     for name, m, tolerance in seen:
-        assert m.value + m.bound < tolerance * mpmath.mpf(2) ** -64, name
+        assert m.value + m.bound < tolerance / 2**64, name
 
 
 def _hand_built(rs, z):
@@ -547,7 +569,7 @@ def _hand_built(rs, z):
 @pytest.mark.parametrize("change", ["moved by 2^-20", "negated"])
 def test_product_and_inversion_reject_a_wrong_root(change):
     rs = find_roots(build_q(ChainParams(5, 2)), precision_bits=256)
-    tolerance = mpmath.mpf(2) ** -(256 - 40)
+    tolerance = F(1, 2**216)
     assert root_product_gap(rs).below(tolerance)
     assert inversion_closure_gap(rs).below(tolerance)
     roots = list(rs.z)
@@ -561,20 +583,29 @@ def test_product_and_inversion_reject_a_wrong_root(change):
 
 
 def test_checks_decide_on_residual_plus_bound():
-    tolerance = mpmath.mpf(2) ** -216
-    small = mpmath.mpf(2) ** -220
-    assert Measured(small, mpmath.mpf(2) ** -230).below(tolerance)
-    assert not Measured(small, mpmath.mpf(2) ** -216).below(tolerance)
-    assert not Measured(small, mpmath.inf).below(tolerance)
+    tolerance = F(1, 2**216)
+    small = F(1, 2**220)
+    assert Measured(small, F(1, 2**230)).below(tolerance)
+    assert not Measured(small, F(1, 2**216)).below(tolerance)
+    assert not Measured(small, math.inf).below(tolerance)
+    # exactly at the boundary: residual + bound equal to the tolerance fails,
+    # and one part in 2^1000 less passes
+    assert not Measured(small, tolerance - small).below(tolerance)
+    assert Measured(small, tolerance - small - F(1, 2**1000)).below(tolerance)
     # the CLI entry reads the same decision, and reports value and bound
     entry = _measured_entry("bae", {"L": 3, "N": 2}, [Measured(small, tolerance)], tolerance)
     assert not entry.passed
-    assert entry.residual == "5.9347298e-67 (rounding bound 9.5e-66)"
+    assert str(entry.residual) == "5.9347298e-67 (rounding bound 9.5e-66)"
+    assert entry.to_dict()["residual"] == "5.9347298e-67 (rounding bound 9.5e-66)"
+    # a gap decides exactly too
+    assert not _gap_entry("root-sum", {}, tolerance, tolerance).passed
+    assert _gap_entry("root-sum", {}, tolerance - F(1, 2**1000), tolerance).passed
+    assert str(_gap_entry("root-sum", {}, small, tolerance).detail) == "tolerance 9.496e-66"
 
 
 def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
-    # mpmath may compute the constants of the Bethe forms, never per root:
-    # the number of mpf/mpc operator calls must not grow with p
+    # the constants of the Bethe forms and the embedding of the root sum come
+    # from the integer kernel, so no measurement makes an mpf or mpc at all
     calls = []
     for cls in (mpmath.mpf, mpmath.mpc):
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -599,11 +630,10 @@ def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
     small, large = (find_roots(q, precision_bits=256) for q in qs)
     assert count(root_product_gap, large) == 0
     assert count(inversion_closure_gap, large) == 0
-    assert count(bae_residuals_by_form, small) == count(bae_residuals_by_form, large)
-    # the root sum embeds E1, whose length does not depend on p
+    assert count(bae_residuals_by_form, small) == count(bae_residuals_by_form, large) == 0
     e1_small, e1_large = (w_sum(q) for q in qs)
-    on_small = count(numeric_cross_check, small, e1_small)
-    assert on_small == count(numeric_cross_check, large, e1_large)
+    assert count(numeric_cross_check, small, e1_small) == 0
+    assert count(numeric_cross_check, large, e1_large) == 0
 
 
 def _recording(monkeypatch, name="_horner", module=qchain.roots):
@@ -643,7 +673,7 @@ def test_search_runs_at_the_noise_derived_precision(monkeypatch):
     # Q's dense coefficients are read only by the residual pass, at F, once
     # per conjugate pair and per real root
     assert dense == [256 + 128] * _visited(rs)
-    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
+    assert rs.max_poly_residual.below(F(1, 2**232))
 
 
 def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
@@ -858,8 +888,8 @@ def test_bumped_q_is_read_for_its_own_multiple(monkeypatch):
     assert len(qchain.multiple._multiple(q).terms) == count
     assert count < len(qchain.multiple._multiple(bumped).terms) <= count + q.params.M + 1
     rs = find_roots(bumped, precision_bits=256)
-    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
-    assert max(m.value for m in bae_residuals_by_form(rs).values()) > mpmath.mpf(2) ** -64
+    assert rs.max_poly_residual.below(F(1, 2**232))
+    assert max(m.value for m in bae_residuals_by_form(rs).values()) > F(1, 2**64)
 
 
 @pytest.mark.parametrize("L,N", [(5, 2), (7, 1), (9, 4), (11, 3)])
@@ -900,6 +930,30 @@ def test_handover_certifies_only_separated_points_near_roots():
     assert 17 <= qchain.roots._handover_bits(correction, moved) <= 21
     merged = [reached[1], *reached[1:]]
     assert qchain.roots._handover_bits(correction, merged) == 0
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[(L, N) for L in (3, 5, 7, 9, 11) for N in (1, 2, 3, 4)], [(21, 4)], [(31, 6)], [(51, 8)]],
+    ids=["default grid", "21-4", "31-6", "51-8"],
+)
+def test_handover_reads_the_nearest_other_point_from_the_sweep(grid, monkeypatch):
+    # the nearest other point comes from symmetry._nearest's sweep by real
+    # part, the same abs(x - y) doubles as a scan over all the others, so
+    # every hand-over certifies exactly the bits the scan did
+    handover = qchain.roots._handover_bits
+    seen = []
+
+    def compared(correction, points):
+        good = handover(correction, points)
+        seen.append((good, handover_scan_oracle(correction, points)))
+        return good
+
+    monkeypatch.setattr(qchain.roots, "_handover_bits", compared)
+    for L, N in grid:
+        find_roots(build_q(ChainParams(L, N)), precision_bits=256)
+    assert len(seen) == len(grid)
+    assert all(good == scanned for good, scanned in seen)
 
 
 def test_ladder_takes_q_for_the_roots_whose_first_step_p_refuses(monkeypatch):
@@ -987,7 +1041,7 @@ def test_a_bumped_q_is_not_palindromic_and_searches_on_z():
     assert not qchain.roots._palindromic(bumped.coefficients())
     rs = find_roots(bumped, precision_bits=256)
     assert rs.search == "z" and rs.float_sweeps > 0
-    assert rs.max_poly_residual.below(mpmath.mpf(2) ** -232)
+    assert rs.max_poly_residual.below(F(1, 2**232))
 
 
 def test_search_on_u_at_p_1_returns_minus_one_in_no_sweep():

@@ -1,13 +1,16 @@
-"""What a process loads before it makes a number, and the records' value semantics.
+"""What a process loads before it prints a number, and the records' value semantics.
 
-mpmath is imported where a number is made, and no module imports
-dataclasses (nor, through it, inspect), so help, argument errors, exact-only
-verify runs and the library's exact layer start without them.  The records
-are named tuples: they keep the equality, hash, repr and pickling that the
-process pool and the tests read, and the two that validate their fields
-raise and normalise as before.
+Every verify number is made on integers and decided exactly; mpmath is
+imported only where a number is printed or a decimal approximation made, and
+no module imports dataclasses (nor, through it, inspect), so help, argument
+errors, every verify run that passes and writes no report, and the
+library's exact layer start without them.  The records are named tuples:
+they keep the equality, hash, repr and pickling that the process pool and
+the tests read, and the two that validate their fields raise and normalise
+as before.
 """
 
+import math
 import os
 import pickle
 import subprocess
@@ -15,17 +18,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from qchain.cli import RunConfig, build_parser
 from qchain.energy import extract_A, groundstate_summary
 from qchain.fixedpoint import Measured
 from qchain.qoperator import ChainParams, QPolynomial, build_q
-from qchain.report import CheckResult
+from qchain.report import CheckResult, Shown
 from qchain.roots import find_roots
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 HEAVY = ("mpmath", "dataclasses", "inspect")
 
 # Runs its arguments as `python -m qchain.cli` does (runpy, run as __main__),
@@ -56,7 +59,8 @@ sys.exit(code)
 
 
 def _heavy_loaded(*argv, code=0):
-    """The heavy modules one fresh process loads for argv (see PROBE)."""
+    """The heavy modules one fresh process loads for argv (see PROBE), and
+    what it printed."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True
@@ -94,14 +98,23 @@ def test_argument_errors_load_no_mpmath():
     assert not loaded
 
 
-def test_exact_verify_loads_no_mpmath_and_a_root_check_does():
-    checks = "structure,tq,linearity,finite-size"
-    loaded, out = _heavy_loaded("run", "verify", "--L", "3,5", "--N-max", "2", "--checks", checks)
+def test_passing_verify_loads_no_mpmath_and_a_printed_number_does(tmp_path):
+    # every check, closed-forms and the root checks included, decides on
+    # exact numbers, so a run that passes and writes no report never loads it
+    loaded, out = _heavy_loaded("run", "verify", "--L", "3,7", "--N-max", "2")
     assert not loaded
-    assert out.splitlines()[-1] == "all 24 checks passed"
-    loaded, out = _heavy_loaded("run", "verify", "--L", "3", "--N-max", "1", "--checks", "roots")
+    assert "PASS closed-forms L=7 N=2" in out and "PASS bae L=7 N=2" in out
+    assert out.splitlines()[-1] == "all 46 checks passed"
+    # a report prints every residual, and a tamper run the FAIL lines' numbers:
+    # each loads mpmath, and prints the bytes its golden holds
+    report = tmp_path / "roots.json"
+    argv = ["--L", "3,5,7", "--N-max", "2", "--checks", "roots", "--output", str(report)]
+    loaded, out = _heavy_loaded("run", "verify", *argv)
     assert loaded == {"mpmath"}
-    assert out.splitlines()[-1] == "all 6 checks passed"
+    assert report.read_text() == (GOLDEN / "verify-roots.json").read_text()
+    loaded, out = _heavy_loaded("run", "verify", "--tamper", "1:1/3", code=1)
+    assert loaded == {"mpmath"}
+    assert out == (GOLDEN / "verify-default-tamper.txt").read_text()
 
 
 def _records():
@@ -131,8 +144,12 @@ def _records():
             "CheckResult(name='tq', params={'L': 3, 'N': 1}, passed=False, residual='1', detail='x')",
         ),
         "Measured": (
-            Measured(mpmath.mpf(0.5), mpmath.inf),
-            "Measured(value=mpf('0.5'), bound=mpf('+inf'))",
+            Measured(Fraction(1, 2), math.inf),
+            "Measured(value=Fraction(1, 2), bound=inf)",
+        ),
+        "Shown": (
+            Shown("z-form {}, w-form {}", ((Fraction(1, 2), 5), (math.inf, 3))),
+            "Shown(template='z-form {}, w-form {}', numbers=((Fraction(1, 2), 5), (inf, 3)))",
         ),
         "RunConfig": (
             RunConfig.from_args(build_parser().parse_args(args)),
@@ -160,6 +177,18 @@ def test_records_keep_equality_hash_repr_and_pickle(name):
             hash(record)
     else:
         assert hash(rebuilt) == hash(record) == hash(tuple(record))
+
+
+def test_a_number_is_formatted_the_same_after_a_process_pool_pickles_it():
+    # a pool worker returns its check results pickled; the numbers they show
+    # are formatted in the parent, from the same exact values
+    shown = Shown("{} (rounding bound {})", ((Fraction(1, 2**220), 8), (Fraction(1, 2**216), 3)))
+    detail = Shown("tolerance {}", ((math.inf, 4),))
+    entry = CheckResult("bae", {"L": 3, "N": 2}, False, shown, detail)
+    back = pickle.loads(pickle.dumps(entry))
+    assert back == entry
+    assert back.line() == entry.line() == "FAIL bae L=3 N=2 [tolerance +inf]"
+    assert back.to_dict()["residual"] == "5.9347298e-67 (rounding bound 9.5e-66)"
 
 
 def test_root_set_caches_its_partner_map():
