@@ -33,12 +33,13 @@ from .qoperator import (
     verify_tq_identity,
 )
 from .rationals import format_rational, parse_rational
-from .fixedpoint import Measured
 from .report import CheckResult, ConvergenceError, FalsificationError
 from .wtransform import verify_inverse_sum, w_elementary, w_sum
 
-# The root validator's names load qchain.roots on first use, so that a run
-# that checks no root (compute, table) never compiles it.
+# The root validator's names load qchain.roots, and Measured qchain.fixedpoint,
+# on first use, so that a run that checks no root (compute, table) compiles
+# neither.
+_FIXEDPOINT_NAMES = {"Measured"}
 _ROOT_NAMES = {
     "RootSet",
     "bae_residuals_by_form",
@@ -51,6 +52,10 @@ _ROOT_NAMES = {
 
 
 def __getattr__(name: str):
+    if name in _FIXEDPOINT_NAMES:
+        from . import fixedpoint
+
+        return getattr(fixedpoint, name)
     if name in _ROOT_NAMES:
         from . import roots
 

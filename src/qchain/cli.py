@@ -49,7 +49,6 @@ from .qoperator import (
 )
 from .rationals import format_rational, parse_rational
 from .report import (
-    LOOSE_BITS,
     MIN_ROOT_BITS,
     CheckResult,
     ConvergenceError,
@@ -57,6 +56,7 @@ from .report import (
     Shown,
     gap,
     listed,
+    loose_tolerance,
     measured,
 )
 from .wtransform import verify_inverse_sum
@@ -278,7 +278,7 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     """The roots check, then each measurement on the roots found, run on its own.
 
     The tolerances are exact Fractions, 2^-(precision - 24) (1 + max |e_k|)
-    for |Q(z_j)| and 2^-(precision - LOOSE_BITS) for the rest."""
+    for |Q(z_j)| and report.loose_tolerance(precision) for the rest."""
     from . import roots  # compiled only where a root check runs
 
     where = {"L": q.params.L, "N": q.params.N}
@@ -287,7 +287,7 @@ def _root_entries(q, precision: int, summary: WSummary | Exception) -> list[Chec
     except FINDING_ERRORS as exc:
         return [_finding("roots", where, exc)]
     poly_tol = Fraction(q.den + max(map(abs, q.nums)), q.den << precision - 24)
-    loose_tol = Fraction(1, 1 << precision - LOOSE_BITS)
+    loose_tol = loose_tolerance(precision)
     ladder = "/".join(map(str, rs.ladder))
     sweeps = f"{rs.float_sweeps} float sweeps on {rs.search} and {rs.sweeps} fixed-point sweeps"
     bits = f"search {rs.search_bits} bits, polish {ladder} bits, stored at {rs.bits} bits"

@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicNumber, cyc_cos
-from .fixedpoint import Measured, embed, expjpi
 from .qoperator import ChainParams, QPolynomial
 from .report import CheckResult, FalsificationError, exact, gap
 from .wtransform import w_sum
@@ -204,6 +203,8 @@ CLOSED_FORM_SUMS: dict[int, tuple] = {
 def _trig_sum(terms, L: int, bits: int) -> int:
     """sum of c kind(a pi / (2 L)) over the terms, in fixed point at 2^-bits,
     cos and sin the two parts of expjpi(a, 2 L), each within 2 units."""
+    from .fixedpoint import expjpi  # compiled only where a closed form is evaluated
+
     total = 0
     for coeff, kind, a in terms:
         if kind == "one":
@@ -242,6 +243,8 @@ def crosscheck_closed_forms(
     L = summaries[0].params.L
     if L not in CLOSED_FORM_SUMS:
         return []
+    from .fixedpoint import Measured, embed  # compiled only where a closed form is evaluated
+
     bits = precision_bits
     entries = []
     tolerance = Fraction(1, 1 << precision_bits - 76)

@@ -15,6 +15,13 @@ truncated toward zero and within 2 units (its docstring derives it).  The
 Moebius pole, the Bethe constants, the closed-form trigonometric sums and
 embed, a cyclotomic number at zeta = exp(2 pi i / order), all read it.
 
+_horner is the one evaluation of a polynomial: Horner's rule over a list of
+(exponent, coefficient) terms by descending exponent, giving P(z) and,
+with its slope on, z P'(z).  Q's multiple P = (z-1)^M Q and Q's own monic
+terms (multiple.py) read it for their Newton corrections, the |Q(z_j)|
+pass of roots.find_roots on Q's dense coefficients, and embed; on a dense
+list each step is one product, as in the textbook loop.
+
 _scaled_mul multiplies numbers (r + i i) 2^e that carry an exponent and
 shifts the exact product so that its larger part is keep bits long.
 Shifting right rounds each part down, by less than a unit of the last kept
@@ -125,29 +132,27 @@ def embed(x: CyclotomicNumber, bits: int) -> tuple[int, int]:
     the exact one truncated toward zero unless that lies within 2^-64 units
     of a multiple of 2^-bits, and within 2 units always.
 
-    Horner's rule on x's integer coordinates c_j, sum_j c_j zeta^j, runs at
-    W = bits + g, then divides by x.den.  zeta is expjpi(2, order) made at W
-    rounded up to a multiple of 64, which every embedding of one order near
-    that scale shares, and truncated to W, so each part is off by less than
-    1 + 2 units 2^-W and zeta by less than 3 sqrt 2 < 4.25.  In those units,
-    with C = sum_j |c_j| bounding every partial sum, a step multiplies the
-    error so far by |zeta + its error| <= 1 + 4.25 2^-W and adds less than
-    4.25 C for zeta's error and sqrt 2 for the product's rounding down.
-    Over the n = len(c) steps, n < 2^(W-8), that is within n (5C + 2)
-    e^(4.25/256) <= E = n (6C + 3) of the exact sum, and the quotient by den
-    within E/den + 1.  g = bits(E//den + 2) + 64 makes that less than
-    2^(g - 64), and truncating g bits leaves each part within 1 + 2^-64
-    units of 2^-bits.
+    Horner's rule (_horner, the slope off) on x's integer coordinates c_j,
+    sum_j c_j zeta^j, runs at W = bits + g, then divides by x.den.  zeta is
+    expjpi(2, order) made at W rounded up to a multiple of 64, which every
+    embedding of one order near that scale shares, and truncated to W, so
+    each part is off by less than 1 + 2 units 2^-W and zeta by less than
+    3 sqrt 2 < 4.25.  In those units, with C = sum_j |c_j| bounding every
+    partial sum, a step multiplies the error so far by |zeta + its error|
+    <= 1 + 4.25 2^-W and adds less than 4.25 C for zeta's error and sqrt 2
+    for the product's rounding down.  Over the n = len(c) steps, n < 2^(W-8),
+    that is within n (5C + 2) e^(4.25/256) <= E = n (6C + 3) of the exact
+    sum, and the quotient by den within E/den + 1.  g = bits(E//den + 2) + 64
+    makes that less than 2^(g - 64), and truncating g bits leaves each part
+    within 1 + 2^-64 units of 2^-bits.
     """
     nums, den = x.nums, x.den
     error = len(nums) * (6 * sum(map(abs, nums)) + 3)
     guard = (error // den + 2).bit_length() + 64
     W = bits + guard
     zr, zi = _rescale(expjpi(2, x.order, W + -W % 64), -W % 64)
-    ar = ai = 0
-    for c in reversed(nums):
-        ar, ai = _mul(ar, ai, zr, zi, W)
-        ar += c << W
+    terms = [(j, c << W) for j, c in reversed(list(enumerate(nums)))]
+    ar, ai, _, _ = _horner(terms, zr, zi, W, slope=False)
     return _rescale((ar // den, ai // den), guard)
 
 
@@ -171,27 +176,52 @@ def _divide(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
     return ((xr * yr + xi * yi) << bits) // norm, ((xi * yr - xr * yi) << bits) // norm
 
 
-def _horner(
-    coeffs: list[int], zr: int, zi: int, bits: int, slope: bool = True
-) -> tuple[int, int, int, int]:
-    """Q(z) and Q'(z) in fixed point at 2^-bits: (Re Q, Im Q, Re Q', Im Q'),
-    Q' left at 0 unless slope; Q comes out the same either way.
+def _horner(terms, zr: int, zi: int, bits: int, slope: bool = True) -> tuple[int, int, int, int]:
+    """P(z) and z P'(z) in fixed point at 2^-bits for P = sum_j c_j z^(e_j):
+    (Re P, Im P, Re zP', Im zP'), zP' left at 0 unless slope; P comes out
+    the same either way.
 
-    The coefficients are real, ascending, and scaled like z = zr + i zi.
-    Each complex product takes three integer products (Gauss's trick); the
-    imaginary part (a + b)(c + d) - ac - bd is exact, so the result is the
-    same as with four.
+    terms holds the pairs (e_j, c_j) by descending e_j, the coefficients
+    real and scaled like z = zr + i zi.  Horner's rule runs over the terms
+    only, for P and for z P' = sum_j e_j c_j z^(e_j) together: each step
+    multiplies by z^g, g the gap to the next exponent (the last one to 0).
+    The distinct gaps' powers are made first, the smallest by repeated
+    squaring and each next one from the one before times z^(the
+    difference), so gaps h and h + 1 cost about 2 log2(h) + 1 products, and
+    a pass 2 per term more; on a dense list every gap is 1, z itself, and a
+    step is one product.  Every product rounds each part down (_mul, whose
+    Gauss trick leaves the imaginary part as exact as four products would).
     """
-    zs = zr + zi
-    ar, ai = coeffs[-1], 0
-    dr = di = 0
-    for c in reversed(coeffs[:-1]):
+    gaps = {a - b for (a, _), (b, _) in zip(terms, terms[1:])}
+    gaps.add(terms[-1][0])
+    gaps.discard(0)
+    powers = {}
+    done = 0
+    for g in sorted(gaps):
+        xr, xi = zr, zi
+        for bit in bin(g - done)[3:]:
+            xr, xi = _mul(xr, xi, xr, xi, bits)
+            if bit == "1":
+                xr, xi = _mul(xr, xi, zr, zi, bits)
+        powers[g] = _mul(*powers[done], xr, xi, bits) if done else (xr, xi)
+        done = g
+    e, vr = terms[0]
+    dr = e * vr if slope else 0
+    vi = di = 0
+    for below, c in terms[1:]:
+        wr, wi = powers[e - below]
+        ws = wr + wi
+        t1, t2 = vr * wr, vi * wi
+        vr, vi = ((t1 - t2) >> bits) + c, ((vr + vi) * ws - t1 - t2) >> bits
         if slope:
-            t1, t2 = dr * zr, di * zi
-            dr, di = ((t1 - t2) >> bits) + ar, (((dr + di) * zs - t1 - t2) >> bits) + ai
-        t1, t2 = ar * zr, ai * zi
-        ar, ai = ((t1 - t2) >> bits) + c, ((ar + ai) * zs - t1 - t2) >> bits
-    return ar, ai, dr, di
+            t1, t2 = dr * wr, di * wi
+            dr, di = ((t1 - t2) >> bits) + below * c, ((dr + di) * ws - t1 - t2) >> bits
+        e = below
+    if e:
+        vr, vi = _mul(vr, vi, *powers[e], bits)
+        if slope:
+            dr, di = _mul(dr, di, *powers[e], bits)
+    return vr, vi, dr, di
 
 
 def _scaled_mul(xr: int, xi: int, xe: int, yr: int, yi: int, ye: int, keep: int):

@@ -34,11 +34,10 @@ value.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .cyclotomic import CyclotomicNumber
     from .fixedpoint import Measured
 
@@ -48,6 +47,11 @@ if TYPE_CHECKING:
 # 2^-(precision_bits - LOOSE_BITS).
 MIN_ROOT_BITS = 128
 LOOSE_BITS = 40
+
+
+def loose_tolerance(precision_bits: int) -> Fraction:
+    """2^-(precision_bits - LOOSE_BITS), exactly."""
+    return Fraction(1, 1 << precision_bits - LOOSE_BITS)
 
 
 class FalsificationError(RuntimeError):

@@ -23,8 +23,8 @@ Newton correction.  The roots are stored at one scale, F, set once in
 find_roots: the last Newton step's points truncated to 2^-F (_rescale),
 and their Moebius images (z_to_w) at F.  Every measurement reads them as
 stored, at F, and none rescales them: the polynomial residual |Q(z_j)|
-(dense Horner on Q's own coefficients), the Bethe-equation residuals, the
-root product, the inversion closure and the root sum.  Each of the first
+(fixedpoint._horner on Q's dense coefficients), the Bethe-equation
+residuals, the root product, the inversion closure and the root sum.  Each of the first
 four comes back as a Measured: the residual and an explicit bound on its rounding error,
 derived in the function's docstring and computed in integers, so a check
 passes only when residual + bound is below its tolerance; a scale too low
@@ -169,36 +169,13 @@ def _aberth_denominator(nr, ni, i, real, imag, floats, bits) -> tuple[int, int]:
     return one - mr, -mi
 
 
-def _float_corrector(monic: list[Fraction], multiple: _Multiple | None):
-    """x -> (N, bound): Q/Q' at x in doubles and a bound on its error, from P
-    where _trusted vouches for it, else by Horner's rule on the monic Q.
-    Raises OverflowError where a monic coefficient is out of float range.
-
-    Horner's rule in doubles, u = 2^-53, computes Q(x) to within gamma_2p
-    sum_k |c_k| |x|^k, gamma_n = n u / (1 - n u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 5.1), for real data.  A
-    complex product errs by at most about twice a real one, and rounding
-    each monic coefficient to a double adds u |c_k| |x|^k per term, so
-    4 (p+1) u sum_k |c_k| |x|^k bounds the noise, and that over |Q'| bounds
-    N's; the sum is taken in the same Horner loop.
-    """
-    terms = [(c, abs(c)) for c in map(float, reversed(monic[:-1]))]
-    noise = 4 * len(monic) * 2.0**-53
-
-    def correction(x: complex):
-        if multiple is not None:
-            found = multiple.float_correction(x, HANDOVER_BITS)
-            if found is not None:
-                return found
-        r = abs(x)
-        v, d, size = 1 + 0j, 0j, 1.0
-        for c, a in terms:
-            d = d * x + v
-            v = v * x + c
-            size = size * r + a
-        return v / d, noise * size / abs(d)
-
-    return correction
+def _correction(own: _Multiple, multiple: _Multiple | None, x: complex):
+    """(N, bound): Q/Q' at x in doubles and a bound on its error, from P's
+    terms where _trusted vouches for them at HANDOVER_BITS, else from Q's
+    own, which never refuse (multiple.py).  ZeroDivisionError where Q' is
+    exactly 0."""
+    found = multiple and multiple.float_correction(x, HANDOVER_BITS)
+    return found or own.float_correction(x, HANDOVER_BITS)
 
 
 def _palindromic(coeffs: list[Fraction]) -> bool:
@@ -214,7 +191,7 @@ def _z_of(u: complex) -> complex:
 
 def _on_u(correction, p: int):
     """u -> (N_u, bound) for a palindromic Q of degree p from its correction
-    on z (_float_corrector), read at z = _z_of(u); see find_roots.  The
+    on z (_correction), read at z = _z_of(u); see find_roots.  The
     bound is N's scaled by |N_u / N|, so a point stops where N would."""
     m = p // 2
 
@@ -231,16 +208,17 @@ def _on_u(correction, p: int):
 
 
 def _float_search(
-    monic: list[Fraction],
+    own: _Multiple,
     points: list[complex],
     multiple: _Multiple | None = None,
     on_u: bool = False,
 ) -> tuple[int, list | None]:
-    """Aberth in doubles from points: (sweeps, the points reached), or
-    (sweeps, None) where doubles cannot go on and the seeds are kept.
+    """Aberth in doubles from points on Q's own terms and its multiple P, if
+    any: (sweeps, the points reached), or (sweeps, None) where doubles
+    cannot go on and the seeds are kept.
 
     A root stops moving once its step is below 2^-45 max(1, |z|), or once
-    its correction N is within N's own error bound (_float_corrector): the
+    its correction N is within N's own error bound (_correction): the
     computed value then says nothing more of the root's position.  A
     stopped root still counts in the others' pair sums.  The search gives
     up without raising if a monic coefficient or a seed is out of float
@@ -255,9 +233,11 @@ def _float_search(
     and 1/z for each u reached, and -1 at odd p, and gives up, too, after
     MAX_SWEEPS sweeps with a point still moving.
     """
-    p = len(monic) - 1
+    p = own.deg
+    if own.forward is None:  # a monic coefficient out of float range
+        return 0, None
+    correction = functools.partial(_correction, own, multiple)
     try:
-        correction = _float_corrector(monic, multiple)
         if on_u:
             correction = _on_u(correction, p)
             seeds = [x * max(1.0, U_SEED / abs(x)) for x in points[::2][: p // 2]]
@@ -383,12 +363,14 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     L = 5 on, 2(N+1) against p + 1), every phase takes its Newton
     corrections Q/Q' from P's terms, at O(N + log L) products each, except
     where the evaluation's own rounding bound refuses them, near P's
-    M-fold zero at z = 1; Q's dense Horner gives those, and all of them on
-    Q's dense path (multiple.py derives the terms, the correction and the
-    bound).
+    M-fold zero at z = 1; Q's own monic terms, the same kind of term list
+    (multiple._own), give those, and all of them where P is no sparser
+    (multiple.py derives the terms, the correction and the bound; one
+    evaluator in doubles and one in fixed point, fixedpoint._horner, read
+    both lists).
 
     Double phase.  A root stops moving once its correction N is within
-    its rounding bound eps (_float_corrector), when the computed value says
+    its rounding bound eps (_correction), when the computed value says
     nothing more of its position, or once its step is below 2^-45
     max(1, |z|); stopped roots still count in the others' pair sums.  P is
     evaluated in 1/z where |z| > 1, so p = 416 does not overflow (scaling
@@ -423,7 +405,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     the distance to the nearest other point, the least -log2(reach /
     max(1, |z|)) (40 to 49 bits on the CI grids) is what the ladder starts
     from, and no fixed-point sweep runs (_handover_bits), on P or on Q's
-    dense path alike.  Otherwise the fixed-point search runs, on the same
+    own terms alike.  Otherwise the fixed-point search runs, on the same
     corrections, keeping Aberth's pair sums in doubles (plain Newton from
     the double phase's points merged roots at (11, 8), (31, 6), (41, 6)),
     and the ladder polishes every root.
@@ -449,13 +431,13 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     C = 1 + max |c_j| over the lower terms, so at 2^-S an evaluation errs
     by up to kappa T 2^bits(C) units at |z| <= 1, and a correction is sound
     to 2^-(S - margin), margin = bits(C) + bits(T (deg + 2T)) + 24, the 24
-    for |Q'| |z-1|^M below 1 and the correction's own rounding; on Q's
-    dense path margin = bits(Q's Cauchy bound) + bits(p) + 24, the same
-    reasoning for p + 1 terms.  At (51, 8) P's margin is 53, Q's 107.  The
-    search stops once every step, relative to max(1, |z|), is below
-    2^-(S - margin), or when steps below 2^-48 stop halving three sweeps
-    running.  So at S = margin + 72 its roots are good to 72 bits, or 48
-    after a stall: far inside their Newton basins.
+    for |Q'| |z-1|^M below 1 and the correction's own rounding; Q's own
+    terms take the same formula with deg = p and M = 0, and where P runs,
+    Q's corrections run at (Q's margin - P's) more bits.  At (51, 8) P's
+    margin is 53, Q's 117.  The search stops once every step, relative to
+    max(1, |z|), is below 2^-(S - margin), or when steps below 2^-48 stop
+    halving three sweeps running.  So at S = margin + 72 its roots are good
+    to 72 bits, or 48 after a stall: far inside their Newton basins.
 
     Newton ladder.  A Newton step from a root good to a bits lands within
     about 2^-2a if it runs at 2a + margin bits or more.  The roots are
@@ -490,9 +472,10 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     and 90.  A chain that needed more would turn its check red, not pass.
 
     max_poly_residual is max_j |Q(z_j)| at the stored roots, evaluated by
-    _horner at F on Q's coefficients truncated to F, with its rounding
-    bound.  In units 2^-F each coefficient is low by less than 1 and each
-    Horner step truncates both parts, an error below 1.5 that the
+    _horner, its slope off, at F on the dense list of Q's coefficients
+    truncated to F (zeros kept, so each step is one product), with its
+    rounding bound.  In units 2^-F each coefficient is low by less than 1
+    and each Horner step truncates both parts, an error below 1.5 that the
     remaining steps multiply by z^k, so the computed value is within
     2.5 sum_(k<=p) |z|^k <= 2.5 (p+1) max(1, |z|)^p units of |Q(z_j)|;
     max(1, |z|) is rounded up to a multiple of 2^-16, and the bound adds
@@ -511,13 +494,11 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
         raise ValueError("leading coefficient vanished")
     monic = [c / lead for c in coeffs]
     bound = 1 + max(abs(c) for c in monic[:-1])
-    margin = (bound.numerator // bound.denominator).bit_length() + p.bit_length() + 24
-    dense_margin = margin
-    from .multiple import _multiple  # only root searches compile it
+    from .multiple import _multiple, _own  # only root searches compile it
 
+    own = _own(monic)
     multiple = _multiple(q)
-    if multiple is not None:
-        margin = multiple.margin
+    margin = own.margin if multiple is None else multiple.margin
     S = search_bits = margin + 72
 
     # the seeds, on the circle of radius bound^(1/p) = 2^(shift + frac), are made
@@ -532,30 +513,26 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
     floats = [_float(zr, zi, 1 << S) for zr, zi in zip(real, imag)]
     float_sweeps, reached = 0, None
     if _palindromic(coeffs):
-        float_sweeps, reached = _float_search(monic, floats, multiple, True)
+        float_sweeps, reached = _float_search(own, floats, multiple, True)
     search = "z" if reached is None else "u = z + 1/z"
     if reached is None:
-        more, reached = _float_search(monic, floats, multiple)
+        more, reached = _float_search(own, floats, multiple)
         float_sweeps += more
     good = 0
     if reached is not None:
         floats = reached
         real = [_fixed(z.real, S) for z in reached]
         imag = [_fixed(z.imag, S) for z in reached]
-        good = _handover_bits(_float_corrector(monic, multiple), reached)
+        good = _handover_bits(functools.partial(_correction, own, multiple), reached)
 
-    # Q/Q' at 2^-bits from the monic Q at up more bits, which its margin needs
-    up = max(0, dense_margin - margin)
-    truncated = {}
+    # Q/Q' at 2^-bits from Q's own terms at up more bits, which their margin needs
+    up = max(0, own.margin - margin)
 
-    def dense(zr: int, zi: int, bits: int):
-        at = bits + up
-        if at not in truncated:
-            truncated[at] = [_fixed(c, at) for c in monic]
-        return _horner(truncated[at], zr << up, zi << up, at)
+    def on_q(zr: int, zi: int, bits: int):
+        return own.fraction(zr << up, zi << up, bits + up)
 
     def fraction(zr: int, zi: int, bits: int):
-        return (multiple and multiple.fraction(zr, zi, bits)) or dense(zr, zi, bits)
+        return (multiple and multiple.fraction(zr, zi, bits)) or on_q(zr, zi, bits)
 
     sweeps = 0
     mirror = None
@@ -584,7 +561,7 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
             found = on_p[i] and multiple.fraction(zr, zi, bits, check=bits == ladder[0])
             if not found:
                 on_p[i] = False
-                found = dense(zr, zi, bits)
+                found = on_q(zr, zi, bits)
             vr, vi, dr, di = found
             if (vr or vi) and (dr or di):
                 sr, si = _divide(vr, vi, dr, di, bits)
@@ -599,8 +576,8 @@ def find_roots(q: QPolynomial, precision_bits: int = 256, seed: int = 0) -> Root
             z[mirror[j]] = (z[j][0], -z[j][1])
     z = tuple(z)
 
-    # |Q| at the stored roots, on Q's coefficients truncated to F
-    plain = [_fixed(c, F) for c in coeffs]
+    # |Q| at the stored roots, on Q's dense coefficients truncated to F
+    plain = [(k, _fixed(c, F)) for k, c in reversed(list(enumerate(coeffs)))]
     worst = 0
     reach = 1 << 16  # 2^16 max(1, |z_j|), rounded up
     closed = _conjugate_closed(z)
@@ -669,11 +646,10 @@ def inversion_closure_gap(rs: RootSet) -> Measured:
     within 3 4^(F+1-b) + 3 units of its exact value, b the smallest bit
     length of a root, and so is the max of the mins; the bound adds 2 units
     for the reported square root, and is infinite for a root below 4 units.
+    It is made once, with the partner map (symmetry._inverses), which
+    bae_residuals_by_form reads only where it passes this check's tolerance.
     """
-    F = rs.bits
-    inverses = rs.inverses
-    error = None if inverses.error is None else (inverses.error, -F)
-    return Measured.from_square(max(inverses.gaps), 1 << 2 * F, F, error)
+    return rs.inverses.gap
 
 
 def numeric_cross_check(rs: RootSet, e1: CyclotomicNumber) -> Fraction:

@@ -9,7 +9,9 @@ exactly: it pairs the double phase's points by nearest conjugate
 mirror image (re, -im), so _conjugate_closed, an exact set lookup, holds.
 The second holds only to a few units of 2^-F, since each root is polished
 on its own: _inverses maps each root j to pi(j), the stored root nearest
-1/z_j, and measures each gap |1/z_j - z_pi(j)| exactly.
+1/z_j, measures each gap |1/z_j - z_pi(j)| exactly, and reports the
+largest as a Measured, the root-inversion check's; _orbits uses the map
+only where that passes the check's tolerance, report.loose_tolerance.
 bae_residuals_by_form reads both through _orbits; its docstring derives
 the identities and the bound terms they add.
 
@@ -29,8 +31,8 @@ import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .fixedpoint import _divide, _float
-from .report import LOOSE_BITS
+from .fixedpoint import Measured, _divide, _float
+from .report import loose_tolerance
 
 if TYPE_CHECKING:
     from .roots import RootSet
@@ -141,12 +143,12 @@ def _reject_coincident(z, bits: int) -> None:
 class _Inverses(NamedTuple):
     """partner[j] = pi(j), the stored root nearest 1/z_j (the first of equals),
     and gaps[j] = |1/z_j - z_pi(j)|^2 in units 2^-2F, 1/z_j as _divide makes
-    it at 2^-F; error, inversion_closure_gap's rounding bound in units, None
-    where it is unbounded."""
+    it at 2^-F; gap, their largest as inversion_closure_gap reports it, with
+    its rounding bound (infinite where it is unbounded)."""
 
     partner: tuple
     gaps: tuple
-    error: int | None
+    gap: Measured
 
     @property
     def involution(self) -> bool:
@@ -176,8 +178,8 @@ def _inverses(z, bits: int) -> _Inverses:
         partner.append(k)
         gaps.append((ir - z[k][0]) ** 2 + (ii - z[k][1]) ** 2)
     low = min(abs(zr) | abs(zi) for zr, zi in z).bit_length()
-    error = None if low < 3 else 3 * 4 ** max(0, bits + 1 - low) + 3
-    return _Inverses(tuple(partner), tuple(gaps), error)
+    error = None if low < 3 else (3 * 4 ** max(0, bits + 1 - low) + 3, -bits)
+    return _Inverses(tuple(partner), tuple(gaps), Measured.from_square(max(gaps), one * one, bits, error))
 
 
 def _orbits(rs: RootSet) -> tuple[list[tuple[int, bool]], list[int] | None, tuple | None]:
@@ -196,13 +198,10 @@ def _orbits(rs: RootSet) -> tuple[list[tuple[int, bool]], list[int] | None, tupl
     if all(zr or zi for zr, zi in z):
         inverses = rs.inverses
         inv = inverses.partner
-        worst = math.isqrt(max(inverses.gaps)) + 1  # in units, rounded up
-        tolerance = 1 << rs.bits - rs.precision_bits + LOOSE_BITS
         if (
             not inverses.involution
             or any(inv[conj[j]] != conj[inv[j]] for j in range(p))
-            or inverses.error is None
-            or worst + inverses.error + 2 >= tolerance
+            or not inverses.gap.below(loose_tolerance(rs.precision_bits))
         ):
             inv = None
     visits, seen = [], set()

@@ -467,3 +467,41 @@ def handover_scan_oracle(correction, points):
     except (ZeroDivisionError, OverflowError):
         return 0
     return 52 if not worst else min(52, int(-math.log2(worst)))
+
+
+def dense_horner_oracle(coeffs, zr, zi, bits, slope=True):
+    """Q(z) and Q'(z) in fixed point at 2^-bits, (Re Q, Im Q, Re Q', Im Q'),
+    Q' left at 0 unless slope, by Horner's rule on the dense coefficients,
+    ascending and scaled like z: the loop that evaluated Q before
+    `fixedpoint._horner` read term lists, each product rounding each part
+    down (Gauss's three products)."""
+    zs = zr + zi
+    ar, ai = coeffs[-1], 0
+    dr = di = 0
+    for c in reversed(coeffs[:-1]):
+        if slope:
+            t1, t2 = dr * zr, di * zi
+            dr, di = ((t1 - t2) >> bits) + ar, (((dr + di) * zs - t1 - t2) >> bits) + ai
+        t1, t2 = ar * zr, ai * zi
+        ar, ai = ((t1 - t2) >> bits) + c, ((ar + ai) * zs - t1 - t2) >> bits
+    return ar, ai, dr, di
+
+
+def float_corrector_oracle(monic):
+    """x -> (N, bound): Q/Q' at x in doubles by Horner's rule on the dense
+    monic Q, with the bound 4 (p+1) u sum_k |c_k| |x|^k / |Q'(x)|, u = 2^-53:
+    how Q's corrections in doubles were made before Q's own term list
+    (`multiple._own`) made them."""
+    terms = [(c, abs(c)) for c in map(float, reversed(monic[:-1]))]
+    noise = 4 * len(monic) * 2.0**-53
+
+    def correction(x: complex):
+        r = abs(x)
+        v, d, size = 1 + 0j, 0j, 1.0
+        for c, a in terms:
+            d = d * x + v
+            v = v * x + c
+            size = size * r + a
+        return v / d, noise * size / abs(d)
+
+    return correction

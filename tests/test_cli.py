@@ -597,11 +597,11 @@ def test_roots_detail_reports_search_and_ladder_bits(tmp_path, capsys):
     assert "PASS roots L=3 N=2\n" in out
     (entry,) = [e for e in json.loads(report_path.read_text())["entries"]
                 if e["check"] == "roots" and e["params"] == {"L": 3, "N": 2}]
-    # p = 2: the double phase, on u = z + 1/z, hands over on Q's dense path,
-    # the ladder ends at F + margin = 384 + 28 bits, the roots are stored at F
+    # p = 2: the double phase, on u = z + 1/z, hands over on Q's own terms,
+    # the ladder ends at F + margin = 384 + 31 bits, the roots are stored at F
     assert entry["detail"] == (
-        "2 float sweeps on u = z + 1/z and 0 fixed-point sweeps, search 100 bits, "
-        "polish 76/124/220/412 bits, stored at 384 bits"
+        "2 float sweeps on u = z + 1/z and 0 fixed-point sweeps, search 103 bits, "
+        "polish 79/127/223/415 bits, stored at 384 bits"
     )
 
 

@@ -5,6 +5,7 @@ The quadratic (3,2) chain is the main oracle: its roots are
 """
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -25,7 +26,9 @@ from conftest import (
     bae_oracle,
     coincidence_oracle,
     constants_oracle,
+    dense_horner_oracle,
     exact_value,
+    float_corrector_oracle,
     handover_scan_oracle,
     inversion_oracle,
     inversion_scan_oracle,
@@ -38,7 +41,7 @@ from conftest import (
 )
 from qchain.cli import main
 from qchain.energy import groundstate_summary
-from qchain.fixedpoint import _divide, _fixed, _horner
+from qchain.fixedpoint import _divide, _fixed
 from qchain.qoperator import ChainParams, _times_one_plus_x, build_q
 from qchain.report import gap as _gap_entry
 from qchain.report import measured as _measured_entry
@@ -340,7 +343,7 @@ def test_inversion_partner_maps_that_are_no_commuting_involution_are_not_read():
     partner = list(inv)
     partner[a], partner[x], partner[b], partner[y] = x, a, y, b
     bad = _hand_built(rs, rs.z)
-    bad.inverses = qchain.symmetry._Inverses(tuple(partner), rs.inverses.gaps, rs.inverses.error)
+    bad.inverses = qchain.symmetry._Inverses(tuple(partner), rs.inverses.gaps, rs.inverses.gap)
     assert bad.inverses.involution
     assert qchain.symmetry._orbits(bad)[2] is None
     # nor is one that commutes with conjugation but is no involution:
@@ -350,7 +353,7 @@ def test_inversion_partner_maps_that_are_no_commuting_involution_are_not_read():
     partner = list(inv)
     for u, v in ((a, b), (b, x), (x, a)):
         partner[u], partner[conj[u]] = v, conj[v]
-    bad.inverses = qchain.symmetry._Inverses(tuple(partner), rs.inverses.gaps, rs.inverses.error)
+    bad.inverses = qchain.symmetry._Inverses(tuple(partner), rs.inverses.gaps, rs.inverses.gap)
     assert not bad.inverses.involution
     assert qchain.symmetry._orbits(bad)[2] is None
 
@@ -636,17 +639,36 @@ def test_measurements_do_no_mpmath_arithmetic_per_root(monkeypatch):
     assert count(numeric_cross_check, large, e1_large) == 0
 
 
-def _recording(monkeypatch, name="_horner", module=qchain.roots):
-    """Patch a Horner routine where module calls it, to record the precision of every call."""
+def _recording(monkeypatch, module=qchain.roots, degree=None):
+    """Patch the one Horner routine where module calls it, to record the
+    precision of every call, or of every call on terms of that degree:
+    qchain.roots calls it for |Q(z_j)|, qchain.multiple for the Newton
+    corrections, on P's terms (degree p + M) and on Q's own (degree p)."""
     calls = []
-    horner = getattr(module, name)
+    horner = module._horner
 
-    def recording(coeffs, zr, zi, bits, **slope):
-        calls.append(bits)
-        return horner(coeffs, zr, zi, bits, **slope)
+    def recording(terms, zr, zi, bits, **slope):
+        if degree is None or terms[0][0] == degree:
+            calls.append(bits)
+        return horner(terms, zr, zi, bits, **slope)
 
-    monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(module, "_horner", recording)
     return calls
+
+
+def _noise_bits(deg, coeffs):
+    """bits(1 + max |c|) over the lower terms + bits(T (deg + 2T)), for T
+    nonzero monic coefficients coeffs, the leading one first: a term
+    list's margin but its 24 bits."""
+    count = len(coeffs)
+    top = 1 + max((abs(c) for c in coeffs[1:]), default=0)
+    return math.floor(top).bit_length() + (count * (deg + 2 * count)).bit_length()
+
+
+def _own_noise_bits(q):
+    """_noise_bits of Q's own monic terms."""
+    coeffs = q.coefficients()
+    return _noise_bits(q.params.p, [c / coeffs[-1] for c in reversed(coeffs) if c])
 
 
 def test_search_runs_at_the_noise_derived_precision(monkeypatch):
@@ -657,21 +679,21 @@ def test_search_runs_at_the_noise_derived_precision(monkeypatch):
     p, M = q.params.p, q.params.M
     product = _times_one_plus_x(q.nums, M)
     terms = [Fraction(c, product[0]) for c in product if c]
-    deg, count = p + M, len(terms)
-    top = 1 + max(abs(c) for c in terms[1:])
-    noise_bits = math.floor(top).bit_length() + (count * (deg + 2 * count)).bit_length()
-    coeffs = q.coefficients()
-    cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    count = len(terms)
+    noise_bits = _noise_bits(p + M, terms)
     monkeypatch.setattr(qchain.roots, "_handover_bits", lambda correction, points: 0)
-    sparse = _recording(monkeypatch, "_sparse_horner", qchain.multiple)
+    sparse = _recording(monkeypatch, qchain.multiple, p + M)
+    own = _recording(monkeypatch, qchain.multiple, p)
     dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
     assert count == 2 * (q.params.N + 1)
-    assert rs.search_bits == noise_bits + 96 < math.floor(cauchy).bit_length() + p.bit_length() + 96
+    assert rs.search_bits == noise_bits + 96 < _own_noise_bits(q) + 96
     assert rs.sweeps > 0
     assert sparse[: rs.sweeps * p] == [rs.search_bits] * (rs.sweeps * p)
-    # Q's dense coefficients are read only by the residual pass, at F, once
-    # per conjugate pair and per real root
+    # Q's own terms are never read: P vouches for every point; Q's dense
+    # coefficients are read only by the residual pass, at F, once per
+    # conjugate pair and per real root
+    assert own == []
     assert dense == [256 + 128] * _visited(rs)
     assert rs.max_poly_residual.below(F(1, 2**232))
 
@@ -680,7 +702,8 @@ def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
     q = build_q(ChainParams(11, 4))
     p = q.params.p
     F = 256 + 128
-    sparse = _recording(monkeypatch, "_sparse_horner", qchain.multiple)
+    sparse = _recording(monkeypatch, qchain.multiple, p + q.params.M)
+    own = _recording(monkeypatch, qchain.multiple, p)
     dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
     # the double phase hands over: one root per conjugate pair and per real
@@ -692,6 +715,7 @@ def test_newton_ladder_ends_at_exactly_polish_bits(monkeypatch):
     runs = sparse[::visited]
     assert sparse == [bits for bits in runs for _ in range(visited)]
     assert runs == list(rs.ladder)
+    assert own == []
     assert dense == [F] * _visited(rs)
     # the ladder ends at F + margin
     margin = rs.search_bits - 72
@@ -755,8 +779,9 @@ def _visited(rs):
     return sum(1 for _, zi in rs.z if zi >= 0)
 
 
-def _monic(q):
-    return [c / q.coefficients()[-1] for c in q.coefficients()]
+def _own(q):
+    """Q's own monic terms, as find_roots makes them."""
+    return qchain.multiple._own([c / q.coefficients()[-1] for c in q.coefficients()])
 
 
 def test_float_search_gives_up_without_raising():
@@ -764,19 +789,19 @@ def test_float_search_gives_up_without_raising():
     p = q.params.p
     points = [cmath.rect(2, 2 * math.pi * k / p) for k in range(p)]
     search = qchain.roots._float_search
-    assert search(_monic(q), points)[1] is not None
+    assert search(_own(q), points)[1] is not None
     # a zero pair difference: two points the same
-    assert search(_monic(q), [points[0], *points[:-1]]) == (1, None)
+    assert search(_own(q), [points[0], *points[:-1]]) == (1, None)
     # a point that is not finite
-    assert search(_monic(q), [complex(math.inf, 0), *points[1:]]) == (0, None)
+    assert search(_own(q), [complex(math.inf, 0), *points[1:]]) == (0, None)
 
 
 def test_coefficients_beyond_float_range_keep_the_seeds(monkeypatch):
     # the bump of verify --tamper 1:1<400 zeros> at (3, 2); see test_cli: no
-    # double phase, so the fixed-point search runs on Q's dense coefficients
+    # double phase, so the fixed-point search runs on Q's own terms
     q = build_q(ChainParams(3, 2)).with_coefficient_bump(1, F(10**400))
-    assert qchain.roots._float_search(_monic(q), [1j, -1j]) == (0, None)
-    dense = _recording(monkeypatch)
+    assert qchain.roots._float_search(_own(q), [1j, -1j]) == (0, None)
+    dense = _recording(monkeypatch, qchain.multiple)
     rs = find_roots(q, precision_bits=256)
     assert rs.float_sweeps == 0 and rs.sweeps > 0
     assert dense[: rs.sweeps * 2] == [rs.search_bits] * (rs.sweeps * 2)
@@ -808,15 +833,17 @@ def test_fixed_point_search_recovers_from_a_bad_float_handover(monkeypatch):
 
 
 def _corrections(q, zr, zi, bits):
-    """Q/Q' at z = (zr + i zi) 2^-bits as (from P's terms or None, from dense
-    _horner), each at 2^-bits, and the bound 2^(margin - bits) (max(1, |z|) +
-    |Q/Q'|) that find_roots takes the sparse correction to, margin P's."""
+    """Q/Q' at z = (zr + i zi) 2^-bits as (from P's terms or None, from the
+    dense Horner oracle), each at 2^-bits, and the bound 2^(margin - bits)
+    (max(1, |z|) + |Q/Q'|) that find_roots takes the sparse correction to,
+    margin P's.  The oracle runs at the precision its Cauchy bound needs, as
+    find_roots' dense path ran it."""
     multiple = qchain.multiple._multiple(q)
     coeffs = q.coefficients()
     cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
     up = max(0, math.floor(cauchy).bit_length() + q.params.p.bit_length() + 24 - multiple.margin)
     plain = [_fixed(c / coeffs[-1], bits + up) for c in coeffs]
-    vr, vi, dr, di = _horner(plain, zr << up, zi << up, bits + up)
+    vr, vi, dr, di = dense_horner_oracle(plain, zr << up, zi << up, bits + up)
     dense = _divide(vr, vi, dr, di, bits)
     fraction = multiple.fraction(zr, zi, bits)
     sparse = None if fraction is None else _divide(*fraction, bits)
@@ -867,19 +894,40 @@ def test_sparse_correction_falls_back_near_its_zero_at_one(L, N):
     assert trusted == sorted(trusted, reverse=True)
 
 
+@pytest.mark.parametrize("L,N", [(L, N) for L in (3, 5, 7, 9, 11) for N in (1, 2, 3, 4)])
+def test_own_terms_correct_in_doubles_as_the_dense_loop_did(L, N):
+    # at every root of the default grid, and 2^-10 away from it, Q's own
+    # terms give a correction in doubles with a finite bound, and it agrees
+    # with Horner's rule on the dense monic Q in doubles, as the double phase
+    # read Q before, to within the two corrections' bounds
+    q = build_q(ChainParams(L, N))
+    rs = find_roots(q, precision_bits=256)
+    monic = [c / q.coefficients()[-1] for c in q.coefficients()]
+    own = qchain.multiple._own(monic)
+    oracle = float_corrector_oracle(monic)
+    for zr, zi in rs.z:
+        z = qchain.roots._float(zr, zi, 1 << rs.bits)
+        for x in (z, z + 2.0**-10):
+            n, bound = own.float_correction(x, qchain.roots.HANDOVER_BITS)
+            m, limit = oracle(x)
+            assert bound < math.inf
+            assert abs(n - m) <= bound + limit, (L, N, x)
+
+
 def test_bumped_q_is_read_for_its_own_multiple(monkeypatch):
     # P is formed from the Q under test.  At (5, 2) a bump spreads over M + 1
-    # more terms of P, leaving it no sparser than Q: Q's dense path runs, its
-    # double phase hands over, and the whole ladder reads Q's own coefficients
+    # more terms of P, leaving it no sparser than Q: Q's own terms alone run,
+    # at their own margin, the double phase hands over, and the whole ladder
+    # reads Q's own coefficients
     q = build_q(ChainParams(5, 2)).with_coefficient_bump(1, F(1, 3))
     assert qchain.multiple._multiple(q) is None
+    own = _recording(monkeypatch, qchain.multiple)
     dense = _recording(monkeypatch)
     rs = find_roots(q, precision_bits=256)
-    coeffs = q.coefficients()
-    cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
-    assert rs.search_bits == math.floor(cauchy).bit_length() + q.params.p.bit_length() + 96
+    assert rs.search_bits == _own_noise_bits(q) + 96
     assert rs.sweeps == 0
-    assert dense == [bits for bits in rs.ladder for _ in range(_visited(rs))] + [256 + 128] * _visited(rs)
+    assert own == [bits for bits in rs.ladder for _ in range(_visited(rs))]
+    assert dense == [256 + 128] * _visited(rs)
     # at (11, 4) P stays sparser than Q, and carries the bump's terms: the
     # roots found are those of the bumped Q, not of the chain's
     q = build_q(ChainParams(11, 4))
@@ -905,7 +953,7 @@ def test_minus_one_at_odd_p_is_a_converged_root(L, N):
     assert abs(n) <= bound
     p = q.params.p
     points = [-1 + 0j] + [cmath.rect(1.5, 2 * math.pi * (k + 0.5) / p) for k in range(p - 1)]
-    _, reached = qchain.roots._float_search(_monic(q), points, multiple)
+    _, reached = qchain.roots._float_search(_own(q), points, multiple)
     assert reached[0] == -1
     bits = 256
     sparse, dense, bound = _corrections(q, -1 << bits, 0, bits)
@@ -922,8 +970,8 @@ def test_handover_certifies_only_separated_points_near_roots():
     multiple = qchain.multiple._multiple(q)
     p = q.params.p
     seeds = [cmath.rect(1.1, 2 * math.pi * (k + 0.3) / p) for k in range(p)]
-    _, reached = qchain.roots._float_search(_monic(q), seeds, multiple)
-    correction = qchain.roots._float_corrector(_monic(q), multiple)
+    _, reached = qchain.roots._float_search(_own(q), seeds, multiple)
+    correction = functools.partial(qchain.roots._correction, _own(q), multiple)
     good = qchain.roots._handover_bits(correction, reached)
     assert qchain.roots.HANDOVER_BITS <= good <= 52
     moved = [reached[0] + 2.0**-20, *reached[1:]]
@@ -958,25 +1006,25 @@ def test_handover_reads_the_nearest_other_point_from_the_sweep(grid, monkeypatch
 
 def test_ladder_takes_q_for_the_roots_whose_first_step_p_refuses(monkeypatch):
     # a root whose first ladder step finds P's correction refused by its
-    # rounding bound takes every step on Q's dense coefficients, at Q's
-    # margin; here every root is refused, and the roots come out the same
+    # rounding bound takes every step on Q's own terms, at Q's margin; here
+    # every root is refused, and the roots come out the same
     q = build_q(ChainParams(9, 2))
     rs = find_roots(q, precision_bits=256)
     fraction = qchain.multiple._Multiple.fraction
 
     def refusing(self, zr, zi, bits, check=True):
-        return None if check else fraction(self, zr, zi, bits, check)
+        return None if check and self.M else fraction(self, zr, zi, bits, check)
 
     monkeypatch.setattr(qchain.multiple._Multiple, "fraction", refusing)
+    own = _recording(monkeypatch, qchain.multiple)
     dense = _recording(monkeypatch)
     refused = find_roots(q, precision_bits=256)
-    p = q.params.p
-    coeffs = q.coefficients()
-    cauchy = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
-    up = max(0, math.floor(cauchy).bit_length() + p.bit_length() + 96 - refused.search_bits)
+    up = max(0, _own_noise_bits(q) + 96 - refused.search_bits)
+    assert up > 0
     assert refused.sweeps == 0 and refused.ladder == rs.ladder
     visited = _visited(rs)
-    assert dense == [bits + up for bits in rs.ladder for _ in range(visited)] + [256 + 128] * visited
+    assert own == [bits + up for bits in rs.ladder for _ in range(visited)]
+    assert dense == [256 + 128] * visited
     _assert_same_roots(rs, refused)
 
 
@@ -1019,11 +1067,11 @@ def test_search_on_u_finds_every_root_of_a_palindromic_polynomial(p, half, phase
     assert len(coeffs) == p + 1 and qchain.roots._palindromic(coeffs)
     oracle = numpy.roots(coeffs[::-1])
     assume(all(abs(a - b) > 0.05 for i, a in enumerate(oracle) for b in oracle[i + 1 :]))
-    monic = [F(c, coeffs[-1]) for c in coeffs]
+    own = qchain.multiple._own([F(c, coeffs[-1]) for c in coeffs])
     seeds = [cmath.rect(1.5, 2 * math.pi * k / p + phase) for k in range(p)]
-    _, points = qchain.roots._float_search(monic, seeds, None, True)
+    _, points = qchain.roots._float_search(own, seeds, None, True)
     assert points is not None and len(points) == p
-    correction = qchain.roots._float_corrector(monic, None)
+    correction = functools.partial(qchain.roots._correction, own, None)
     matched = set()
     for x in points:
         n, bound = correction(x)
@@ -1046,7 +1094,7 @@ def test_a_bumped_q_is_not_palindromic_and_searches_on_z():
 
 def test_search_on_u_at_p_1_returns_minus_one_in_no_sweep():
     q = build_q(ChainParams(3, 1))
-    assert qchain.roots._float_search(_monic(q), [2 + 0j], None, True) == (0, [-1 + 0j])
+    assert qchain.roots._float_search(_own(q), [2 + 0j], None, True) == (0, [-1 + 0j])
     rs = find_roots(q, precision_bits=256)
     assert (rs.search, rs.float_sweeps, rs.sweeps) == ("u = z + 1/z", 0, 0)
     assert rs.z == ((-1 << rs.bits, 0),)

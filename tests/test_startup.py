@@ -33,8 +33,8 @@ HEAVY = ("mpmath", "dataclasses", "inspect")
 
 # Runs its arguments as `python -m qchain.cli` does (runpy, run as __main__),
 # or, with "import" first, imports qchain.cli and calls main as the console
-# script does, or runs the rest as code; then prints the heavy modules that
-# the run loaded to stderr, after anything the command printed.
+# script does, or runs the rest as code; then prints the modules that the
+# run loaded to stderr, after anything the command printed.
 PROBE = """
 import sys
 before = set(sys.modules)
@@ -53,14 +53,14 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(set(sys.modules) - before)
-sys.stderr.write("\\nLOADED " + " ".join(m for m in {heavy!r} if m in loaded) + "\\n")
+sys.stderr.write("\\nLOADED " + " ".join(loaded) + "\\n")
 sys.exit(code)
-""".format(heavy=HEAVY)
+"""
 
 
-def _heavy_loaded(*argv, code=0):
-    """The heavy modules one fresh process loads for argv (see PROBE), and
-    what it printed."""
+def _loaded(*argv, code=0):
+    """The modules one fresh process loads for argv (see PROBE), and what
+    it printed."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True
@@ -69,6 +69,12 @@ def _heavy_loaded(*argv, code=0):
     last = done.stderr.rstrip("\n").rsplit("\n", 1)[-1]
     assert last.startswith("LOADED"), done.stderr
     return set(last.split()[1:]), done.stdout
+
+
+def _heavy_loaded(*argv, code=0):
+    """The heavy modules one fresh process loads for argv, and what it printed."""
+    loaded, out = _loaded(*argv, code=code)
+    return loaded & set(HEAVY), out
 
 
 @pytest.mark.parametrize("command", ["verify", "compute", "table"])
@@ -91,6 +97,19 @@ def test_help_loads_neither_mpmath_nor_dataclasses(command):
 def test_library_and_console_script_start_without_mpmath(argv):
     loaded, _ = _heavy_loaded(*argv)
     assert not loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["compute", "--help"], ["compute", "--L", "3", "--N-max", "2"], ["table"]],
+    ids=["help", "compute --help", "compute", "table"],
+)
+def test_runs_that_check_no_root_compile_no_fixed_point(argv):
+    # Measured is a lazy re-export and energy imports fixedpoint inside its
+    # closed-form functions, so only a root check or a closed form loads it
+    loaded, out = _loaded("run", *argv)
+    assert not {"qchain.fixedpoint", "qchain.roots", "qchain.multiple"} & loaded
+    assert "qchain.energy" in loaded and out
 
 
 def test_argument_errors_load_no_mpmath():
