@@ -41,9 +41,8 @@ roots are not closed under conjugation they visit every root, and where
 the inversion partners fail root-inversion's tolerance, one root per pair.
 Passes that read every root: the Moebius images, the root product, the
 inversion closure (one quotient per root; the partner map finds each
-nearest root in doubles, confirmed exactly), the root sum, and the
-coincidence test, a near-pair pass in doubles with each flagged pair
-compared exactly.
+nearest root by an exact sweep over the stored roots), the root sum, and
+the coincidence test, the same sweep with each root its own target.
 The seeds are made in doubles (cmath); the constants exp and sinh of eta,
 the Moebius pole and the embedding of the exact root sum come from the
 integer kernel of fixedpoint.py (expjpi, embed), and every measurement is
@@ -279,15 +278,16 @@ def _handover_bits(correction, points: list[complex]) -> int:
     """The bits, relative to max(1, |z|), that one more correction certifies
     for every point: -log2 of the worst (|N| + its bound) / max(1, |z|),
     at most 52; 0 unless each such reach is below a quarter of the
-    distance to the nearest other point.  That distance is the second
-    nearest of a sweep by real part with each point its own target
-    (symmetry._nearest), the point itself being the nearest at 0."""
+    distance to the nearest other point, the square root of second from a
+    sweep by real part with each point its own target (symmetry._nearest),
+    the point itself being the nearest at 0."""
     worst = 0.0
+    pairs = [(x.real, x.imag) for x in points]
     try:
-        for x, (_, _, apart) in zip(points, _nearest(points, points, math.inf)):
+        for x, (_, _, second) in zip(points, _nearest(pairs, pairs)):
             n, bound = correction(x)
             reach = abs(n) + bound
-            if not 4 * reach < apart:
+            if not 4 * reach < math.sqrt(second):
                 return 0
             worst = max(worst, reach / max(1.0, abs(x)))
     except (ZeroDivisionError, OverflowError):

@@ -15,80 +15,54 @@ only where that passes the check's tolerance, report.loose_tolerance.
 bae_residuals_by_form reads both through _orbits; its docstring derives
 the identities and the bound terms they add.
 
-Each search for near points runs in doubles, over the points sorted by
-real part (_nearest, _close_pairs), and every answer a measurement reads
-is then made or confirmed on the exact integers: a flagged pair's distance
-is compared exactly, a nearest point is taken from the doubles only where
-it is nearer than every other by more than their error (_slack), else by
-an exact scan, and where a float copy is out of range every pair or every
-point is compared exactly.
+Every near point is found by one sweep over the points sorted by real part
+(_nearest): on the stored integer roots each distance it compares is exact.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .fixedpoint import Measured, _divide, _float
+from .fixedpoint import Measured, _divide
 from .report import loose_tolerance
 
 if TYPE_CHECKING:
     from .roots import RootSet
 
 
-def _slack(points: list[complex]) -> float:
-    """2^-46 max(1, |x|) over the points.  Where each part of each point is a
-    correctly rounded double of an exact value, or a few roundings from one,
-    a difference of two points, or a distance, errs by under 2^-49 times
-    that size, so this is more than twice the error of any of them."""
-    return 2.0**-46 * max([1.0, *map(abs, points)])
-
-
-def _nearest(points: list[complex], targets: list[complex], slack: float = 0.0) -> list:
+def _nearest(points, targets) -> list:
     """For each target, (k, best, second): k the index of the nearest point
-    (the first of equals), best its distance and second the next smallest
-    distance to a point (inf if there is none).  A sweep runs outward from
-    the target's place among the points sorted by real part, and stops where
-    the real parts alone are farther than second or best + slack: second is
-    exact with slack inf, and otherwise decides second - best > slack, which
-    says whether every other point is farther by more than slack."""
-    order = sorted(range(len(points)), key=lambda k: points[k].real)
-    keys = [points[k].real for k in order]
+    (the first of equals), best its squared distance and second the next
+    smallest squared distance to a point (inf if there is none), points and
+    targets being (re, im) pairs.  A sweep runs outward from the target's
+    place among the points sorted by real part, and stops where the squared
+    difference of real parts alone exceeds second: every point it skips is
+    farther than second, so it returns what a scan over all the points
+    returns, exactly on int pairs and in the same arithmetic on doubles."""
+    order = sorted(range(len(points)), key=lambda k: points[k][0])
+    keys = [points[k][0] for k in order]
     found = []
-    for t in targets:
+    for tr, ti in targets:
         best = second = math.inf
         at = -1
-        start = bisect.bisect_left(keys, t.real)
+        start = bisect.bisect_left(keys, tr)
         for positions in (range(start, len(keys)), range(start - 1, -1, -1)):
             for pos in positions:
-                if abs(keys[pos] - t.real) > min(second, best + slack):
+                dr = keys[pos] - tr
+                d = dr * dr
+                if d > second:
                     break
                 k = order[pos]
-                d = abs(points[k] - t)
+                di = points[k][1] - ti
+                d += di * di
                 if d < best or (d == best and k < at):
                     best, second, at = d, best, k
                 elif d < second:
                     second = d
         found.append((at, best, second))
     return found
-
-
-def _close_pairs(points: list[complex], tau: float) -> list[tuple[int, int]]:
-    """Every pair (i, j), i < j, whose real parts and whose imaginary parts
-    each differ by at most tau, by a sweep over the points sorted by real part."""
-    order = sorted(range(len(points)), key=lambda k: points[k].real)
-    pairs = []
-    for a, i in enumerate(order):
-        x = points[i]
-        for b in range(a + 1, len(order)):
-            y = points[order[b]]
-            if y.real - x.real > tau:
-                break
-            if abs(y.imag - x.imag) <= tau:
-                pairs.append((min(i, order[b]), max(i, order[b])))
-    return pairs
 
 
 def _mirror_pairs(points: list[complex], good: int) -> list[int] | None:
@@ -100,7 +74,8 @@ def _mirror_pairs(points: list[complex], good: int) -> list[int] | None:
     2 |im x_j|, which a point on x_j's side can be only with |im x_k| <=
     |im x_j|; the same the other way round leaves equal points, where the
     map is no involution (each goes to the first of them)."""
-    partner = [k for k, _, _ in _nearest(points, [x.conjugate() for x in points])]
+    pairs = [(x.real, x.imag) for x in points]
+    partner = [k for k, _, _ in _nearest(pairs, [(re, -im) for re, im in pairs])]
     for j, k in enumerate(partner):
         x = points[j]
         if partner[k] != j:
@@ -119,32 +94,25 @@ def _conjugate_closed(points) -> bool:
 def _reject_coincident(z, bits: int) -> None:
     """ValueError naming the first pair i < j of roots closer than 2^-(bits//2).
 
-    A near-pair pass in doubles (_close_pairs) flags every pair whose parts
-    differ by at most _slack(floats), which all pairs that close do, and
-    each flagged pair's squared distance is compared exactly; where a float
-    copy is out of range every pair is compared exactly.
+    With each root its own target, the sweep's second (_nearest) is the
+    exact squared distance to the nearest other root, so the roots it puts
+    below the gap are those of the close pairs: i is the first of them, and
+    j the first after i whose exact distance to it is below the gap.
     """
-    one = 1 << bits
     min_gap = 1 << 2 * (bits - bits // 2)  # (2^-(bits//2))^2 at the scale 2^-2bits
-    floats = [_float(zr, zi, one) for zr, zi in z]
-    if all(map(cmath.isfinite, floats)):
-        pairs = _close_pairs(floats, _slack(floats))
-    else:
-        pairs = [(i, j) for i in range(len(z)) for j in range(i + 1, len(z))]
-    close = [
-        (i, j)
-        for i, j in pairs
-        if (z[i][0] - z[j][0]) ** 2 + (z[i][1] - z[j][1]) ** 2 < min_gap
-    ]
+    close = [j for j, (_, _, second) in enumerate(_nearest(z, z)) if second < min_gap]
     if close:
-        raise ValueError("roots {} and {} coincide".format(*min(close)))
+        i, *rest = close
+        ir, ii = z[i]
+        j = next(j for j in rest if (ir - z[j][0]) ** 2 + (ii - z[j][1]) ** 2 < min_gap)
+        raise ValueError(f"roots {i} and {j} coincide")
 
 
 class _Inverses(NamedTuple):
     """partner[j] = pi(j), the stored root nearest 1/z_j (the first of equals),
     and gaps[j] = |1/z_j - z_pi(j)|^2 in units 2^-2F, 1/z_j as _divide makes
-    it at 2^-F; gap, their largest as inversion_closure_gap reports it, with
-    its rounding bound (infinite where it is unbounded)."""
+    it at 2^-F, both exact; gap, their largest as inversion_closure_gap
+    reports it, with its rounding bound (infinite where it is unbounded)."""
 
     partner: tuple
     gaps: tuple
@@ -156,30 +124,15 @@ class _Inverses(NamedTuple):
 
 
 def _inverses(z, bits: int) -> _Inverses:
-    """The partner map of RootSet.inverses: pi(j) the stored root nearest the
-    exact quotient 1/z_j as _divide makes it, found by a sweep in doubles
-    (_nearest) where the nearest is nearer than every other by more than the
-    doubles' slack, and by an exact scan over all roots for the other j, or
-    for all where a float copy or its inverse is out of range."""
+    """The partner map of RootSet.inverses: the sweep (_nearest) of the
+    stored roots against the exact quotients 1/z_j as _divide makes them,
+    whose nearest index and squared distance are pi(j) and the gap."""
     one = 1 << bits
     values = [_divide(one, 0, zr, zi, bits) for zr, zi in z]
-    floats = [_float(zr, zi, one) for zr, zi in z]
-    found = [(-1, False)] * len(z)
-    if all(map(cmath.isfinite, floats)):
-        targets = [_float(ir, ii, one) for ir, ii in values]
-        if all(map(cmath.isfinite, targets)):
-            slack = _slack(floats + targets)
-            nearest = _nearest(floats, targets, slack)
-            found = [(k, second - best > slack) for k, best, second in nearest]
-    partner, gaps = [], []
-    for (ir, ii), (k, sure) in zip(values, found):
-        if not sure:
-            k = min(range(len(z)), key=lambda c: ((ir - z[c][0]) ** 2 + (ii - z[c][1]) ** 2, c))
-        partner.append(k)
-        gaps.append((ir - z[k][0]) ** 2 + (ii - z[k][1]) ** 2)
+    partner, gaps, _ = zip(*_nearest(z, values))
     low = min(abs(zr) | abs(zi) for zr, zi in z).bit_length()
     error = None if low < 3 else (3 * 4 ** max(0, bits + 1 - low) + 3, -bits)
-    return _Inverses(tuple(partner), tuple(gaps), Measured.from_square(max(gaps), one * one, bits, error))
+    return _Inverses(partner, gaps, Measured.from_square(max(gaps), one * one, bits, error))
 
 
 def _orbits(rs: RootSet) -> tuple[list[tuple[int, bool]], list[int] | None, tuple | None]:
@@ -190,10 +143,10 @@ def _orbits(rs: RootSet) -> tuple[list[tuple[int, bool]], list[int] | None, tupl
     unless bae_residuals_by_form can read it (its docstring says when)."""
     z = rs.z
     p = len(z)
-    if not _conjugate_closed(z):
-        return [(j, False) for j in range(p)], None, None
     index = {x: k for k, x in enumerate(z)}
-    conj = [index[zr, -zi] for zr, zi in z]
+    conj = [index.get((zr, -zi)) for zr, zi in z]
+    if None in conj:
+        return [(j, False) for j in range(p)], None, None
     inv = None
     if all(zr or zi for zr, zi in z):
         inverses = rs.inverses

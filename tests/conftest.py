@@ -1,5 +1,7 @@
 """Helpers shared by the test modules (import them with `from conftest import ...`)."""
 
+import bisect
+import cmath
 import math
 from fractions import Fraction
 from math import comb
@@ -9,7 +11,7 @@ import mpmath
 
 from qchain.cyclotomic import CyclotomicNumber, _reduce, cyc_cos, zeta_power
 from qchain.energy import groundstate_summary
-from qchain.fixedpoint import Measured, _divide, _mul, _product, _scaled_mul
+from qchain.fixedpoint import Measured, _divide, _float, _mul, _product, _scaled_mul
 from qchain.linalg import SingularMatrixError, solve_linear_system
 from qchain.qoperator import ChainParams, QPolynomial, admissible_indices, build_q
 from qchain.rationals import divide_monic
@@ -358,10 +360,50 @@ def inversion_scan_oracle(rs):
     return Measured.from_square(worst, 1 << 2 * F, F, error)
 
 
+def inverses_oracle(z, bits):
+    """(partner, gaps) of `symmetry._inverses` as they were made before one
+    exact sweep: the root nearest each exact quotient 1/z_j found by a
+    sweep in doubles, taken from it only where it is nearer than every
+    other by more than the doubles' slack 2^-46 max(1, |x|), else by an
+    exact scan over all roots, as for every j where a float copy of a root
+    or of its inverse is out of range."""
+    one = 1 << bits
+    values = [_divide(one, 0, zr, zi, bits) for zr, zi in z]
+    floats = [_float(zr, zi, one) for zr, zi in z]
+    targets = [_float(ir, ii, one) for ir, ii in values]
+    found = [(-1, False)] * len(z)
+    if all(map(cmath.isfinite, floats + targets)):
+        slack = 2.0**-46 * max([1.0, *map(abs, floats + targets)])
+        order = sorted(range(len(z)), key=lambda k: floats[k].real)
+        keys = [floats[k].real for k in order]
+        for j, t in enumerate(targets):
+            best = second = math.inf
+            at = -1
+            start = bisect.bisect_left(keys, t.real)
+            for positions in (range(start, len(keys)), range(start - 1, -1, -1)):
+                for pos in positions:
+                    if abs(keys[pos] - t.real) > min(second, best + slack):
+                        break
+                    k = order[pos]
+                    d = abs(floats[k] - t)
+                    if d < best or (d == best and k < at):
+                        best, second, at = d, best, k
+                    elif d < second:
+                        second = d
+            found[j] = (at, second - best > slack)
+    partner, gaps = [], []
+    for (ir, ii), (k, sure) in zip(values, found):
+        if not sure:
+            k = min(range(len(z)), key=lambda c: ((ir - z[c][0]) ** 2 + (ii - z[c][1]) ** 2, c))
+        partner.append(k)
+        gaps.append((ir - z[k][0]) ** 2 + (ii - z[k][1]) ** 2)
+    return tuple(partner), tuple(gaps)
+
+
 def coincidence_oracle(z, bits):
     """The first pair (i, j), i < j, of fixed-point points closer than
     2^-(bits//2), by comparing all pairs exactly, or None: the reference
-    for the near-pair pass of `bae_residuals_by_form`."""
+    for `symmetry._reject_coincident`."""
     min_gap = 1 << 2 * (bits - bits // 2)
     for i in range(len(z)):
         for j in range(i + 1, len(z)):

@@ -308,9 +308,10 @@ def test_huge_tamper_delta_is_a_finding(capsys):
         for N in (1, 2):
             assert sum(line.split()[1:4] == [check, "L=3", f"N={N}"] for line in lines) == 1
     assert any(line.startswith("FAIL root-sum L=3 N=2 ") for line in lines)
-    # the search finds both roots of the bumped Q at N = 2, near -10^400 and
-    # -10^-400, within a tolerance scaled by its 10^400 coefficient; every
-    # other root check fails at both points
+    # at N = 2 find_roots stores both roots of the bumped Q as exactly 0,
+    # after 37 fixed-point sweeps; the roots check passes only because its
+    # tolerance 2^-232 (1 + max |c_k|), about 10^330 here, admits |Q(0)| = 1,
+    # a false PASS; every other root check fails at both points
     assert "PASS roots L=3 N=2" in lines
     assert lines[-1] == "8 of 12 checks FAILED"
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qchain.bethe
@@ -30,6 +30,7 @@ from conftest import (
     exact_value,
     float_corrector_oracle,
     handover_scan_oracle,
+    inverses_oracle,
     inversion_oracle,
     inversion_scan_oracle,
     moebius_oracle,
@@ -320,9 +321,9 @@ def test_inversion_partner_map_reads_what_the_full_scan_reads(L, N):
 
 
 def test_inversion_partners_the_doubles_cannot_tell_apart_are_scanned():
-    # 1/2 is 2^-60 from one root and 2^-61 from another, both 1/2 in doubles;
-    # a root of 2^1100 leaves no float copies at all: either way the exact
-    # scan decides
+    # 1/2 is 2^-60 from one root and 2^-61 from another, both 1/2 in doubles,
+    # and a root of 2^1100 has no double at all: the sweep compares the
+    # stored integers, so it finds what the full scan finds
     rs = find_roots(build_q(ChainParams(3, 2)), precision_bits=256)
     one = 1 << rs.bits
     close = _hand_built(rs, [(2 * one, 0), (one // 2 + (one >> 60), 0), (one // 2 - (one >> 61), 0)])
@@ -331,6 +332,52 @@ def test_inversion_partners_the_doubles_cannot_tell_apart_are_scanned():
     far = _hand_built(rs, [(one << 1100, 0), (one, one), (3 * one, -one), (1, 0)])
     assert far.inverses.partner == (3, 3, 3, 2)
     assert inversion_closure_gap(far) == inversion_scan_oracle(far)
+
+
+@pytest.mark.parametrize("L,N", [(L, N) for L in (3, 5, 7, 9, 11) for N in (1, 2, 3, 4)] + [(21, 4), (51, 8)])
+def test_inverses_match_the_float_sweep_with_exact_fallbacks(L, N):
+    # the exact sweep gives the partner map and the gaps that the sweep in
+    # doubles, confirmed or replaced by exact scans, gave
+    rs = find_roots(build_q(ChainParams(L, N)), precision_bits=256)
+    assert rs.inverses[:2] == inverses_oracle(rs.z, rs.bits)
+
+
+def test_inverses_match_the_float_sweep_on_the_huge_tamper_roots():
+    # a 400-digit bump at L = 3: at N = 1 the one root is beyond float range,
+    # which the old route scanned exactly; at N = 2 both roots are stored as
+    # exactly 0, where both routes divide by zero
+    huge = F(10**400)
+    rs = find_roots(build_q(ChainParams(3, 1)).with_coefficient_bump(1, huge), precision_bits=256)
+    assert rs.z[0][0] >> rs.bits > 2**1100
+    assert rs.inverses[:2] == inverses_oracle(rs.z, rs.bits)
+    rs = find_roots(build_q(ChainParams(3, 2)).with_coefficient_bump(1, huge), precision_bits=256)
+    assert rs.z == ((0, 0), (0, 0))
+    for route in (lambda: rs.inverses, lambda: inverses_oracle(rs.z, rs.bits)):
+        with pytest.raises(ZeroDivisionError):
+            route()
+
+
+_COORDS = st.one_of(st.integers(-6, 6), st.integers(-(2**1200), 2**1200), st.sampled_from([2**1100, -(2**1100) - 1]))
+_PAIRS = st.tuples(_COORDS, _COORDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PAIRS, min_size=1, max_size=12), st.lists(_PAIRS, max_size=6))
+@example(points=[(1, 0), (0, 1), (-1, 0), (1, 0)], targets=[(0, 0), (1, 0)])
+@example(points=[(2**1101, 0), (2**1100, 5), (2**1100, -5)], targets=[(2**1100, 0)])
+def test_nearest_sweep_matches_a_scan_over_every_point(points, targets):
+    # on int pairs, duplicates and exact ties included (small coordinates
+    # tie often) and coordinates beyond 2^1100, the sweep by real part
+    # returns what a scan over every point returns: the first nearest, its
+    # squared distance and the next smallest one
+    points = points + points[: len(points) // 2]
+    targets = targets + points[:2]
+    found = qchain.symmetry._nearest(points, targets)
+    assert len(found) == len(targets)
+    for (k, best, second), (tr, ti) in zip(found, targets):
+        ranked = sorted(((pr - tr) ** 2 + (pi - ti) ** 2, j) for j, (pr, pi) in enumerate(points))
+        assert (best, k) == ranked[0]
+        assert second == (ranked[1][0] if len(ranked) > 1 else math.inf)
 
 
 def test_inversion_partner_maps_that_are_no_commuting_involution_are_not_read():
@@ -359,8 +406,8 @@ def test_inversion_partner_maps_that_are_no_commuting_involution_are_not_read():
 
 
 def test_merged_roots_raise_as_the_all_pairs_scan_does():
-    # the near-pair pass in doubles flags the pairs the exact all-pairs scan
-    # finds, and names the same first pair; a pair just outside 2^-(F//2) passes
+    # the exact sweep flags the roots of the pairs the all-pairs scan finds,
+    # and names the same first pair; a pair just outside 2^-(F//2) passes
     rs = find_roots(build_q(ChainParams(11, 4)), precision_bits=256)
     F = rs.bits
     roots = list(rs.z)
@@ -378,12 +425,32 @@ def test_merged_roots_raise_as_the_all_pairs_scan_does():
     roots[7] = rs.z[7]
     assert coincidence_oracle(roots, F) is None
     qchain.symmetry._reject_coincident(roots, F)
-    # a root beyond float range: every pair is compared exactly
+    # a root beyond float range is compared like any other
     one = 1 << F
     far = [(one << 1100, 0), (one, one), (3 * one, 0), (one, one)]
     assert coincidence_oracle(far, F) == (1, 3)
     with pytest.raises(ValueError, match=r"^roots 1 and 3 coincide$"):
         qchain.symmetry._reject_coincident(far, F)
+
+
+def test_three_close_roots_name_the_pair_the_all_pairs_scan_names():
+    # roots 2, 5 and 8 within 2^-(F//2) of each other name (2, 5); moved
+    # onto a line 0.6 of that gap apart, 2 and 5 are no longer close but
+    # each is close to 8, and the first pair is (2, 8)
+    rs = find_roots(build_q(ChainParams(11, 4)), precision_bits=256)
+    F = rs.bits
+    gap = 1 << F - F // 2
+    roots = list(rs.z)
+    xr, xi = roots[8]
+    roots[2], roots[5] = (xr + gap // 2, xi), (xr, xi - gap // 2)
+    assert coincidence_oracle(roots, F) == (2, 5)
+    with pytest.raises(ValueError, match=r"^roots 2 and 5 coincide$"):
+        qchain.symmetry._reject_coincident(roots, F)
+    step = 3 * gap // 5
+    roots[2], roots[5] = (xr - step, xi), (xr + step, xi)
+    assert coincidence_oracle(roots, F) == (2, 8)
+    with pytest.raises(ValueError, match=r"^roots 2 and 8 coincide$"):
+        qchain.symmetry._reject_coincident(roots, F)
 
 
 @pytest.mark.parametrize("L,N", [(5, 2), (9, 4), (11, 4), (21, 4), (31, 6)])
